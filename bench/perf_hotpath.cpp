@@ -6,11 +6,8 @@
 /// transformed-layout fig14 run (general-path address computation), and the
 /// fig25 co-run (cache-line interleaving + multiprogrammed contention).
 ///
-/// Each workload runs at --sim-threads 1 (the serial reference engine) and
-/// at 2/4/8 host threads through the conservative parallel engine; every
-/// parallel row is checked to produce the identical simulated result before
-/// it is reported. Timing per row is best/median/p95 over --repeats
-/// repetitions with phase timers off (honest numbers), then one more run
+/// Timing per row is best/median/p95 over --repeats repetitions with phase
+/// timers off (honest numbers), then one more run
 /// with MachineConfig::CollectPhaseTimes attributes the time to stream
 /// generation, network, and DRAM (phase columns are corrected for the
 /// calibrated clock-read overhead; see support/HostClock.h). The report
@@ -46,7 +43,7 @@ namespace {
 struct Workload {
   std::string Name;
   /// Runs the simulation once; \p Timed enables the phase timers.
-  std::function<SimResult(bool, unsigned)> Run;
+  std::function<SimResult(bool)> Run;
 };
 
 struct Measurement {
@@ -66,13 +63,13 @@ double percentile(std::vector<double> Samples, double P) {
   return Samples[Rank - 1];
 }
 
-Measurement measure(const Workload &W, unsigned Repeats, unsigned SimThreads) {
+Measurement measure(const Workload &W, unsigned Repeats) {
   Measurement M;
   std::vector<double> Samples;
   Samples.reserve(Repeats);
   for (unsigned I = 0; I < Repeats; ++I) {
     auto T0 = std::chrono::steady_clock::now();
-    M.Result = W.Run(false, SimThreads);
+    M.Result = W.Run(false);
     double S = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              T0)
                    .count();
@@ -81,24 +78,8 @@ Measurement measure(const Workload &W, unsigned Repeats, unsigned SimThreads) {
   M.BestSeconds = *std::min_element(Samples.begin(), Samples.end());
   M.MedianSeconds = percentile(Samples, 0.5);
   M.P95Seconds = percentile(Samples, 0.95);
-  M.TimedResult = W.Run(true, SimThreads);
+  M.TimedResult = W.Run(true);
   return M;
-}
-
-/// The fields a row reports (plus a few more) must not depend on
-/// --sim-threads; refuse to report a parallel row that diverges.
-bool sameSimulatedResult(const SimResult &A, const SimResult &B) {
-  return A.TotalAccesses == B.TotalAccesses && A.L1Hits == B.L1Hits &&
-         A.LocalL2Hits == B.LocalL2Hits && A.RemoteL2Hits == B.RemoteL2Hits &&
-         A.OffChipAccesses == B.OffChipAccesses &&
-         A.ExecutionCycles == B.ExecutionCycles &&
-         A.AccessLatency.sum() == B.AccessLatency.sum() &&
-         A.MemLatency.sum() == B.MemLatency.sum() &&
-         A.OffChipNetLatency.sum() == B.OffChipNetLatency.sum() &&
-         A.ThreadFinishCycles == B.ThreadFinishCycles &&
-         A.NodeToMCTraffic == B.NodeToMCTraffic &&
-         A.BurstTransactions == B.BurstTransactions &&
-         A.BurstLines == B.BurstLines;
 }
 
 /// Share of off-chip lines that travelled inside a coalesced burst: burst
@@ -165,7 +146,6 @@ int main(int Argc, char **Argv) {
   unsigned Repeats = 3;
   double Scale = 1.0;
   std::string OutPath;
-  bool SerialOnly = false;
   OptionsParser Parser(
       "bench_perf_hotpath",
       "Wall-clock throughput of fixed simulations (the BENCH_perf numbers)");
@@ -173,8 +153,6 @@ int main(int Argc, char **Argv) {
                "untimed repetitions per row; best/median/p95 (default 3)");
   Parser.value("--out", &OutPath,
                "write the JSON report to this file instead of stdout");
-  Parser.flag("--serial-only", &SerialOnly,
-              "skip the --sim-threads 2/4/8 rows (quick smoke)");
   Parser.custom(
       "--scale", "<S>",
       [&](const std::string &V) {
@@ -209,21 +187,20 @@ int main(int Argc, char **Argv) {
   // The fig25 swim+mgrid co-run: both apps share every node, cache-line
   // interleaving (the multiprogrammed contention case).
   auto CoRun = [&](bool Burst) {
-    return [&, Burst](bool Timed, unsigned SimThreads) {
+    return [&, Burst](bool Timed) {
       MachineConfig C = LineCfg;
       C.CollectPhaseTimes = Timed;
-      C.SimThreads = SimThreads;
       C.Burst.Enabled = Burst;
-    std::vector<unsigned> AllNodes;
-    for (unsigned T = 0; T < C.numNodes(); ++T)
-      AllNodes.push_back(MLine.threadToNode(T));
-    LayoutPlan P1 = LayoutTransformer::originalPlan(Swim.Program);
-    LayoutPlan P2 = LayoutTransformer::originalPlan(Mgrid.Program);
-    AppInstance A1, A2;
-    A1.Program = &Swim.Program;
-    A1.Plan = &P1;
-    A1.Nodes = AllNodes;
-    A1.ComputeGapCycles = Swim.ComputeGapCycles;
+      std::vector<unsigned> AllNodes;
+      for (unsigned T = 0; T < C.numNodes(); ++T)
+        AllNodes.push_back(MLine.threadToNode(T));
+      LayoutPlan P1 = LayoutTransformer::originalPlan(Swim.Program);
+      LayoutPlan P2 = LayoutTransformer::originalPlan(Mgrid.Program);
+      AppInstance A1, A2;
+      A1.Program = &Swim.Program;
+      A1.Plan = &P1;
+      A1.Nodes = AllNodes;
+      A1.ComputeGapCycles = Swim.ComputeGapCycles;
       A2.Program = &Mgrid.Program;
       A2.Plan = &P2;
       A2.Nodes = AllNodes;
@@ -233,23 +210,15 @@ int main(int Argc, char **Argv) {
   };
 
   auto Variant = [&](const AppModel &App, RunVariant V, bool Traced = false,
-                     bool Burst = false, unsigned WindowBatch = 1,
-                     unsigned ReplicaEpochs = 0) {
-    return [&App, &PageCfg, &MPage, V, Traced, Burst, WindowBatch,
-            ReplicaEpochs](bool Timed, unsigned SimThreads) {
+                     bool Burst = false) {
+    return [&App, &PageCfg, &MPage, V, Traced, Burst](bool Timed) {
       MachineConfig C = PageCfg;
       C.CollectPhaseTimes = Timed;
-      C.SimThreads = SimThreads;
       // The -traced row: event collection on, in-memory sink only (no
       // export I/O), so the delta vs the untraced row is the pure
       // instrumentation overhead.
       C.Trace.Enabled = Traced;
       C.Burst.Enabled = Burst;
-      // The +batched rows: amortized mailbox publishes plus shard-local
-      // translation replicas. Bit-identity vs the serial row is asserted
-      // below like for every other parallel row.
-      C.SimWindowBatch = WindowBatch;
-      C.SimReplicaEpochs = ReplicaEpochs;
       return runVariant(App, C, MPage, V);
     };
   };
@@ -272,33 +241,10 @@ int main(int Argc, char **Argv) {
       {"stream-records", Variant(Records, RunVariant::Original)},
       {"stream-records+burst",
        Variant(Records, RunVariant::Original, false, true)},
-      // The decoupled-merger rows: window batch 256 + replica staleness 4.
-      // merger_trips vs the untuned twin is the publish-amortization win;
-      // replica_hits > 0 shows workers completing translation-dependent
-      // probes locally. Identical simulated results are asserted like for
-      // every parallel row.
-      {"fig03-wupwise+batched",
-       Variant(Wupwise, RunVariant::Original, false, false, 256, 4)},
-      {"fig14-swim-opt+batched",
-       Variant(Swim, RunVariant::Optimized, false, false, 256, 4)},
   };
-  std::vector<unsigned> SimThreadRows = {1, 2, 4, 8};
-  if (SerialOnly)
-    SimThreadRows = {1};
 
   unsigned HostCores = std::thread::hardware_concurrency();
   std::string CpuModel = hostCpuModel();
-  unsigned WidestRow =
-      *std::max_element(SimThreadRows.begin(), SimThreadRows.end());
-  bool Undersubscribed = WidestRow > 1 && HostCores < WidestRow + 1;
-  if (Undersubscribed)
-    std::fprintf(stderr,
-                 "warning: UNDERSUBSCRIBED HOST — %u hardware threads but "
-                 "the widest row wants %u workers plus the merger; parallel "
-                 "rows beyond sim_threads %u measure coordination overhead, "
-                 "not speedup, and the report is tagged "
-                 "\"undersubscribed\": true\n",
-                 HostCores, WidestRow, HostCores > 1 ? HostCores - 1 : 1);
 
   std::string Capture;
   std::unique_ptr<OutputSink> Sink = makeJsonSink(&Capture);
@@ -306,101 +252,57 @@ int main(int Argc, char **Argv) {
               "simulator wall-clock throughput on fixed workloads "
               "(higher Macc/s is better; timings are host wall-clock)",
               PageCfg.summary());
-  // Machine-readable provenance: which host produced these numbers, and
-  // whether its core count could even express the widest row's
-  // parallelism. Comparisons across BENCH_perf.json revisions are only
-  // meaningful between reports with compatible host fields.
+  // Machine-readable provenance: which host produced these numbers.
+  // Comparisons across BENCH_perf.json revisions are only meaningful
+  // between reports with compatible host fields.
   Sink->meta("host_cores", formatString("%u", HostCores));
   Sink->meta("cpu_model", JsonValue::string(CpuModel).write());
-  if (Undersubscribed)
-    Sink->meta("undersubscribed", "true");
   Sink->columns({{"workload", 22},
-                 {"sim_threads", 11},
                  {"seconds", 9},
                  {"median_s", 9},
                  {"p95_s", 9},
                  {"repeats", 7},
                  {"macc_per_s", 11},
-                 {"speedup", 8},
                  {"coalesced_pct", 13},
                  {"accesses", 10},
                  {"exec_cycles", 12},
                  {"stream_s", 9},
                  {"network_s", 10},
                  {"dram_s", 8},
-                 {"timed_total_s", 13},
-                 {"merger_trips", 12},
-                 {"replica_hits", 12}});
+                 {"timed_total_s", 13}});
 
   for (const Workload &W : Workloads) {
-    double SerialBest = 0.0;
-    SimResult SerialResult;
-    for (unsigned SimThreads : SimThreadRows) {
-      std::fprintf(stderr, "running %s x%u (%u repeats)...\n", W.Name.c_str(),
-                   SimThreads, Repeats);
-      Measurement M = measure(W, Repeats, SimThreads);
-      if (SimThreads == 1) {
-        SerialBest = M.BestSeconds;
-        SerialResult = M.Result;
-      } else if (!sameSimulatedResult(SerialResult, M.Result)) {
-        std::fprintf(stderr,
-                     "FATAL: %s diverged from the serial result at "
-                     "--sim-threads %u\n",
-                     W.Name.c_str(), SimThreads);
-        return 1;
-      }
-      double Macc = static_cast<double>(M.Result.TotalAccesses) /
-                    M.BestSeconds / 1e6;
-      const PhaseTimes &P = M.TimedResult.Phases;
-      Sink->row({W.Name, formatString("%u", SimThreads),
-                 formatString("%.3f", M.BestSeconds),
-                 formatString("%.3f", M.MedianSeconds),
-                 formatString("%.3f", M.P95Seconds),
-                 formatString("%u", Repeats),
-                 formatString("%.2f", Macc),
-                 formatString("%.2f", SerialBest / M.BestSeconds),
-                 formatString("%.1f", coalescedPct(M.Result)),
-                 formatString("%llu",
-                              (unsigned long long)M.Result.TotalAccesses),
-                 formatString("%llu",
-                              (unsigned long long)M.Result.ExecutionCycles),
-                 formatString("%.3f", P.StreamGenSeconds),
-                 formatString("%.3f", P.NetworkSeconds),
-                 formatString("%.3f", P.DramSeconds),
-                 formatString("%.3f", P.TotalSeconds),
-                 formatString("%llu",
-                              (unsigned long long)
-                                  M.Result.Engine.MergerRoundTrips),
-                 formatString("%llu",
-                              (unsigned long long)
-                                  M.Result.Engine.ReplicaHits)});
-      std::fprintf(stderr, "  %.3f s  %.2f Macc/s  (x%.2f vs serial)\n",
-                   M.BestSeconds, Macc, SerialBest / M.BestSeconds);
-    }
+    std::fprintf(stderr, "running %s (%u repeats)...\n", W.Name.c_str(),
+                 Repeats);
+    Measurement M = measure(W, Repeats);
+    double Macc =
+        static_cast<double>(M.Result.TotalAccesses) / M.BestSeconds / 1e6;
+    const PhaseTimes &P = M.TimedResult.Phases;
+    Sink->row({W.Name, formatString("%.3f", M.BestSeconds),
+               formatString("%.3f", M.MedianSeconds),
+               formatString("%.3f", M.P95Seconds),
+               formatString("%u", Repeats), formatString("%.2f", Macc),
+               formatString("%.1f", coalescedPct(M.Result)),
+               formatString("%llu",
+                            (unsigned long long)M.Result.TotalAccesses),
+               formatString("%llu",
+                            (unsigned long long)M.Result.ExecutionCycles),
+               formatString("%.3f", P.StreamGenSeconds),
+               formatString("%.3f", P.NetworkSeconds),
+               formatString("%.3f", P.DramSeconds),
+               formatString("%.3f", P.TotalSeconds)});
+    std::fprintf(stderr, "  %.3f s  %.2f Macc/s\n", M.BestSeconds, Macc);
   }
   Sink->note(formatString(
       "scale=%.2f repeats=%u host_cores=%u; seconds/macc_per_s use the best "
-      "repeat, median_s/p95_s the nearest-rank percentiles; speedup is vs "
-      "the same workload's sim_threads=1 row; every sim_threads>1 row is "
-      "verified bit-identical to the serial result before reporting; phase "
-      "columns come from one extra run with CollectPhaseTimes enabled, "
-      "corrected for clock-read overhead by the support/HostClock "
-      "calibration (in parallel rows stream_s sums across worker threads); "
-      "sim_threads>1 rows can only beat the serial row when host_cores >= "
-      "sim_threads + 1 (workers plus the merger) — on fewer cores they "
-      "measure the engine's coordination overhead instead; the -traced row "
-      "repeats its base workload with --trace collection into the in-memory "
-      "sink (no file export), so its slowdown vs the untraced row is the "
-      "tracing overhead; +burst rows rerun their base workload with "
-      "--burst-coalesce on, and coalesced_pct is the share of off-chip "
-      "lines that travelled inside a coalesced transaction; +batched rows "
-      "rerun their base workload with --sim-window-batch 256 "
-      "--sim-replica-epochs 4, so their merger_trips vs the untuned twin "
-      "is the mailbox-publish amortization (bounded by nodes per shard; "
-      "see EXPERIMENTS.md) and replica_hits counts probes the workers "
-      "completed locally against their translation replicas; serial rows "
-      "report merger_trips=0 replica_hits=0 because the serial engine has "
-      "no merger",
+      "repeat, median_s/p95_s the nearest-rank percentiles; phase columns "
+      "come from one extra run with CollectPhaseTimes enabled, corrected "
+      "for clock-read overhead by the support/HostClock calibration; the "
+      "-traced row repeats its base workload with --trace collection into "
+      "the in-memory sink (no file export), so its slowdown vs the untraced "
+      "row is the tracing overhead; +burst rows rerun their base workload "
+      "with --burst-coalesce on, and coalesced_pct is the share of off-chip "
+      "lines that travelled inside a coalesced transaction",
       Scale, Repeats, HostCores));
   Sink->end();
 

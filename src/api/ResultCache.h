@@ -4,8 +4,8 @@
 /// Caches Ok responses under their canonical request key
 /// (api/ContentHash.h). Because the key covers exactly the
 /// result-affecting request content, replaying a cached response is
-/// indistinguishable from recomputing it — the simulator is deterministic
-/// and the parallel engine bit-identical — so the cache can sit in front
+/// indistinguishable from recomputing it — the simulator is
+/// deterministic — so the cache can sit in front
 /// of the service without a correctness tax. Bounded LRU with hit/miss/
 /// eviction counters; all operations are thread-safe behind one mutex
 /// (entries are value copies, never references into the cache).

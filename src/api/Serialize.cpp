@@ -4,6 +4,7 @@
 
 #include "support/Format.h"
 
+#include <cmath>
 #include <limits>
 
 using namespace offchip;
@@ -326,9 +327,6 @@ JsonValue offchip::toJson(const MachineConfig &C) {
   O.set("coherence_ack_bytes", JsonValue::number(C.Coherence.AckBytes));
   O.set("coherence_invalidate_bytes",
         JsonValue::number(C.Coherence.InvalidateBytes));
-  O.set("sim_threads", JsonValue::number(C.SimThreads));
-  O.set("sim_window_batch", JsonValue::number(C.SimWindowBatch));
-  O.set("sim_replica_epochs", JsonValue::number(C.SimReplicaEpochs));
   O.set("check_invariants", JsonValue::boolean(C.CheckInvariants));
   return O;
 }
@@ -435,12 +433,6 @@ bool offchip::machineConfigFromJson(const JsonValue &V, MachineConfig *C,
       Ok = readU32(V, Key, &C->Coherence.AckBytes, Err);
     else if (Key == "coherence_invalidate_bytes")
       Ok = readU32(V, Key, &C->Coherence.InvalidateBytes, Err);
-    else if (Key == "sim_threads")
-      Ok = readU32(V, Key, &C->SimThreads, Err);
-    else if (Key == "sim_window_batch")
-      Ok = readU32(V, Key, &C->SimWindowBatch, Err);
-    else if (Key == "sim_replica_epochs")
-      Ok = readU32(V, Key, &C->SimReplicaEpochs, Err);
     else if (Key == "check_invariants")
       Ok = readBool(V, Key, &C->CheckInvariants, Err);
     else
@@ -671,9 +663,14 @@ bool offchip::requestFromJson(const JsonValue &V, SimRequest *R,
     } else if (Key == "app") {
       Ok = readString(V, Key, &R->Workload.App, Err);
       SawApp = true;
-    } else if (Key == "scale")
+    } else if (Key == "scale") {
       Ok = readF64(V, Key, &R->Workload.SizeScale, Err);
-    else if (Key == "program") {
+      // A zero, negative or non-finite scale builds a degenerate workload
+      // that would still be answered ok and cached under its own key.
+      if (Ok && !(std::isfinite(R->Workload.SizeScale) &&
+                  R->Workload.SizeScale > 0.0))
+        return keyError(Err, Key, "must be a finite number > 0");
+    } else if (Key == "program") {
       Ok = readString(V, Key, &R->Workload.ProgramText, Err);
       SawProgram = true;
     } else if (Key == "mcs_per_cluster")

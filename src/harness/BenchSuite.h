@@ -115,9 +115,8 @@ public:
   /// Registry for extra per-bench flags; register before parseArgs().
   OptionsParser &options() { return Parser; }
 
-  /// Parses the common bench flag set: --jobs N, --sim-threads N,
-  /// --sim-window-batch N, --sim-replica-epochs N, --burst-coalesce,
-  /// --csv, --json, --apps a,b,c, the tracing flags (--trace, --trace-out,
+  /// Parses the common bench flag set: --jobs N, --burst-coalesce, --csv,
+  /// --json, --apps a,b,c, the tracing flags (--trace, --trace-out,
   /// --trace-sample-cycles, --trace-max-events) and --help. \returns an
   /// exit code when the process should stop (bad flags: 2, --help: 0),
   /// std::nullopt to continue.
@@ -218,9 +217,6 @@ private:
   OptionsParser Parser;
 
   unsigned JobsSetting = 0; // 0 = hardware threads
-  unsigned SimThreadsSetting = 0; // 0 = keep the config's value
-  unsigned SimWindowBatchSetting = 0;   // 0 = keep the config's value
-  unsigned SimReplicaEpochsSetting = 0; // 0 = keep the config's value
   bool BurstRequested = false;
   std::string CoherenceArg;       // empty = keep the config's protocol
   unsigned SparseDirSetting = 0;  // 0 = full directory (no sparse bound)

@@ -3,9 +3,9 @@
 #include "sim/Engine.h"
 
 #include "check/Invariants.h"
-#include "sim/EngineImpl.h"
 #include "support/Error.h"
 #include "support/HostClock.h"
+#include "support/Random.h"
 #include "trace/ChromeExport.h"
 #include "trace/TimeSeries.h"
 #include "trace/TraceSink.h"
@@ -34,19 +34,44 @@ offchip::partitionNodesForApps(const ClusterMapping &Mapping,
 
 namespace {
 
-/// The serial reference loop: one packed-key heap over all threads, popped
-/// in (time, thread) order. The parallel engine reproduces this order
-/// exactly for every access that touches shared state.
-///
-/// Uses the same split access pieces as the parallel workers (l1Probe /
-/// l2ProbeLocal / fillL1 / missAfterL1 / missAfterL2) so the two engines
-/// share every instrumentation point: with a TraceSink attached, both
-/// record the identical per-node event sequences (see trace/TraceEvent.h).
-void runSerialLoop(Machine &M, const MachineConfig &Config,
-                   std::vector<EngineThread> &Threads, unsigned ThreadShift,
-                   SimResult &R, std::uint64_t &LastTime,
-                   double &StreamSeconds, std::uint64_t &StreamCalls,
-                   TraceSink *Sink, RequestLedger *Ledger) {
+/// One simulated thread's execution state.
+struct EngineThread {
+  ThreadStream Stream;
+  unsigned Node;
+  unsigned App;
+  unsigned GapCycles;
+  /// Per-thread jitter source: real iterations do variable amounts of
+  /// work. Without it, identical streams phase-lock through the shared
+  /// queues and every iteration emits one synchronized 64-miss burst.
+  SplitMix64 Jitter;
+  std::uint64_t FinishTime = 0;
+
+  EngineThread(const AddressMap &Map, unsigned Id, unsigned NumThreads,
+               unsigned Node, unsigned App, unsigned GapCycles)
+      : Stream(Map, Id, NumThreads), Node(Node), App(App),
+        GapCycles(GapCycles),
+        Jitter(0x5eed0000ull + Id * 1000003ull + App) {}
+
+  /// Uniform in [Gap/2, 3*Gap/2]; mean == GapCycles. One draw per access,
+  /// in program order.
+  std::uint64_t nextGap() {
+    if (GapCycles == 0)
+      return 0;
+    return GapCycles / 2 + Jitter.nextBelow(GapCycles + 1);
+  }
+};
+
+/// The event loop: one packed-key heap over all threads, popped in (time,
+/// thread) order. Keys pack (Time << ThreadShift) | ThreadId with ThreadId
+/// below 2^ThreadShift, which orders exactly like (Time, ThreadId)
+/// lexicographic; every thread has at most one outstanding event, so keys
+/// are unique and the pop order is fully determined. The key doubles as the
+/// trace key of the access it pops (see trace/TraceEvent.h).
+void runEventLoop(Machine &M, const MachineConfig &Config,
+                  std::vector<EngineThread> &Threads, unsigned ThreadShift,
+                  SimResult &R, std::uint64_t &LastTime,
+                  double &StreamSeconds, std::uint64_t &StreamCalls,
+                  RequestLedger *Ledger) {
   const std::uint64_t ThreadMask = (1ull << ThreadShift) - 1;
   auto PackEvent = [ThreadShift](std::uint64_t Time, unsigned Thread) {
     return (Time << ThreadShift) | Thread;
@@ -63,8 +88,6 @@ void runSerialLoop(Machine &M, const MachineConfig &Config,
 
   using Clock = std::chrono::steady_clock;
   const bool Timing = Config.CollectPhaseTimes;
-  const bool LocalL2 = M.localL2Eligible();
-  const bool Coherent = M.coherent();
 
   AccessRequest Req;
   while (!Queue.empty()) {
@@ -83,82 +106,22 @@ void runSerialLoop(Machine &M, const MachineConfig &Config,
       Has = T.Stream.next(Req);
     }
     if (!Has) {
-      T.Done = true;
       T.FinishTime = Time;
       LastTime = std::max(LastTime, Time);
       continue;
     }
 
-    auto NextKey = [&](std::uint64_t Done) {
-      // Scheduling the thread's next event is this access's retirement.
-      if (Ledger)
-        Ledger->retire(ThreadId, Packed);
-      std::uint64_t Next = Done + T.nextGap();
-      if (Req.Transformed)
-        Next += Config.TransformOverheadCycles;
-      return PackEvent(Next, ThreadId);
-    };
     if (Ledger)
       Ledger->issue(ThreadId, Packed);
-
-    // Coherent mode: every access runs through the protocol engine, which
-    // does its own L1/L2 probes (permission checks, not just presence), so
-    // the tile-local fast paths below are skipped entirely.
-    if (Coherent) {
-      if (Sink)
-        Sink->beginShared(T.Node, Packed);
-      std::uint64_t CohDone = M.accessCoherent(T.Node, Req.VA, Req.IsWrite,
-                                               Time, R);
-      if (Sink)
-        Sink->endShared();
-      Queue.push(NextKey(CohDone));
-      continue;
-    }
-
-    std::uint64_t T1 = Time + Config.L1LatencyCycles;
-    if (M.l1Probe(T.Node, Req.VA, Req.IsWrite)) {
-      if (Sink)
-        Sink->emit(T.Node, Packed, TraceKind::L1Hit, Time,
-                   Config.L1LatencyCycles, Req.VA, 0);
-      ++R.TotalAccesses;
-      ++R.L1Hits;
-      R.AccessLatency.addSample(static_cast<double>(T1 - Time));
-      Queue.push(NextKey(T1));
-      continue;
-    }
-    if (Sink)
-      Sink->emit(T.Node, Packed, TraceKind::L1Miss, Time,
-                 Config.L1LatencyCycles, Req.VA, 0);
-    std::uint64_t Done;
-    if (LocalL2) {
-      std::uint64_t T2 = T1 + Config.L2LatencyCycles;
-      if (M.l2ProbeLocal(T.Node, Req.VA, Req.IsWrite)) {
-        if (Sink)
-          Sink->emit(T.Node, Packed, TraceKind::L2Hit, T1,
-                     Config.L2LatencyCycles, Req.VA, T.Node);
-        ++R.TotalAccesses;
-        ++R.LocalL2Hits;
-        M.fillL1(T.Node, Req.VA, Req.IsWrite, T2);
-        if (Sink)
-          Sink->emit(T.Node, Packed, TraceKind::L1Fill, T2, 0, Req.VA, 0);
-        R.AccessLatency.addSample(static_cast<double>(T2 - Time));
-        Queue.push(NextKey(T2));
-        continue;
-      }
-      if (Sink) {
-        Sink->emit(T.Node, Packed, TraceKind::L2Miss, T1,
-                   Config.L2LatencyCycles, Req.VA, T.Node);
-        Sink->beginShared(T.Node, Packed);
-      }
-      Done = M.missAfterL2(T.Node, Req.VA, Req.IsWrite, Time, R, &T.Stream);
-    } else {
-      if (Sink)
-        Sink->beginShared(T.Node, Packed);
-      Done = M.missAfterL1(T.Node, Req.VA, Req.IsWrite, Time, R, &T.Stream);
-    }
-    if (Sink)
-      Sink->endShared();
-    Queue.push(NextKey(Done));
+    std::uint64_t Done =
+        M.access(T.Node, Req.VA, Req.IsWrite, Time, R, &T.Stream, Packed);
+    // Scheduling the thread's next event is this access's retirement.
+    if (Ledger)
+      Ledger->retire(ThreadId, Packed);
+    std::uint64_t Next = Done + T.nextGap();
+    if (Req.Transformed)
+      Next += Config.TransformOverheadCycles;
+    Queue.push(PackEvent(Next, ThreadId));
   }
 }
 
@@ -188,7 +151,7 @@ SimResult offchip::runSimulation(const std::vector<AppInstance> &Apps,
   Machine M(Config, Mapping, VM);
 
   // Tracing: one sink for the whole run, attached to the machine and its
-  // substrates. Created up front so both engine loops share it.
+  // substrates.
   std::unique_ptr<TraceSink> Sink;
   if (Config.Trace.Enabled) {
     Sink = std::make_unique<TraceSink>(Config.Trace, Config.numNodes(),
@@ -240,12 +203,8 @@ SimResult offchip::runSimulation(const std::vector<AppInstance> &Apps,
   std::uint64_t LastTime = 0;
   double StreamSeconds = 0.0;
   std::uint64_t StreamCalls = 0;
-  if (Config.SimThreads >= 2 && Threads.size() >= 2)
-    runParallelLoop(M, Config, Threads, ThreadShift, R, LastTime,
-                    StreamSeconds, StreamCalls, Sink.get(), Ledger.get());
-  else
-    runSerialLoop(M, Config, Threads, ThreadShift, R, LastTime, StreamSeconds,
-                  StreamCalls, Sink.get(), Ledger.get());
+  runEventLoop(M, Config, Threads, ThreadShift, R, LastTime, StreamSeconds,
+               StreamCalls, Ledger.get());
 
   R.ExecutionCycles = LastTime;
   R.ThreadFinishCycles.reserve(Threads.size());

@@ -70,33 +70,63 @@ unsigned Machine::mcForPhys(std::uint64_t PA) const {
 }
 
 std::uint64_t Machine::access(unsigned Node, std::uint64_t VA, bool IsWrite,
-                              std::uint64_t Time, SimResult &R) {
-  if (coherent())
-    return accessCoherent(Node, VA, IsWrite, Time, R);
-  std::uint64_t T = Time + Config.L1LatencyCycles;
+                              std::uint64_t Time, SimResult &R,
+                              ThreadStream *Lookahead, std::uint64_t Key) {
+  // Coherent mode: every access runs through the protocol engine, which
+  // does its own L1/L2 probes (permission checks, not just presence), so
+  // the tile-local fast paths below are skipped entirely.
+  if (coherent()) {
+    if (Sink)
+      Sink->beginShared(Node, Key);
+    std::uint64_t Done = accessCoherent(Node, VA, IsWrite, Time, R);
+    if (Sink)
+      Sink->endShared();
+    return Done;
+  }
+
+  std::uint64_t T1 = Time + Config.L1LatencyCycles;
   if (l1Probe(Node, VA, IsWrite)) {
-    // The engine hands us accesses in ready-time order; everything this
-    // access sends happens at or after Time.
-    Net.advanceFloor(Time);
+    if (Sink)
+      Sink->emit(Node, Key, TraceKind::L1Hit, Time, Config.L1LatencyCycles,
+                 VA, 0);
     ++R.TotalAccesses;
     ++R.L1Hits;
-    R.AccessLatency.addSample(static_cast<double>(T - Time));
-    return T;
+    R.AccessLatency.addSample(static_cast<double>(T1 - Time));
+    return T1;
   }
+  if (Sink)
+    Sink->emit(Node, Key, TraceKind::L1Miss, Time, Config.L1LatencyCycles, VA,
+               0);
+  std::uint64_t Done;
   if (localL2Eligible()) {
     // PA == VA: the MC-select bits sit below the page offset, identity map.
-    std::uint64_t T2 = T + Config.L2LatencyCycles;
+    std::uint64_t T2 = T1 + Config.L2LatencyCycles;
     if (l2ProbeLocal(Node, VA, IsWrite)) {
-      Net.advanceFloor(Time);
+      if (Sink)
+        Sink->emit(Node, Key, TraceKind::L2Hit, T1, Config.L2LatencyCycles,
+                   VA, Node);
       ++R.TotalAccesses;
       ++R.LocalL2Hits;
       fillL1(Node, VA, IsWrite, T2);
+      if (Sink)
+        Sink->emit(Node, Key, TraceKind::L1Fill, T2, 0, VA, 0);
       R.AccessLatency.addSample(static_cast<double>(T2 - Time));
       return T2;
     }
-    return missAfterL2(Node, VA, IsWrite, Time, R);
+    if (Sink) {
+      Sink->emit(Node, Key, TraceKind::L2Miss, T1, Config.L2LatencyCycles, VA,
+                 Node);
+      Sink->beginShared(Node, Key);
+    }
+    Done = missAfterL2(Node, VA, IsWrite, Time, R, Lookahead);
+  } else {
+    if (Sink)
+      Sink->beginShared(Node, Key);
+    Done = missAfterL1(Node, VA, IsWrite, Time, R, Lookahead);
   }
-  return missAfterL1(Node, VA, IsWrite, Time, R);
+  if (Sink)
+    Sink->endShared();
+  return Done;
 }
 
 std::uint64_t Machine::missAfterL1(unsigned Node, std::uint64_t VA,
@@ -133,28 +163,6 @@ std::uint64_t Machine::missAfterL2(unsigned Node, std::uint64_t VA,
     Sink->emitShared(TraceKind::Complete, Time,
                      static_cast<std::uint32_t>(Done - Time), VA, 0);
   }
-  R.AccessLatency.addSample(static_cast<double>(Done - Time));
-  return Done;
-}
-
-std::uint64_t Machine::missAfterL1Probed(unsigned Node, std::uint64_t VA,
-                                         std::uint64_t PA, bool IsWrite,
-                                         std::uint64_t Time, SimResult &R,
-                                         ThreadStream *Lookahead) {
-  assert(!Config.SharedL2 &&
-         Config.Granularity == InterleaveGranularity::Page &&
-         "replica completions only exist on page-interleaved private-L2 "
-         "machines");
-  assert(!Sink && "replica fast path is disabled while tracing");
-  // The worker already translated VA from its replica (so PA is exactly what
-  // physFor would return — translations are immutable once mapped) and
-  // already ran the private-L2 probe, which missed. Replaying either here
-  // would double-count cache statistics, so this is missAfterL1 minus both.
-  Net.advanceFloor(Time);
-  ++R.TotalAccesses;
-  std::uint64_t T = Time + Config.L1LatencyCycles + Config.L2LatencyCycles;
-  std::uint64_t Done = privateMissTail(Node, PA, VA, IsWrite, T, R, Lookahead);
-  fillL1(Node, VA, IsWrite, Done);
   R.AccessLatency.addSample(static_cast<double>(Done - Time));
   return Done;
 }

@@ -52,152 +52,37 @@ public:
           VirtualMemory &VM);
 
   /// Simulates one access issued by \p Node at \p Time; records metrics into
-  /// \p R. \returns the completion cycle.
+  /// \p R. \returns the completion cycle. The engine calls this once per
+  /// access in (time, thread) order, which every shared structure (network
+  /// calendar, directory, MCs, virtual memory) relies on. \p Lookahead,
+  /// when non-null, is the issuing thread's stream; the burst coalescer
+  /// (Config.Burst) peeks it for adjacent future off-chip lines. \p Key is
+  /// the access's packed event key; with a trace sink attached every event
+  /// of the access is stamped with it, tile-local probe steps directly and
+  /// the rest inside a beginShared/endShared bracket.
   std::uint64_t access(unsigned Node, std::uint64_t VA, bool IsWrite,
-                       std::uint64_t Time, SimResult &R);
+                       std::uint64_t Time, SimResult &R,
+                       ThreadStream *Lookahead = nullptr,
+                       std::uint64_t Key = 0);
 
   /// True when a coherence protocol is configured
-  /// (MachineConfig::Coherence). Every access then goes through
-  /// accessCoherent on the merged-order thread; the split worker-side
-  /// pieces below are never used (protocol state is global).
+  /// (MachineConfig::Coherence). access() then routes every access through
+  /// accessCoherent.
   bool coherent() const { return Config.Coherence.enabled(); }
 
   /// Simulates one access under the configured MSI/MESI protocol
   /// (coherent() must hold; private L2s only). Handles the full flow —
   /// L1, own L2 with protocol permission, directory, invalidations,
   /// downgrades, DRAM — and \returns the completion cycle. Must run in
-  /// exact serial event order (the serial loop, or the parallel engine's
-  /// merger): it touches directory and network state on every access.
+  /// event order: it touches directory and network state on every access.
   std::uint64_t accessCoherent(unsigned Node, std::uint64_t VA, bool IsWrite,
                                std::uint64_t Time, SimResult &R);
 
-  //===--------------------------------------------------------------------===//
-  // Split access pieces (the parallel engine's worker/merger boundary)
-  //
-  // access() composes these; the parallel engine (sim/ParallelEngine.cpp)
-  // calls the probe/fill pieces from shard workers — they touch only the
-  // node's own tile state — and routes everything that reaches shared state
-  // (network, directory, MCs, virtual memory) through missAfterL1/
-  // missAfterL2 on the merger thread, in exact serial event order.
-  //===--------------------------------------------------------------------===//
-
-  /// True when an L1 miss can be resolved against the node's own L2 without
-  /// touching shared state: private L2s and cache-line interleaving (where
-  /// translation is the identity, so no VM state is consulted).
-  bool localL2Eligible() const {
-    return !Config.SharedL2 &&
-           Config.Granularity == InterleaveGranularity::CacheLine;
-  }
-
-  /// Probes (and updates) node's L1. Touches only L1s[Node].
-  bool l1Probe(unsigned Node, std::uint64_t VA, bool IsWrite) {
-    return L1s[Node].access(L1LineDiv.div(VA), IsWrite);
-  }
-
-  /// Probes (and updates) the node's private L2 by physical address. Only
-  /// valid under localL2Eligible(). Touches only L2s[Node].
-  bool l2ProbeLocal(unsigned Node, std::uint64_t PA, bool IsWrite) {
-    assert(localL2Eligible() && "local L2 probe needs node-local addressing");
-    return L2s[Node].access(L2LineDiv.div(PA), IsWrite);
-  }
-
-  /// Fills the node's L1 with \p VA completing at \p Done; dirty victims
-  /// write back into the next level. Node-local under localL2Eligible();
-  /// touches the network / VM otherwise (merger-side there).
-  void fillL1(unsigned Node, std::uint64_t VA, bool IsWrite,
-              std::uint64_t Done);
-
-  //===--------------------------------------------------------------------===//
-  // Replica pieces (SimReplicaEpochs; page granularity, private L2s)
-  //
-  // Under page interleaving every L1 miss needs a translation, which lives
-  // in shared VM state — so without replicas every L1 miss ships to the
-  // merger even when the node's own L2 holds the line. A worker whose
-  // shard-local replica already knows the page's translation uses these
-  // pieces to finish such accesses without stalling: they touch only the
-  // node's own tile state and reproduce the serial sequence exactly (same
-  // position in the node's access order, same LRU/dirty evolution).
-  //===--------------------------------------------------------------------===//
-
-  /// Probes (and updates) the node's private L2 by an already-translated
-  /// physical address. Touches only L2s[Node]; identical to the probe the
-  /// serial flow performs inside its private-L2 path.
-  bool l2ProbeByPhys(unsigned Node, std::uint64_t PA, bool IsWrite) {
-    assert(!Config.SharedL2 && "by-phys probe needs private L2s");
-    return L2s[Node].access(L2LineDiv.div(PA), IsWrite);
-  }
-
-  /// Worker-side L1 fill that defers the dirty victim's translation to the
-  /// caller (the shared VM may not be consulted off the merger): inserts
-  /// \p VA into the node's L1 and \returns the dirty victim's virtual
-  /// address, or ~0ull when nothing dirty fell out. The caller resolves
-  /// the victim's physical address from its replica — always possible,
-  /// because every line resident in a node's L1 got there through a fill
-  /// whose page translation was made visible to that node's worker — and
-  /// finishes with l2MarkDirtyByPhys(). Touches only L1s[Node].
-  std::uint64_t fillL1PendingVictim(unsigned Node, std::uint64_t VA,
-                                    bool IsWrite) {
-    assert(!Config.SharedL2 && "worker-side fill needs private L2s");
-    Cache::Eviction Ev = L1s[Node].insert(L1LineDiv.div(VA), IsWrite);
-    if (Ev.Valid && Ev.Dirty)
-      return Ev.LineAddr * Config.L1LineBytes;
-    return ~0ull;
-  }
-
-  /// Completes fillL1PendingVictim: marks the victim's L2 line dirty given
-  /// its replica-resolved physical address. Touches only L2s[Node].
-  void l2MarkDirtyByPhys(unsigned Node, std::uint64_t VictimPA) {
-    assert(!Config.SharedL2 && "worker-side writeback needs private L2s");
-    L2s[Node].markDirty(L2LineDiv.div(VictimPA));
-  }
-
-  /// Read-only translation probe of the shared VM; merger-side only (the
-  /// parallel engine uses it to feed replica deltas through the resume
-  /// mailbox). \returns false when the page is unmapped.
-  bool peekTranslate(std::uint64_t VA, std::uint64_t *PA) const {
-    return VM->peekTranslate(VA, PA);
-  }
-
-  /// Completes an access whose translation came from a worker's replica and
-  /// whose private-L2 probe (l2ProbeByPhys) already ran worker-side and
-  /// missed: exactly missAfterL1 minus the translation and the L2 probe.
-  /// Merger-side; only valid for page-granularity private-L2 machines with
-  /// no trace sink attached (the replica fast path turns itself off while
-  /// tracing). \returns the completion cycle.
-  std::uint64_t missAfterL1Probed(unsigned Node, std::uint64_t VA,
-                                  std::uint64_t PA, bool IsWrite,
-                                  std::uint64_t Time, SimResult &R,
-                                  ThreadStream *Lookahead = nullptr);
-
-  /// Completes an access that missed the L1, for configurations where the
-  /// L1 miss immediately needs shared state (page-granularity translation
-  /// or a shared L2). \p Time is the access issue time. \p Lookahead, when
-  /// non-null, is the issuing thread's stream; the burst coalescer
-  /// (Config.Burst) peeks it for adjacent future off-chip lines. Both
-  /// engines call this at the same point of the serial event order with
-  /// the stream in the same position, so coalescing decisions — and thus
-  /// results — stay bit-identical across --sim-threads. \returns the
-  /// completion cycle; fills the L1 and samples latency into \p R.
-  std::uint64_t missAfterL1(unsigned Node, std::uint64_t VA, bool IsWrite,
-                            std::uint64_t Time, SimResult &R,
-                            ThreadStream *Lookahead = nullptr);
-
-  /// Completes an access that missed both the L1 and the node's private L2
-  /// (localL2Eligible() configurations; \p VA == physical). \p Time is the
-  /// access issue time; \p Lookahead as in missAfterL1. \returns the
-  /// completion cycle; fills both cache levels and samples latency into
-  /// \p R.
-  std::uint64_t missAfterL2(unsigned Node, std::uint64_t VA, bool IsWrite,
-                            std::uint64_t Time, SimResult &R,
-                            ThreadStream *Lookahead = nullptr);
-
-  /// Debug ownership of merger-only shared state (see OwnerTag).
-  OwnerTag &directoryOwnership() { return Dir.ownership(); }
-
   /// Attaches the tracing sink to the machine and its substrates (network,
-  /// MCs). The shared-flow methods (missAfterL1/missAfterL2 and below) emit
-  /// lifecycle events through the sink's shared context when one is open;
-  /// the engines open it per access. Null detaches.
+  /// MCs). access() emits the tile-local probe events itself and opens the
+  /// sink's shared context around the rest of the flow, which the shared
+  /// pieces (missAfterL1/missAfterL2 and below) and the substrates emit
+  /// through. Null detaches.
   void setTraceSink(TraceSink *S) {
     Sink = S;
     Net.setTraceSink(S);
@@ -222,6 +107,57 @@ public:
   const std::vector<unsigned> &mcNodes() const { return MCNodes; }
 
 private:
+  //===--------------------------------------------------------------------===//
+  // Access pieces (composed by access())
+  //
+  // The probe/fill pieces touch only the node's own tile state; the miss
+  // pieces reach shared state (network, directory, MCs, virtual memory).
+  //===--------------------------------------------------------------------===//
+
+  /// True when an L1 miss can be resolved against the node's own L2 without
+  /// touching shared state: private L2s and cache-line interleaving (where
+  /// translation is the identity, so no VM state is consulted).
+  bool localL2Eligible() const {
+    return !Config.SharedL2 &&
+           Config.Granularity == InterleaveGranularity::CacheLine;
+  }
+
+  /// Probes (and updates) node's L1. Touches only L1s[Node].
+  bool l1Probe(unsigned Node, std::uint64_t VA, bool IsWrite) {
+    return L1s[Node].access(L1LineDiv.div(VA), IsWrite);
+  }
+
+  /// Probes (and updates) the node's private L2 by physical address. Only
+  /// valid under localL2Eligible(). Touches only L2s[Node].
+  bool l2ProbeLocal(unsigned Node, std::uint64_t PA, bool IsWrite) {
+    assert(localL2Eligible() && "local L2 probe needs node-local addressing");
+    return L2s[Node].access(L2LineDiv.div(PA), IsWrite);
+  }
+
+  /// Fills the node's L1 with \p VA completing at \p Done; dirty victims
+  /// write back into the next level. Node-local under localL2Eligible();
+  /// touches the network / VM otherwise.
+  void fillL1(unsigned Node, std::uint64_t VA, bool IsWrite,
+              std::uint64_t Done);
+
+  /// Completes an access that missed the L1, for configurations where the
+  /// L1 miss immediately needs shared state (page-granularity translation
+  /// or a shared L2). \p Time is the access issue time; \p Lookahead as in
+  /// access(). \returns the completion cycle; fills the L1 and samples
+  /// latency into \p R.
+  std::uint64_t missAfterL1(unsigned Node, std::uint64_t VA, bool IsWrite,
+                            std::uint64_t Time, SimResult &R,
+                            ThreadStream *Lookahead);
+
+  /// Completes an access that missed both the L1 and the node's private L2
+  /// (localL2Eligible() configurations; \p VA == physical). \p Time is the
+  /// access issue time; \p Lookahead as in access(). \returns the
+  /// completion cycle; fills both cache levels and samples latency into
+  /// \p R.
+  std::uint64_t missAfterL2(unsigned Node, std::uint64_t VA, bool IsWrite,
+                            std::uint64_t Time, SimResult &R,
+                            ThreadStream *Lookahead);
+
   std::uint64_t physFor(std::uint64_t VA, unsigned Node);
   unsigned mcForPhys(std::uint64_t PA) const;
 
@@ -254,7 +190,7 @@ private:
                              std::uint64_t Time, SimResult &R);
 
   //===--------------------------------------------------------------------===//
-  // Coherence protocol pieces (accessCoherent; merged-order thread only)
+  // Coherence protocol pieces (accessCoherent)
   //===--------------------------------------------------------------------===//
 
   /// Coherent flow past an L1 + own-L2 miss: directory lookup, then remote
@@ -327,8 +263,7 @@ private:
   /// once in total, not once per off-chip miss (triggers are frequent
   /// enough that per-trigger rescans of overlapping windows would cost
   /// more host time than the DRAM events coalescing removes). Touched
-  /// only inside privateMissTail, which runs on one thread — the serial
-  /// loop or the merger.
+  /// only inside privateMissTail.
   struct BurstScanState {
     /// Direct-mapped: the last access index (plus one, so zero means
     /// never) at which each virtual line was seen in the stream. Virtual
@@ -345,7 +280,7 @@ private:
     std::uint64_t ScannedTo = 0;
   };
   std::unordered_map<const ThreadStream *, BurstScanState> BurstScans;
-  /// Coalescer scratch (same single-threaded discipline as BurstScans).
+  /// Coalescer scratch (reused across privateMissTail calls).
   std::vector<std::uint64_t> BurstRun;
   std::vector<std::uint64_t> BurstPAs;
 };

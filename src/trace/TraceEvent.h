@@ -9,9 +9,8 @@
 /// Ordering invariant: every event carries the packed (time << ThreadShift)
 /// | thread key of the access that caused it, and all events of one access
 /// are recorded into one per-node buffer in emission order. A stable sort of
-/// the concatenated buffers by Key therefore yields one total order that is
-/// identical between the serial engine and the parallel engine at any
-/// --sim-threads value — the property the byte-identical trace.json tests
+/// the concatenated buffers by Key therefore yields the engine's (time,
+/// thread) event order — the property the byte-identical trace.json tests
 /// pin.
 ///
 //===----------------------------------------------------------------------===//
@@ -47,17 +46,9 @@ enum class TraceKind : std::uint8_t {
   BurstCoalesce,  ///< A coalesced wide DRAM transaction (appended last:
                   ///< values are stable across exports); Aux = (MC id << 8)
                   ///< | line count, Dur = bank service cycles.
-  WindowDrain,    ///< A parallel-engine worker flushed its event chunk to
-                  ///< the merger (appended last, keeping prior values
-                  ///< stable); Key/Start stamp the chunk's first event,
-                  ///< Aux = (worker index << 16) | chunk size. Emitted only
-                  ///< under TraceConfig::EngineEvents — it describes host
-                  ///< execution, so it exists only at --sim-threads >= 2
-                  ///< and would break the cross-engine byte-identity of
-                  ///< default traces.
-  Invalidate,     ///< Coherence invalidation delivered to a holder
-                  ///< (appended last, keeping prior values stable);
-                  ///< Aux = invalidated node, Addr = line PA.
+  Invalidate = 13, ///< Coherence invalidation delivered to a holder
+                   ///< (appended last, keeping prior values stable; 12 is
+                   ///< retired); Aux = invalidated node, Addr = line PA.
   Downgrade,      ///< Exclusive/Modified holder demoted to Shared by a
                   ///< remote read; Aux = downgraded node, Addr = line PA.
   InvAck,         ///< Invalidation ack received at the directory; Aux =
@@ -93,13 +84,8 @@ struct TraceConfig {
   /// Ring capacity of each node's event buffer; when an access pushes a
   /// node past it the node's oldest events are dropped (newest are kept).
   /// Drops are deterministic — a pure function of the node's event
-  /// sequence — so capped traces stay byte-identical across --sim-threads.
+  /// sequence — so capped traces are byte-identical across reruns.
   std::uint64_t MaxEventsPerNode = 4096;
-  /// Also record parallel-engine host-execution events (WindowDrain). Off
-  /// by default because such events only exist at --sim-threads >= 2:
-  /// enabling them forfeits the byte-identity of trace files across
-  /// engines (simulated results are untouched either way).
-  bool EngineEvents = false;
 };
 
 /// Everything an exporter needs, detached from the live simulation:

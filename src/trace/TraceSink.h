@@ -5,18 +5,21 @@
 /// disabled (every instrumentation site is guarded by one pointer test) and
 /// no locking when enabled.
 ///
-/// Thread-safety contract (matches the engines' ownership protocol):
+/// Thread-safety: a sink belongs to one simulation and is driven by the
+/// one thread running it; concurrent simulations (--jobs) each own a sink
+/// and share no trace state.
 ///
-///  - emit(Node, ...) may only be called by the host thread currently
-///    advancing that node: a shard worker while the node is not stalled, or
-///    the serial loop. Each node's buffer is single-writer at any instant.
-///  - beginShared/emitShared/endShared may only be called by the thread
-///    that owns shared machine state: the merger in the parallel engine,
-///    the (only) thread in the serial engine. emitShared appends to the
-///    buffer of the node named by beginShared; the parallel engine's SPSC
-///    handoff orders those appends against the owning worker's.
+///  - emit(Node, ...) records a tile-local step of the access the engine is
+///    processing for that node.
+///  - beginShared/emitShared/endShared bracket the part of an access that
+///    reaches shared machine state; emitShared appends to the buffer of the
+///    node named by beginShared, so substrates need no engine keys.
 ///  - The aggregate tables (link busy, MC queue, node->MC traffic) are
-///    updated only from emitShared — i.e. only ever by one thread.
+///    updated only from emitShared and are never capped.
+///
+/// Events live in one ring per node rather than one ordered buffer because
+/// TraceConfig::MaxEventsPerNode caps each node's newest window: a single
+/// buffer would change which events a capped trace keeps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +40,7 @@ public:
             unsigned NumMCs, std::vector<unsigned> MCNodes);
 
   //===--------------------------------------------------------------------===//
-  // Node-local emission (worker side)
+  // Node-local emission
   //===--------------------------------------------------------------------===//
 
   void emit(unsigned Node, std::uint64_t Key, TraceKind Kind,
@@ -48,7 +51,7 @@ public:
   }
 
   //===--------------------------------------------------------------------===//
-  // Shared-state emission (merger side)
+  // Shared-state emission
   //===--------------------------------------------------------------------===//
 
   /// Opens the per-request context: subsequent emitShared calls are stamped
@@ -65,7 +68,7 @@ public:
   void endShared() { CtxActive = false; }
 
   /// True between beginShared and endShared; substrates use this to skip
-  /// emission for un-attributed calls (e.g. direct Machine::access users).
+  /// emission for un-attributed calls (e.g. direct accessCoherent callers).
   bool sharedActive() const { return CtxActive; }
 
   void emitShared(TraceKind Kind, std::uint64_t Start, std::uint32_t Dur,
@@ -77,19 +80,16 @@ public:
 
   /// Moves everything collected into an exportable TraceData: buffers are
   /// unwound in node order and stably sorted by Key, which reproduces the
-  /// serial event order regardless of the engine that ran (see
-  /// TraceEvent.h). Call once, after the simulation has joined.
+  /// engine's event order (see TraceEvent.h). Call once, after the run.
   TraceData take(unsigned ThreadShift);
 
-  /// Totals across all node rings. Only meaningful once the engines have
-  /// joined (per-ring tallies are written by their owning threads).
+  /// Totals across all node rings.
   std::uint64_t emitted() const;
   std::uint64_t dropped() const;
 
 private:
-  /// One node's ring: Events[(First + i) % capacity] for i < Count. The
-  /// emitted/dropped tallies live per ring (not on the sink) so concurrent
-  /// workers never share a counter; take() sums them.
+  /// One node's ring: Events[(First + i) % capacity] for i < Count, with
+  /// its emitted/dropped tallies; take() sums them.
   struct NodeRing {
     std::vector<TraceEvent> Events;
     std::size_t First = 0;
@@ -110,7 +110,7 @@ private:
   unsigned CtxNode = 0;
   std::uint64_t CtxKey = 0;
 
-  // Aggregate tables (merger-side only; never ring-capped).
+  // Aggregate tables (written by emitShared; never ring-capped).
   std::vector<std::vector<std::uint64_t>> LinkBusyPerBucket;
   std::vector<std::vector<TraceData::McSample>> McQueuePerBucket;
   std::vector<std::uint64_t> NodeToMCRequests;

@@ -63,7 +63,7 @@ TEST(ContentHash, IdAndExecutionKnobsExcluded) {
   SimRequest A = tinySimulate();
   SimRequest B = tinySimulate();
   B.Id = "completely-different";
-  B.Config.SimThreads = 8;
+  B.Config.CollectPhaseTimes = true;
   B.Config.CheckInvariants = !A.Config.CheckInvariants;
   B.Config.Trace.Enabled = true;
   B.Config.Trace.SampleCycles += 100;
@@ -200,6 +200,22 @@ TEST(Serialize, RequestRejectsBadInput) {
                         &Err));
   EXPECT_NE(Err.find("mash_x"), std::string::npos);
   EXPECT_FALSE(parseReq("not json at all", &Err));
+  // A degenerate scale would build a degenerate workload, answered ok and
+  // cached under its own key.
+  for (const char *Scale : {"-1", "0", "1e999"}) {
+    EXPECT_FALSE(parseReq(std::string("{\"method\":\"simulate\",\"app\":"
+                                      "\"swim\",\"scale\":") +
+                              Scale + "}",
+                          &Err))
+        << Scale;
+    EXPECT_NE(Err.find("field 'scale'"), std::string::npos) << Err;
+  }
+  // The intra-simulation engine knobs left the protocol: a client still
+  // sending one gets the unknown-key error naming it.
+  EXPECT_FALSE(parseReq("{\"method\":\"simulate\",\"app\":\"swim\","
+                        "\"config\":{\"sim_threads\":2}}",
+                        &Err));
+  EXPECT_EQ(Err, "field 'sim_threads': unknown machine config key");
 }
 
 TEST(Serialize, MachineConfigFullRoundtrip) {
@@ -457,7 +473,9 @@ TEST(Service, ServedEqualsDirectAndSecondCallHits) {
   EXPECT_EQ(toJson(Served.Plan).write(), toJson(Direct.Plan).write());
 
   R.Id = "second";
-  R.Config.SimThreads = 4; // result-invariant → must still hit
+  // Result-invariant knobs → must still hit.
+  R.Config.CheckInvariants = true;
+  R.Config.Trace.Enabled = true;
   SimResponse Again = Service.call(R);
   ASSERT_TRUE(Again.ok());
   EXPECT_TRUE(Again.CacheHit);

@@ -2,9 +2,9 @@
 ///
 /// Exercises the src/check subsystem on both sides: hand-built violations
 /// must each produce their diagnostic, and real simulations run with
-/// MachineConfig::CheckInvariants set must complete cleanly — on both
-/// engines, both L2 organizations, and both interleave granularities —
-/// without perturbing a single result bit.
+/// MachineConfig::CheckInvariants set must complete cleanly — on both L2
+/// organizations and both interleave granularities — without perturbing a
+/// single result bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -268,21 +268,12 @@ TEST(CheckedRunTest, PrivateL2Serial) {
   EXPECT_GT(R.TotalAccesses, 0u);
 }
 
-TEST(CheckedRunTest, PrivateL2Parallel) {
-  MachineConfig C = MachineConfig::scaledDefault();
-  C.SimThreads = 4;
-  SimResult R = runChecked(C);
-  EXPECT_GT(R.TotalAccesses, 0u);
-}
-
 TEST(CheckedRunTest, SharedL2BothEngines) {
   MachineConfig C = MachineConfig::scaledDefault();
   C.SharedL2 = true;
-  SimResult Serial = runChecked(C);
-  C.SimThreads = 4;
-  SimResult Parallel = runChecked(C);
-  std::string Why;
-  EXPECT_TRUE(equalResults(Serial, Parallel, &Why)) << "diverged on " << Why;
+  SimResult R = runChecked(C);
+  EXPECT_GT(R.TotalAccesses, 0u);
+  EXPECT_GT(R.RemoteL2Hits, 0u);
 }
 
 TEST(CheckedRunTest, PageInterleaveFirstTouch) {

@@ -154,12 +154,20 @@ TEST_F(ServerTest, MalformedAndInvalidLinesAnswerErrors) {
   ASSERT_GT(Diags->size(), 0u);
   EXPECT_EQ(field(Diags->at(0), "field"), "MeshX");
 
-  // The connection survives all three errors.
+  // A nonsense scale is a request error, not an ok answer to cache.
+  JsonValue BadScale = roundtrip(
+      "{\"id\":\"s1\",\"method\":\"simulate\",\"app\":\"swim\","
+      "\"scale\":-1}");
+  EXPECT_EQ(field(BadScale, "id"), "s1");
+  EXPECT_EQ(field(BadScale, "status"), "error");
+  EXPECT_NE(field(BadScale, "error").find("scale"), std::string::npos);
+
+  // The connection survives all four errors.
   EXPECT_EQ(field(roundtrip("{\"id\":\"after\",\"method\":\"ping\"}"), "id"),
             "after");
-  // The unparsable line and the invalid request both count; the config
+  // The unparsable line and the two invalid requests count; the config
   // error does not (it is a well-formed request answered with diagnostics).
-  EXPECT_EQ(Server->counters().ParseErrors, 2u);
+  EXPECT_EQ(Server->counters().ParseErrors, 3u);
 }
 
 TEST_F(ServerTest, PipelinedRequestsAllAnswered) {

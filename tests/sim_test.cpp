@@ -231,9 +231,8 @@ TEST(ThreadStream, EmptyChunksProduceNothing) {
 }
 
 TEST(ThreadStream, LookaheadMemoryStaysBoundedUnderFrequentPeeks) {
-  // Regression: the burst coalescer peeks a window ahead on every miss,
-  // and under the parallel engine's batched window drains many such
-  // windows open between merger trips. The peekSpan consumed-prefix
+  // Regression: the burst coalescer peeks a window ahead on every miss.
+  // The peekSpan consumed-prefix
   // compaction must keep the lookahead buffer's capacity pinned near the
   // window size instead of growing with the stream (it once retained
   // every consumed access until the stream ended).

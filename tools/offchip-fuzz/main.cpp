@@ -1,16 +1,11 @@
 //===- tools/offchip-fuzz/main.cpp - differential simulator fuzzer --------===//
 ///
-/// Seeded differential fuzzing of the simulation engines. Each trial draws
-/// a random valid machine configuration and a random affine program, then
-/// cross-checks the full SimResult for exact equality across
-///
-///   - the serial reference engine (--sim-threads 1),
-///   - the conservative parallel engine at 2, 5 and 8 host threads,
-///   - the Pow2Divider fast (shift/mask) vs. generic (div/mod) decode
-///     paths on the identical configuration,
-///
-/// with the runtime invariant checker (MachineConfig::CheckInvariants)
-/// armed on every run. A pending-repro file is written *before* each trial
+/// Seeded differential fuzzing of the simulator. Each trial draws a random
+/// valid machine configuration and a random affine program, then
+/// cross-checks the full SimResult for exact equality between the
+/// Pow2Divider fast (shift/mask) and generic (div/mod) decode paths on the
+/// identical configuration, with the runtime invariant checker
+/// (MachineConfig::CheckInvariants) armed on both runs. A pending-repro file is written *before* each trial
 /// and deleted on success, so even a crash or an invariant abort leaves the
 /// offending configuration and program on disk. Result mismatches are
 /// additionally shrunk to a minimal failing spec and printed as a
@@ -241,9 +236,8 @@ MachineConfig randomConfig(SplitMix64 &R) {
   C.ThreadsPerCore = 1 + static_cast<unsigned>(R.nextBelow(2));
   C.OptimalScheme = R.nextBelow(4) == 0;
 
-  // Burst coalescing reorders nothing but changes timing; it must stay
-  // bit-identical across engines and hold the line-conservation invariant
-  // (checkBurstConservation) on every draw.
+  // Burst coalescing reorders nothing but changes timing; it must hold the
+  // line-conservation invariant (checkBurstConservation) on every draw.
   C.Burst.Enabled = R.nextBelow(2) == 0;
   static const unsigned Windows[] = {8, 32, 256};
   static const unsigned MaxLines[] = {2, 4, 8};
@@ -274,13 +268,6 @@ MachineConfig randomConfig(SplitMix64 &R) {
   if (C.SharedL2 || C.Burst.Enabled)
     C.Coherence.Protocol = MachineConfig::CoherenceProtocol::None;
 
-  // Parallel-engine knobs: chunked mailbox publishes and shard-local
-  // translation replicas amortize merger round trips but must never move a
-  // single result bit at any setting.
-  static const unsigned WindowBatches[] = {1, 4, 16, 256};
-  C.SimWindowBatch = pick(R, WindowBatches);
-  static const unsigned ReplicaEpochs[] = {0, 1, 4};
-  C.SimReplicaEpochs = pick(R, ReplicaEpochs);
   C.CheckInvariants = true;
   return C;
 }
@@ -388,28 +375,24 @@ std::string renderConfigCode(const MachineConfig &C) {
          (C.Coherence.SparseDirectory ? "true" : "false") + ";\n";
   Out += "  C.Coherence.SparseEntries = " + U(C.Coherence.SparseEntries) +
          ";\n";
-  Out += "  C.SimWindowBatch = " + U(C.SimWindowBatch) + ";\n";
-  Out += "  C.SimReplicaEpochs = " + U(C.SimReplicaEpochs) + ";\n";
   Out += "  C.CheckInvariants = true;\n";
   return Out;
 }
 
-/// What one trial compares; names the diverging leg on failure.
+/// What one trial compares; names the first differing SimResult field on
+/// failure.
 struct TrialOutcome {
   bool Diverged = false;
-  std::string Leg;       // "sim-threads 5" or "generic division"
-  std::string Field;     // first differing SimResult field
+  std::string Field;
 };
 
 SimResult runVariant(const TrialSpec &S, const AffineProgram &Program,
                      const LayoutPlan &Plan, const ClusterMapping &Mapping,
-                     unsigned SimThreads, bool ForceGeneric) {
-  MachineConfig C = S.Config;
-  C.SimThreads = SimThreads;
+                     bool ForceGeneric) {
   // The flag is read at Pow2Divider construction time; every divider of
   // this run is built inside runSingle, after the flip.
   Pow2Divider::setForceGenericDivision(ForceGeneric);
-  SimResult R = runSingle(Program, Plan, C, Mapping);
+  SimResult R = runSingle(Program, Plan, S.Config, Mapping);
   Pow2Divider::setForceGenericDivision(false);
   return R;
 }
@@ -431,26 +414,9 @@ TrialOutcome runTrial(const TrialSpec &S) {
           ? LayoutTransformer(Mapping, S.Config.layoutOptions()).run(*Program)
           : LayoutTransformer::originalPlan(*Program);
 
-  SimResult Serial = runVariant(S, *Program, Plan, Mapping, 1, false);
-
-  for (unsigned T : {2u, 5u, 8u}) {
-    SimResult Par = runVariant(S, *Program, Plan, Mapping, T, false);
-    std::string Field;
-    if (!equalResults(Serial, Par, &Field)) {
-      Out.Diverged = true;
-      Out.Leg = "sim-threads " + std::to_string(T);
-      Out.Field = Field;
-      return Out;
-    }
-  }
-
-  SimResult Generic = runVariant(S, *Program, Plan, Mapping, 1, true);
-  std::string Field;
-  if (!equalResults(Serial, Generic, &Field)) {
-    Out.Diverged = true;
-    Out.Leg = "generic division";
-    Out.Field = Field;
-  }
+  SimResult Fast = runVariant(S, *Program, Plan, Mapping, false);
+  SimResult Generic = runVariant(S, *Program, Plan, Mapping, true);
+  Out.Diverged = !equalResults(Fast, Generic, &Out.Field);
   return Out;
 }
 
@@ -599,10 +565,6 @@ TrialSpec shrink(TrialSpec S, TrialOutcome &Witness) {
       TryConfig([&Def](MachineConfig &C) {
         C.ComputeGapCycles = Def.ComputeGapCycles;
       });
-    if (S.Config.SimReplicaEpochs != 0)
-      TryConfig([](MachineConfig &C) { C.SimReplicaEpochs = 0; });
-    if (S.Config.SimWindowBatch != 1)
-      TryConfig([](MachineConfig &C) { C.SimWindowBatch = 1; });
   }
   return S;
 }
@@ -635,8 +597,8 @@ std::string renderReproFile(const TrialSpec &S, std::uint64_t Seed,
 }
 
 void printRegressionTest(const TrialSpec &S, const TrialOutcome &O) {
-  std::printf("\n==== minimal repro: %s diverged on %s ====\n",
-              O.Leg.c_str(), O.Field.c_str());
+  std::printf("\n==== minimal repro: generic division diverged on %s ====\n",
+              O.Field.c_str());
   std::printf("---- paste into tests/fuzz_regression_test.cpp ----\n");
   std::printf("TEST(FuzzRegression, Shrunk) {\n");
   std::printf("%s", renderConfigCode(S.Config).c_str());
@@ -651,19 +613,12 @@ void printRegressionTest(const TrialSpec &S, const TrialOutcome &O) {
   else
     std::printf(
         "  LayoutPlan Plan = LayoutTransformer::originalPlan(*P);\n");
-  std::printf("  SimResult Serial = runSingle(*P, Plan, C, M);\n");
-  if (O.Leg == "generic division") {
-    std::printf("  Pow2Divider::setForceGenericDivision(true);\n");
-    std::printf("  SimResult Other = runSingle(*P, Plan, C, M);\n");
-    std::printf("  Pow2Divider::setForceGenericDivision(false);\n");
-  } else {
-    std::printf("  MachineConfig PC = C;\n");
-    std::printf("  PC.SimThreads = %s;\n",
-                O.Leg.substr(O.Leg.rfind(' ') + 1).c_str());
-    std::printf("  SimResult Other = runSingle(*P, Plan, PC, M);\n");
-  }
+  std::printf("  SimResult Fast = runSingle(*P, Plan, C, M);\n");
+  std::printf("  Pow2Divider::setForceGenericDivision(true);\n");
+  std::printf("  SimResult Generic = runSingle(*P, Plan, C, M);\n");
+  std::printf("  Pow2Divider::setForceGenericDivision(false);\n");
   std::printf("  std::string Why;\n");
-  std::printf("  EXPECT_TRUE(equalResults(Serial, Other, &Why)) << Why;\n");
+  std::printf("  EXPECT_TRUE(equalResults(Fast, Generic, &Why)) << Why;\n");
   std::printf("}\n");
   std::printf("---- end ----\n");
 }
@@ -677,7 +632,7 @@ int main(int Argc, char **Argv) {
   std::string ReproPath = "offchip-fuzz-repro.txt";
 
   OptionsParser Options("offchip-fuzz",
-                        "differential fuzzer for the simulation engines");
+                        "differential fuzzer for the simulator");
   Options.value("--runs", &Runs, "trials to run (default 20)");
   Options.value("--seed", &Seed, "base RNG seed (default 1)");
   Options.value("--repro-out", &ReproPath,
@@ -728,8 +683,9 @@ int main(int Argc, char **Argv) {
 
     TrialOutcome O = runTrial(S);
     if (O.Diverged) {
-      std::printf("trial %u: %s diverged on %s; shrinking...\n", Trial,
-                  O.Leg.c_str(), O.Field.c_str());
+      std::printf("trial %u: generic division diverged on %s; "
+                  "shrinking...\n",
+                  Trial, O.Field.c_str());
       TrialSpec Min = shrink(S, O);
       {
         std::ofstream ReproFile(ReproPath, std::ios::trunc);
