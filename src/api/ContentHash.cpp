@@ -74,58 +74,25 @@ CacheKey offchip::requestKey(const SimRequest &R) {
     H.str(0x12, R.Workload.ProgramText);
   }
 
-  // Machine config — every result-affecting field, in declaration order.
-  // Trace, CheckInvariants and CollectPhaseTimes are excluded on purpose:
-  // they never change a simulated result (see MachineConfig's field
-  // comments), so requests differing only in them share a cache key.
-  const MachineConfig &C = R.Config;
-  H.u64(0x20, C.MeshX);
-  H.u64(0x21, C.MeshY);
-  H.u64(0x22, C.L1SizeBytes);
-  H.u64(0x23, C.L1LineBytes);
-  H.u64(0x24, C.L1Ways);
-  H.u64(0x25, C.L1LatencyCycles);
-  H.u64(0x26, C.L2SizeBytes);
-  H.u64(0x27, C.L2LineBytes);
-  H.u64(0x28, C.L2Ways);
-  H.u64(0x29, C.L2LatencyCycles);
-  H.u64(0x2A, C.SharedL2 ? 1 : 0);
-  H.u64(0x2B, C.Noc.PerHopCycles);
-  H.u64(0x2C, C.Noc.LinkBytes);
-  H.u64(0x2D, C.NumMCs);
-  H.u64(0x2E, static_cast<std::uint64_t>(C.Placement));
-  H.u64(0x2F, C.Dram.Banks);
-  H.u64(0x30, C.Dram.RowBufferBytes);
-  H.u64(0x31, C.Dram.FrFcfsWindowRows);
-  H.u64(0x32, C.Dram.Timing.RowHitCycles);
-  H.u64(0x33, C.Dram.Timing.RowMissCycles);
-  H.u64(0x34, C.BytesPerMC);
-  H.u64(0x35, static_cast<std::uint64_t>(C.Granularity));
-  H.u64(0x36, C.PageBytes);
-  H.u64(0x37, static_cast<std::uint64_t>(C.PagePolicy));
-  H.u64(0x38, C.ThreadsPerCore);
-  H.u64(0x39, C.ComputeGapCycles);
-  H.u64(0x3A, C.TransformOverheadCycles);
-  H.u64(0x3B, C.DirectoryLatencyCycles);
-  H.u64(0x3C, C.RequestBytes);
-  H.u64(0x3D, C.OptimalScheme ? 1 : 0);
-  H.u64(0x3E, C.Burst.Enabled ? 1 : 0);
-  H.u64(0x3F, C.Burst.WindowAccesses);
-  H.u64(0x40, C.Burst.MaxLines);
-  H.u64(0x41, C.Dram.Timing.BurstBeatCycles);
-  H.u64(0x42, static_cast<std::uint64_t>(C.Coherence.Protocol));
-  H.u64(0x43, C.Coherence.SparseDirectory ? 1 : 0);
-  H.u64(0x44, C.Coherence.SparseEntries);
-  H.u64(0x45, C.Coherence.AckBytes);
-  H.u64(0x46, C.Coherence.InvalidateBytes);
-  // Explicit placement node list: length-prefixed so {1},{2} and {1,2} can
-  // never collide. Hashed unconditionally (an empty list hashes as length
-  // 0) — adding these tags bumped the pinned protocol hash in api_test.cpp
-  // exactly once, instead of changing it again the first time a list is
-  // actually set.
-  H.u64(0x47, C.MCNodes.size());
-  for (unsigned N : C.MCNodes)
-    H.u64(0x48, N);
+  // Machine config: every row of the field list except the result-invariant
+  // ones, under its tag, in list order — but list rows (the Explicit node
+  // list) after all scalar rows, their length under the row's tag and each
+  // element under the next tag, so {1},{2} and {1,2} can never collide.
+  for (bool ListPass : {false, true})
+    forEachConfigField(
+        [&](ConfigField F, const auto &Member) {
+          constexpr bool IsList = requires { Member.size(); };
+          if (F.HashTag == ResultInvariant || IsList != ListPass)
+            return;
+          if constexpr (IsList) {
+            H.u64(F.HashTag, Member.size());
+            for (std::uint64_t X : Member)
+              H.u64(static_cast<unsigned char>(F.HashTag + 1), X);
+          } else {
+            H.u64(F.HashTag, static_cast<std::uint64_t>(Member));
+          }
+        },
+        R.Config);
 
   return H.key();
 }

@@ -5,6 +5,7 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,14 +80,17 @@ double JsonValue::asDouble() const {
   return std::strtod(Text.c_str(), nullptr);
 }
 
-std::uint64_t JsonValue::asU64() const {
+std::optional<std::uint64_t> JsonValue::asU64() const {
   if (K != Kind::Number)
     reportFatalError("JsonValue::asU64 on non-number");
-  // Integer tokens parse exactly (strtod would truncate above 2^53);
-  // fractional/exponent tokens fall back to the double value.
-  if (Text.find_first_of(".eE") == std::string::npos)
-    return std::strtoull(Text.c_str(), nullptr, 10);
-  return static_cast<std::uint64_t>(asDouble());
+  // Digits only: from_chars on an unsigned type takes no sign, and a
+  // fraction or exponent leaves characters unconsumed.
+  std::uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Stop != End)
+    return std::nullopt;
+  return V;
 }
 
 const std::string &JsonValue::asString() const {
@@ -119,7 +123,7 @@ void JsonValue::set(std::string Key, JsonValue V) {
   Members.emplace_back(std::move(Key), std::move(V));
 }
 
-const JsonValue *JsonValue::find(const std::string &Key) const {
+const JsonValue *JsonValue::find(std::string_view Key) const {
   if (K != Kind::Object)
     return nullptr;
   for (const auto &M : Members)

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,7 +60,9 @@ public:
   /// check kind() first — the deserializers do so with typed diagnostics).
   bool asBool() const;
   double asDouble() const;
-  std::uint64_t asU64() const;
+  /// The value of a plain digit token that fits 64 bits; std::nullopt for
+  /// a sign, fraction, exponent or overflow.
+  std::optional<std::uint64_t> asU64() const;
   const std::string &asString() const;
   /// The number's source token ("1.5", "18446744073709551615").
   const std::string &numberToken() const;
@@ -72,7 +75,7 @@ public:
   // Objects (insertion-ordered).
   void set(std::string Key, JsonValue V);
   /// Member lookup; nullptr when absent.
-  const JsonValue *find(const std::string &Key) const;
+  const JsonValue *find(std::string_view Key) const;
   const std::vector<std::pair<std::string, JsonValue>> &members() const {
     return Members;
   }

@@ -13,12 +13,14 @@
 ///   {"id":"r1","status":"error","error":"...","diagnostics":[...]}
 ///   {"id":"r1","status":"overloaded"}
 ///
+/// The config and result objects are the field lists of MachineConfig and
+/// SimResult (forEachConfigField, forEachResultField), in list order.
 /// Config objects are partial: absent fields keep MachineConfig
 /// scaledDefault() values, unknown keys are rejected (the same philosophy
 /// as the CLI's strict option parsing — a typo must not silently simulate
-/// a different machine). SimResult serialization covers every field
-/// equalResults() compares, with exact integer and %.17g double tokens, so
-/// a result survives the wire bit-identically.
+/// a different machine). Result objects must carry every key. Integers are
+/// plain digit tokens that fit their field; doubles are %.17g tokens, so a
+/// result survives the wire bit-identically.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,7 +10,9 @@
 /// simulation. Admission is explicit backpressure — when QueueDepth requests
 /// are already admitted but unanswered, submit() answers Overloaded
 /// immediately instead of queueing unboundedly; nothing admitted is ever
-/// dropped. The completion callback is invoked exactly once per submit(),
+/// dropped, not even when the executor throws (the request and its
+/// single-flight waiters are answered with an error, and nothing is
+/// cached). The completion callback is invoked exactly once per submit(),
 /// on a worker thread (or on the caller's thread for Overloaded answers).
 ///
 /// The executor is injectable so tests can hold requests open and observe
@@ -86,6 +88,9 @@ public:
 
 private:
   void process(const SimRequest &R, const DoneFn &Done);
+  /// Exec, with an exception turned into an Error answer, so that every
+  /// admitted request is answered and its single-flight key retired.
+  SimResponse execute(const SimRequest &R) const;
 
   const ServiceOptions Opts;
   Executor Exec;

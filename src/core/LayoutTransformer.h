@@ -17,6 +17,7 @@
 #include "affine/IndexProfile.h"
 #include "core/DataLayout.h"
 #include "core/DataToCore.h"
+#include "support/EnumNames.h"
 
 #include <memory>
 #include <string>
@@ -28,6 +29,14 @@ enum class InterleaveGranularity {
   CacheLine, ///< the first bits after the cache-line offset select the MC
   Page,      ///< the first bits after the page offset select the MC
 };
+
+/// Wire and CLI spellings (support/EnumNames.h).
+inline const auto &enumNames(InterleaveGranularity) {
+  static constexpr EnumName<InterleaveGranularity> Names[] = {
+      {InterleaveGranularity::CacheLine, "line"},
+      {InterleaveGranularity::Page, "page"}};
+  return Names;
+}
 
 /// Compile-time options of the pass.
 struct LayoutOptions {

@@ -248,10 +248,7 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
               "transactions (default off)");
   Parser.custom("--coherence", "<msi|mesi>",
                 [this](const std::string &V) {
-                  if (V != "msi" && V != "mesi")
-                    return false;
-                  CoherenceArg = V;
-                  return true;
+                  return parseCoherenceOption(V, &Config.Coherence.Protocol);
                 },
                 "model an invalidation-based coherence protocol over the "
                 "private-L2 machine (default off)");
@@ -268,7 +265,7 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
                   }
                   return true;
                 },
-                std::string("MC placement kind: ") + mcPlacementNames());
+                "MC placement kind: " + enumNameList<MCPlacementKind>());
   Parser.custom("--mc-nodes", "<n0,n1,...>",
                 [this](const std::string &V) {
                   if (std::optional<ConfigDiagnostic> D =
@@ -353,10 +350,6 @@ std::optional<int> BenchSuite::parseArgs(int Argc, char **Argv) {
   }
   if (BurstRequested)
     Config.Burst.Enabled = true;
-  if (!CoherenceArg.empty())
-    Config.Coherence.Protocol = CoherenceArg == "mesi"
-                                    ? MachineConfig::CoherenceProtocol::MESI
-                                    : MachineConfig::CoherenceProtocol::MSI;
   if (SparseDirSetting != 0) {
     if (!Config.Coherence.enabled()) {
       std::fprintf(stderr, "error: --sparse-dir requires --coherence\n");

@@ -218,7 +218,6 @@ private:
 
   unsigned JobsSetting = 0; // 0 = hardware threads
   bool BurstRequested = false;
-  std::string CoherenceArg;       // empty = keep the config's protocol
   unsigned SparseDirSetting = 0;  // 0 = full directory (no sparse bound)
   bool TraceRequested = false;
   std::string TraceOutPrefix = "trace";

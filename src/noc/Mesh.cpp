@@ -44,36 +44,6 @@ unsigned sliceCenter(unsigned I, unsigned Count, unsigned Extent) {
 
 } // namespace
 
-const char *offchip::mcPlacementName(MCPlacementKind Kind) {
-  switch (Kind) {
-  case MCPlacementKind::Corners:
-    return "corners";
-  case MCPlacementKind::EdgeMidpoints:
-    return "edge_midpoints";
-  case MCPlacementKind::TopBottomSpread:
-    return "top_bottom_spread";
-  case MCPlacementKind::Explicit:
-    return "explicit";
-  }
-  OFFCHIP_UNREACHABLE("unknown MC placement kind");
-}
-
-bool offchip::mcPlacementFromName(const std::string &Name,
-                                  MCPlacementKind *Kind) {
-  for (MCPlacementKind K :
-       {MCPlacementKind::Corners, MCPlacementKind::EdgeMidpoints,
-        MCPlacementKind::TopBottomSpread, MCPlacementKind::Explicit})
-    if (Name == mcPlacementName(K)) {
-      *Kind = K;
-      return true;
-    }
-  return false;
-}
-
-const char *offchip::mcPlacementNames() {
-  return "corners, edge_midpoints, top_bottom_spread, explicit";
-}
-
 std::vector<unsigned>
 offchip::placeMemoryControllers(const Mesh &M, unsigned NumMCs,
                                 MCPlacementKind Kind) {

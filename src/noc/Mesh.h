@@ -10,6 +10,8 @@
 #ifndef OFFCHIP_NOC_MESH_H
 #define OFFCHIP_NOC_MESH_H
 
+#include "support/EnumNames.h"
+
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -74,17 +76,16 @@ enum class MCPlacementKind {
   Explicit,
 };
 
-/// Canonical lower-case spelling of \p Kind ("corners", "edge_midpoints",
-/// "top_bottom_spread", "explicit") — shared by the CLI flags and the JSON
-/// wire layer so the two can never drift apart.
-const char *mcPlacementName(MCPlacementKind Kind);
-
-/// Parses a canonical spelling back into a kind. \returns false (leaving
-/// \p Kind untouched) on any other string.
-bool mcPlacementFromName(const std::string &Name, MCPlacementKind *Kind);
-
-/// Comma-joined list of every valid spelling, for diagnostics.
-const char *mcPlacementNames();
+/// Canonical lower-case spellings (support/EnumNames.h), shared by the CLI
+/// flags and the JSON wire layer.
+inline const auto &enumNames(MCPlacementKind) {
+  static constexpr EnumName<MCPlacementKind> Names[] = {
+      {MCPlacementKind::Corners, "corners"},
+      {MCPlacementKind::EdgeMidpoints, "edge_midpoints"},
+      {MCPlacementKind::TopBottomSpread, "top_bottom_spread"},
+      {MCPlacementKind::Explicit, "explicit"}};
+  return Names;
+}
 
 /// \returns the node ids hosting the \p NumMCs memory controllers under
 /// \p Kind. MC index i is attached to the i-th returned node; the hardware

@@ -223,7 +223,7 @@ std::vector<ConfigDiagnostic> MachineConfig::validate() const {
           {"MCNodes", nodeListText(MCNodes),
            formatString("an explicit node list is only honored under the "
                         "explicit placement kind (this config says %s)",
-                        mcPlacementName(Placement)),
+                        enumName(Placement)),
            "add --placement explicit or drop the node list"});
     if (MeshX >= 1 && MeshY >= 1 &&
         !clusterGridExists(MeshX, MeshY, NumMCs))
@@ -352,13 +352,22 @@ std::vector<unsigned> MachineConfig::placedMCNodes() const {
 std::optional<ConfigDiagnostic>
 offchip::parsePlacementOption(const std::string &Value,
                               MCPlacementKind *Kind) {
-  if (mcPlacementFromName(Value, Kind))
+  if (enumFromName(Value, Kind))
     return std::nullopt;
   return ConfigDiagnostic{
       "Placement", Value.empty() ? "(empty)" : Value,
       std::string("unknown placement kind; valid kinds: ") +
-          mcPlacementNames(),
+          enumNameList<MCPlacementKind>(),
       "spell the kind exactly, e.g. --placement top_bottom_spread"};
+}
+
+bool offchip::parseCoherenceOption(const std::string &Value,
+                                   MachineConfig::CoherenceProtocol *Protocol) {
+  MachineConfig::CoherenceProtocol P;
+  if (!enumFromName(Value, &P) || P == MachineConfig::CoherenceProtocol::None)
+    return false;
+  *Protocol = P;
+  return true;
 }
 
 std::optional<ConfigDiagnostic>
@@ -414,7 +423,7 @@ std::string MachineConfig::summary() const {
     if (Coherence.SparseDirectory)
       Coh += formatString(" (sparse dir, %u entries)", Coherence.SparseEntries);
   }
-  // The built-in spellings predate mcPlacementName() and are baked into
+  // The built-in spellings predate the wire spellings and are baked into
   // goldens; Explicit carries its node list so two searched machines never
   // share a summary line.
   std::string PlacementText =

@@ -216,10 +216,98 @@ struct MachineConfig {
   std::string summary() const;
 };
 
+/// Wire and CLI spellings (support/EnumNames.h).
+inline const auto &enumNames(MachineConfig::CoherenceProtocol) {
+  using P = MachineConfig::CoherenceProtocol;
+  static constexpr EnumName<P> Names[] = {
+      {P::None, "none"}, {P::MSI, "msi"}, {P::MESI, "mesi"}};
+  return Names;
+}
+
+/// One wire row of MachineConfig's field list.
+struct ConfigField {
+  /// Key in the JSON config object.
+  const char *Key;
+  /// Content-hash tag (api/ContentHash.cpp), or ResultInvariant.
+  unsigned char HashTag;
+};
+
+/// HashTag of a field that is on the wire but never changes a simulated
+/// result, so requests differing only in it share a cache entry.
+inline constexpr unsigned char ResultInvariant = 0;
+
+/// The one field list of MachineConfig: calls Visit(ConfigField, Member &...)
+/// once per wire row, in wire order, passing that member of every config in
+/// \p C. The JSON reader and writer, the content hash and the field-walk
+/// tests all derive from it, so a new config field takes one row here plus
+/// its validate() rule. Hash tags run in wire order, except that a list row
+/// hashes after every scalar row. CollectPhaseTimes and Trace are host-side
+/// knobs and stay off the wire.
+template <class Visitor, class... Config>
+void forEachConfigField(Visitor &&Visit, Config &...C) {
+  Visit(ConfigField{"mesh_x", 0x20}, C.MeshX...);
+  Visit(ConfigField{"mesh_y", 0x21}, C.MeshY...);
+  Visit(ConfigField{"l1_size_bytes", 0x22}, C.L1SizeBytes...);
+  Visit(ConfigField{"l1_line_bytes", 0x23}, C.L1LineBytes...);
+  Visit(ConfigField{"l1_ways", 0x24}, C.L1Ways...);
+  Visit(ConfigField{"l1_latency_cycles", 0x25}, C.L1LatencyCycles...);
+  Visit(ConfigField{"l2_size_bytes", 0x26}, C.L2SizeBytes...);
+  Visit(ConfigField{"l2_line_bytes", 0x27}, C.L2LineBytes...);
+  Visit(ConfigField{"l2_ways", 0x28}, C.L2Ways...);
+  Visit(ConfigField{"l2_latency_cycles", 0x29}, C.L2LatencyCycles...);
+  Visit(ConfigField{"shared_l2", 0x2A}, C.SharedL2...);
+  Visit(ConfigField{"noc_per_hop_cycles", 0x2B}, C.Noc.PerHopCycles...);
+  Visit(ConfigField{"noc_link_bytes", 0x2C}, C.Noc.LinkBytes...);
+  Visit(ConfigField{"num_mcs", 0x2D}, C.NumMCs...);
+  Visit(ConfigField{"placement", 0x2E}, C.Placement...);
+  // Written only when non-empty, which validate() allows only under the
+  // Explicit placement.
+  Visit(ConfigField{"mc_nodes", 0x47}, C.MCNodes...);
+  Visit(ConfigField{"dram_banks", 0x2F}, C.Dram.Banks...);
+  Visit(ConfigField{"dram_row_buffer_bytes", 0x30}, C.Dram.RowBufferBytes...);
+  Visit(ConfigField{"dram_frfcfs_window_rows", 0x31},
+        C.Dram.FrFcfsWindowRows...);
+  Visit(ConfigField{"dram_row_hit_cycles", 0x32},
+        C.Dram.Timing.RowHitCycles...);
+  Visit(ConfigField{"dram_row_miss_cycles", 0x33},
+        C.Dram.Timing.RowMissCycles...);
+  Visit(ConfigField{"bytes_per_mc", 0x34}, C.BytesPerMC...);
+  Visit(ConfigField{"granularity", 0x35}, C.Granularity...);
+  Visit(ConfigField{"page_bytes", 0x36}, C.PageBytes...);
+  Visit(ConfigField{"page_policy", 0x37}, C.PagePolicy...);
+  Visit(ConfigField{"threads_per_core", 0x38}, C.ThreadsPerCore...);
+  Visit(ConfigField{"compute_gap_cycles", 0x39}, C.ComputeGapCycles...);
+  Visit(ConfigField{"transform_overhead_cycles", 0x3A},
+        C.TransformOverheadCycles...);
+  Visit(ConfigField{"directory_latency_cycles", 0x3B},
+        C.DirectoryLatencyCycles...);
+  Visit(ConfigField{"request_bytes", 0x3C}, C.RequestBytes...);
+  Visit(ConfigField{"optimal_scheme", 0x3D}, C.OptimalScheme...);
+  Visit(ConfigField{"burst_coalesce", 0x3E}, C.Burst.Enabled...);
+  Visit(ConfigField{"burst_window_accesses", 0x3F}, C.Burst.WindowAccesses...);
+  Visit(ConfigField{"burst_max_lines", 0x40}, C.Burst.MaxLines...);
+  Visit(ConfigField{"dram_burst_beat_cycles", 0x41},
+        C.Dram.Timing.BurstBeatCycles...);
+  Visit(ConfigField{"coherence", 0x42}, C.Coherence.Protocol...);
+  Visit(ConfigField{"coherence_sparse_dir", 0x43},
+        C.Coherence.SparseDirectory...);
+  Visit(ConfigField{"coherence_sparse_entries", 0x44},
+        C.Coherence.SparseEntries...);
+  Visit(ConfigField{"coherence_ack_bytes", 0x45}, C.Coherence.AckBytes...);
+  Visit(ConfigField{"coherence_invalidate_bytes", 0x46},
+        C.Coherence.InvalidateBytes...);
+  Visit(ConfigField{"check_invariants", ResultInvariant}, C.CheckInvariants...);
+}
+
 /// Parses a --placement value into \p Kind. \returns a structured
 /// diagnostic listing the valid kinds on any other string.
 std::optional<ConfigDiagnostic> parsePlacementOption(const std::string &Value,
                                                      MCPlacementKind *Kind);
+
+/// Parses a --coherence value (a protocol spelling other than "none") into
+/// \p Protocol. \returns false, leaving \p Protocol untouched, otherwise.
+bool parseCoherenceOption(const std::string &Value,
+                          MachineConfig::CoherenceProtocol *Protocol);
 
 /// Parses a --mc-nodes list like "0,7,56,63" into \p Nodes: comma-separated
 /// digits-only node ids (no signs, no whitespace — the same contract as

@@ -9,13 +9,13 @@ using namespace offchip;
 namespace {
 
 /// Whether two accumulators agree on every exposed moment.
-bool sameAccumulator(const Accumulator &A, const Accumulator &B) {
+bool same(const Accumulator &A, const Accumulator &B) {
   return A.count() == B.count() && A.sum() == B.sum() && A.min() == B.min() &&
          A.max() == B.max();
 }
 
 /// Whether two histograms hold identical buckets.
-bool sameHistogram(const IntHistogram &A, const IntHistogram &B) {
+bool same(const IntHistogram &A, const IntHistogram &B) {
   if (A.total() != B.total())
     return false;
   unsigned Top = std::max(A.maxNonEmptyBucket(), B.maxNonEmptyBucket());
@@ -25,88 +25,22 @@ bool sameHistogram(const IntHistogram &A, const IntHistogram &B) {
   return true;
 }
 
+template <class T> bool same(const T &A, const T &B) { return A == B; }
+
 } // namespace
 
 bool offchip::equalResults(const SimResult &A, const SimResult &B,
                            std::string *WhyNot) {
-  auto Fail = [WhyNot](const char *Field) {
-    if (WhyNot)
-      *WhyNot = Field;
-    return false;
-  };
-  if (A.ExecutionCycles != B.ExecutionCycles)
-    return Fail("ExecutionCycles");
-  if (A.ThreadFinishCycles != B.ThreadFinishCycles)
-    return Fail("ThreadFinishCycles");
-  if (A.TotalAccesses != B.TotalAccesses)
-    return Fail("TotalAccesses");
-  if (A.L1Hits != B.L1Hits)
-    return Fail("L1Hits");
-  if (A.LocalL2Hits != B.LocalL2Hits)
-    return Fail("LocalL2Hits");
-  if (A.RemoteL2Hits != B.RemoteL2Hits)
-    return Fail("RemoteL2Hits");
-  if (A.OffChipAccesses != B.OffChipAccesses)
-    return Fail("OffChipAccesses");
-  if (!sameAccumulator(A.OnChipNetLatency, B.OnChipNetLatency))
-    return Fail("OnChipNetLatency");
-  if (!sameAccumulator(A.OffChipNetLatency, B.OffChipNetLatency))
-    return Fail("OffChipNetLatency");
-  if (!sameAccumulator(A.MemLatency, B.MemLatency))
-    return Fail("MemLatency");
-  if (!sameAccumulator(A.AccessLatency, B.AccessLatency))
-    return Fail("AccessLatency");
-  if (!sameHistogram(A.OffNetLatencyHist, B.OffNetLatencyHist))
-    return Fail("OffNetLatencyHist");
-  if (!sameHistogram(A.OnChipMsgHops, B.OnChipMsgHops))
-    return Fail("OnChipMsgHops");
-  if (!sameHistogram(A.OffChipMsgHops, B.OffChipMsgHops))
-    return Fail("OffChipMsgHops");
-  if (A.NumNodes != B.NumNodes)
-    return Fail("NumNodes");
-  if (A.NumMCs != B.NumMCs)
-    return Fail("NumMCs");
-  if (A.NodeToMCTraffic != B.NodeToMCTraffic)
-    return Fail("NodeToMCTraffic");
-  if (A.AvgBankQueueOccupancy != B.AvgBankQueueOccupancy)
-    return Fail("AvgBankQueueOccupancy");
-  if (A.RowHitRate != B.RowHitRate)
-    return Fail("RowHitRate");
-  if (A.PerMCQueueOccupancy != B.PerMCQueueOccupancy)
-    return Fail("PerMCQueueOccupancy");
-  if (A.PerMCAccesses != B.PerMCAccesses)
-    return Fail("PerMCAccesses");
-  if (A.RedirectedPages != B.RedirectedPages)
-    return Fail("RedirectedPages");
-  if (A.AllocatedPages != B.AllocatedPages)
-    return Fail("AllocatedPages");
-  if (A.BurstTransactions != B.BurstTransactions)
-    return Fail("BurstTransactions");
-  if (A.BurstLines != B.BurstLines)
-    return Fail("BurstLines");
-  if (A.PerMCLines != B.PerMCLines)
-    return Fail("PerMCLines");
-  if (A.CoherenceUpgrades != B.CoherenceUpgrades)
-    return Fail("CoherenceUpgrades");
-  if (A.Invalidations != B.Invalidations)
-    return Fail("Invalidations");
-  if (A.InvalidationAcks != B.InvalidationAcks)
-    return Fail("InvalidationAcks");
-  if (A.Downgrades != B.Downgrades)
-    return Fail("Downgrades");
-  if (A.CoherenceWritebacks != B.CoherenceWritebacks)
-    return Fail("CoherenceWritebacks");
-  if (A.ExclusiveGrants != B.ExclusiveGrants)
-    return Fail("ExclusiveGrants");
-  if (A.DirEvictions != B.DirEvictions)
-    return Fail("DirEvictions");
-  if (!sameHistogram(A.CohMsgHops, B.CohMsgHops))
-    return Fail("CohMsgHops");
-  if (A.LinkBusyCycles != B.LinkBusyCycles)
-    return Fail("LinkBusyCycles");
-  // SimResult::Phases is deliberately not compared: it describes how the
-  // host executed the run (wall-clock), not what was simulated.
-  return true;
+  const char *Differs = nullptr;
+  forEachResultField(
+      [&Differs](ResultField F, const auto &X, const auto &Y) {
+        if (!Differs && !same(X, Y))
+          Differs = F.Name;
+      },
+      A, B);
+  if (Differs && WhyNot)
+    *WhyNot = Differs;
+  return !Differs;
 }
 
 double offchip::savings(double Base, double Opt) {

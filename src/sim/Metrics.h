@@ -148,11 +148,79 @@ struct SimResult {
   }
 };
 
-/// Exact equality of every value-typed metric of two runs, including all
-/// accumulator moments, histograms and per-MC tables; the differential
-/// check behind the --jobs determinism tests and tools/offchip-fuzz.
-/// Phase wall-times and the attached trace are excluded (host-dependent /
-/// shared-pointer identity). On
+/// One row of SimResult's field list.
+struct ResultField {
+  /// The member's C++ name, as equalResults() reports it.
+  const char *Name;
+  /// Key in the JSON result object.
+  const char *Key;
+};
+
+/// The one field list of SimResult: calls Visit(ResultField, Member &...)
+/// once per simulated metric, in wire order, passing that member of every
+/// result in \p R. equalResults() and the JSON reader and writer derive
+/// from it. Phases (host wall-clock) and Trace (a shared pointer) describe
+/// how the host ran the simulation, not what it simulated, so they are not
+/// rows.
+template <class Visitor, class... Result>
+void forEachResultField(Visitor &&Visit, Result &...R) {
+  Visit(ResultField{"ExecutionCycles", "execution_cycles"},
+        R.ExecutionCycles...);
+  Visit(ResultField{"ThreadFinishCycles", "thread_finish_cycles"},
+        R.ThreadFinishCycles...);
+  Visit(ResultField{"TotalAccesses", "total_accesses"}, R.TotalAccesses...);
+  Visit(ResultField{"L1Hits", "l1_hits"}, R.L1Hits...);
+  Visit(ResultField{"LocalL2Hits", "local_l2_hits"}, R.LocalL2Hits...);
+  Visit(ResultField{"RemoteL2Hits", "remote_l2_hits"}, R.RemoteL2Hits...);
+  Visit(ResultField{"OffChipAccesses", "offchip_accesses"},
+        R.OffChipAccesses...);
+  Visit(ResultField{"OnChipNetLatency", "onchip_net_latency"},
+        R.OnChipNetLatency...);
+  Visit(ResultField{"OffChipNetLatency", "offchip_net_latency"},
+        R.OffChipNetLatency...);
+  Visit(ResultField{"MemLatency", "mem_latency"}, R.MemLatency...);
+  Visit(ResultField{"AccessLatency", "access_latency"}, R.AccessLatency...);
+  Visit(ResultField{"OffNetLatencyHist", "offnet_latency_hist"},
+        R.OffNetLatencyHist...);
+  Visit(ResultField{"OnChipMsgHops", "onchip_msg_hops"}, R.OnChipMsgHops...);
+  Visit(ResultField{"OffChipMsgHops", "offchip_msg_hops"},
+        R.OffChipMsgHops...);
+  Visit(ResultField{"NumNodes", "num_nodes"}, R.NumNodes...);
+  Visit(ResultField{"NumMCs", "num_mcs"}, R.NumMCs...);
+  Visit(ResultField{"NodeToMCTraffic", "node_to_mc_traffic"},
+        R.NodeToMCTraffic...);
+  Visit(ResultField{"AvgBankQueueOccupancy", "avg_bank_queue_occupancy"},
+        R.AvgBankQueueOccupancy...);
+  Visit(ResultField{"RowHitRate", "row_hit_rate"}, R.RowHitRate...);
+  Visit(ResultField{"PerMCQueueOccupancy", "per_mc_queue_occupancy"},
+        R.PerMCQueueOccupancy...);
+  Visit(ResultField{"PerMCAccesses", "per_mc_accesses"}, R.PerMCAccesses...);
+  Visit(ResultField{"RedirectedPages", "redirected_pages"},
+        R.RedirectedPages...);
+  Visit(ResultField{"AllocatedPages", "allocated_pages"}, R.AllocatedPages...);
+  Visit(ResultField{"BurstTransactions", "burst_transactions"},
+        R.BurstTransactions...);
+  Visit(ResultField{"BurstLines", "burst_lines"}, R.BurstLines...);
+  Visit(ResultField{"PerMCLines", "per_mc_lines"}, R.PerMCLines...);
+  Visit(ResultField{"CoherenceUpgrades", "coherence_upgrades"},
+        R.CoherenceUpgrades...);
+  Visit(ResultField{"Invalidations", "invalidations"}, R.Invalidations...);
+  Visit(ResultField{"InvalidationAcks", "invalidation_acks"},
+        R.InvalidationAcks...);
+  Visit(ResultField{"Downgrades", "downgrades"}, R.Downgrades...);
+  Visit(ResultField{"CoherenceWritebacks", "coherence_writebacks"},
+        R.CoherenceWritebacks...);
+  Visit(ResultField{"ExclusiveGrants", "exclusive_grants"},
+        R.ExclusiveGrants...);
+  Visit(ResultField{"DirEvictions", "dir_evictions"}, R.DirEvictions...);
+  Visit(ResultField{"CohMsgHops", "coh_msg_hops"}, R.CohMsgHops...);
+  Visit(ResultField{"LinkBusyCycles", "link_busy_cycles"},
+        R.LinkBusyCycles...);
+}
+
+/// Exact equality of every forEachResultField() row of two runs, including
+/// all accumulator moments, histograms and per-MC tables; the differential
+/// check behind the --jobs determinism tests and tools/offchip-fuzz. On
 /// mismatch \returns false and names the first differing field in
 /// \p WhyNot (if non-null).
 bool equalResults(const SimResult &A, const SimResult &B,

@@ -23,6 +23,7 @@
 #ifndef OFFCHIP_VM_VIRTUALMEMORY_H
 #define OFFCHIP_VM_VIRTUALMEMORY_H
 
+#include "support/EnumNames.h"
 #include "support/Pow2.h"
 
 #include <cstdint>
@@ -36,6 +37,15 @@ enum class PageAllocPolicy {
   FirstTouch,
   CompilerGuided,
 };
+
+/// Wire and CLI spellings (support/EnumNames.h).
+inline const auto &enumNames(PageAllocPolicy) {
+  static constexpr EnumName<PageAllocPolicy> Names[] = {
+      {PageAllocPolicy::InterleavedRoundRobin, "round_robin"},
+      {PageAllocPolicy::FirstTouch, "first_touch"},
+      {PageAllocPolicy::CompilerGuided, "compiler_guided"}};
+  return Names;
+}
 
 struct VmConfig {
   unsigned PageBytes = 4096;

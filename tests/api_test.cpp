@@ -20,7 +20,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <set>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 using namespace offchip;
 
@@ -40,6 +43,73 @@ SimRequest tinySimulate() {
   SimRequest R;
   R.Kind = RequestKind::Simulate;
   R.Workload.ProgramText = TinyProgram;
+  return R;
+}
+
+/// Values other than \p V of V's type, for the field-list walks: every
+/// other enumerator of an enum, one changed value of anything else.
+template <class T> std::vector<T> otherValues(const T &V) {
+  if constexpr (std::is_enum_v<T>) {
+    std::vector<T> Out;
+    for (const EnumName<T> &N : enumNames(V))
+      if (N.Value != V)
+        Out.push_back(N.Value);
+    return Out;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return {!V};
+  } else if constexpr (std::is_same_v<T, std::vector<unsigned>>) {
+    return {{1, 2}};
+  } else {
+    return {static_cast<T>(V + 1)};
+  }
+}
+
+/// Changes one SimResult member.
+void perturb(Accumulator &A) { A.addSample(1.0); }
+void perturb(IntHistogram &H) { H.addSample(1); }
+template <class T> void perturb(std::vector<T> &V) { V.push_back(T(1)); }
+template <class T> void perturb(T &V) { V += 1; }
+
+/// A result whose every field is set, with small values.
+SimResult sampleResult() {
+  SimResult R;
+  R.ExecutionCycles = 9007199254740993ull; // above 2^53: exact tokens
+  R.ThreadFinishCycles = {11, 12};
+  R.TotalAccesses = 100;
+  R.L1Hits = 40;
+  R.LocalL2Hits = 20;
+  R.RemoteL2Hits = 15;
+  R.OffChipAccesses = 25;
+  R.OnChipNetLatency.addSample(3.5);
+  R.OffChipNetLatency.addSample(20.25);
+  R.OffChipNetLatency.addSample(0.1);
+  R.MemLatency.addSample(100.0);
+  R.AccessLatency.addSample(1.0 / 3.0);
+  R.OffNetLatencyHist.addSample(2);
+  R.OnChipMsgHops.addSample(1);
+  R.OffChipMsgHops.addSample(4);
+  R.OffChipMsgHops.addSample(4);
+  R.NumNodes = 2;
+  R.NumMCs = 2;
+  R.NodeToMCTraffic = {1, 2, 3, 4};
+  R.AvgBankQueueOccupancy = 0.75;
+  R.RowHitRate = 0.1;
+  R.PerMCQueueOccupancy = {0.5, 1e-7};
+  R.PerMCAccesses = {10, 15};
+  R.RedirectedPages = 3;
+  R.AllocatedPages = 7;
+  R.BurstTransactions = 2;
+  R.BurstLines = 5;
+  R.PerMCLines = {12, 16};
+  R.CoherenceUpgrades = 6;
+  R.Invalidations = 8;
+  R.InvalidationAcks = 8;
+  R.Downgrades = 1;
+  R.CoherenceWritebacks = 2;
+  R.ExclusiveGrants = 4;
+  R.DirEvictions = 9;
+  R.CohMsgHops.addSample(3);
+  R.LinkBusyCycles = 12345;
   return R;
 }
 
@@ -76,10 +146,6 @@ TEST(ContentHash, ResultAffectingFieldsIncluded) {
   CacheKey K = requestKey(Base);
 
   SimRequest R = Base;
-  R.Config.MeshX = 4;
-  EXPECT_NE(requestKey(R), K);
-
-  R = Base;
   R.Kind = RequestKind::Optimize;
   EXPECT_NE(requestKey(R), K);
 
@@ -91,28 +157,40 @@ TEST(ContentHash, ResultAffectingFieldsIncluded) {
   R.Workload.ProgramText += " ";
   EXPECT_NE(requestKey(R), K);
 
-  R = Base;
-  R.Config.Dram.Timing.RowMissCycles += 1;
-  EXPECT_NE(requestKey(R), K);
-
-  R = Base;
-  R.Config.PagePolicy = PageAllocPolicy::FirstTouch;
-  EXPECT_NE(requestKey(R), K);
-
-  R = Base;
-  R.Config.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
-  EXPECT_NE(requestKey(R), K);
-  CacheKey Msi = requestKey(R);
-  R.Config.Coherence.Protocol = MachineConfig::CoherenceProtocol::MESI;
-  EXPECT_NE(requestKey(R), Msi);
-
-  R = Base;
-  R.Config.Coherence.SparseDirectory = true;
-  EXPECT_NE(requestKey(R), K);
-
-  R = Base;
-  R.Config.Coherence.SparseEntries *= 2;
-  EXPECT_NE(requestKey(R), K);
+  // Every config row, set to each value other than the default: the value
+  // survives toJson -> machineConfigFromJson, and the key changes exactly
+  // when the row is hashed — to a key no other change produces.
+  const std::string BaseWire = toJson(Base.Config).write();
+  std::set<std::string> WireKeys, Keys{K.str()};
+  std::set<unsigned> Tags;
+  std::vector<std::string> Unhashed;
+  SimRequest Changed = Base;
+  forEachConfigField(
+      [&](ConfigField F, const auto &BaseMember, auto &Member) {
+        EXPECT_TRUE(WireKeys.insert(F.Key).second) << F.Key;
+        if (F.HashTag == ResultInvariant)
+          Unhashed.push_back(F.Key);
+        else
+          EXPECT_TRUE(Tags.insert(F.HashTag).second) << F.Key;
+        for (const auto &V : otherValues(BaseMember)) {
+          Member = V;
+          std::string Wire = toJson(Changed.Config).write();
+          EXPECT_NE(Wire, BaseWire) << F.Key;
+          MachineConfig Back;
+          std::string Err;
+          std::optional<JsonValue> J = parseJson(Wire, &Err);
+          ASSERT_TRUE(J && machineConfigFromJson(*J, &Back, &Err)) << Err;
+          EXPECT_EQ(toJson(Back).write(), Wire) << F.Key;
+          CacheKey Key = requestKey(Changed);
+          if (F.HashTag == ResultInvariant)
+            EXPECT_EQ(Key, K) << F.Key;
+          else
+            EXPECT_TRUE(Keys.insert(Key.str()).second) << F.Key;
+        }
+        Member = BaseMember;
+      },
+      Base.Config, Changed.Config);
+  EXPECT_EQ(Unhashed, std::vector<std::string>{"check_invariants"});
 }
 
 TEST(ContentHash, AppAndScaleHashDistinctly) {
@@ -216,6 +294,151 @@ TEST(Serialize, RequestRejectsBadInput) {
                         "\"config\":{\"sim_threads\":2}}",
                         &Err));
   EXPECT_EQ(Err, "field 'sim_threads': unknown machine config key");
+  // Wire integers are plain digit tokens that fit the field: no sign
+  // (formerly read as 2^64 - 2048), no exponent (an out-of-range cast), no
+  // fraction (silently truncated) and no overflow of 64 or 32 bits.
+  for (const char *Key :
+       {"\"l1_size_bytes\":-2048", "\"bytes_per_mc\":1e30",
+        "\"mesh_x\":4.7", "\"l2_size_bytes\":18446744073709551617",
+        "\"mesh_x\":4294967296"}) {
+    std::string Member = Key;
+    EXPECT_FALSE(parseReq("{\"method\":\"simulate\",\"app\":\"swim\","
+                          "\"config\":{" + Member + "}}",
+                          &Err))
+        << Member;
+    EXPECT_EQ(Err, "field '" + Member.substr(1, Member.find('"', 1) - 1) +
+                       "': expected a non-negative integer");
+  }
+}
+
+TEST(Serialize, EveryResultFieldComparedAndRoundTrips) {
+  // Perturbing any one result row makes equalResults fail naming exactly
+  // that row, the perturbed result survives the wire, and a result object
+  // missing that row is rejected.
+  const SimResult Base = sampleResult();
+  SimResult Changed = Base;
+  std::string Why;
+  ASSERT_TRUE(equalResults(Base, Changed, &Why)) << Why;
+  forEachResultField(
+      [&](ResultField F, const auto &BaseMember, auto &Member) {
+        perturb(Member);
+        Why.clear();
+        EXPECT_FALSE(equalResults(Base, Changed, &Why)) << F.Name;
+        EXPECT_EQ(Why, F.Name);
+        SimResult Back;
+        std::string Err;
+        std::optional<JsonValue> J =
+            parseJson(toJson(Changed).write(), &Err);
+        ASSERT_TRUE(J && simResultFromJson(*J, &Back, &Err)) << Err;
+        EXPECT_TRUE(equalResults(Back, Changed, &Why)) << F.Key << ": " << Why;
+        // Every row is required on read.
+        const JsonValue Full = toJson(Base);
+        JsonValue Without = JsonValue::object();
+        for (const auto &[Key, Value] : Full.members())
+          if (Key != F.Key)
+            Without.set(Key, Value);
+        EXPECT_FALSE(simResultFromJson(Without, &Back, &Err)) << F.Key;
+        EXPECT_EQ(Err.rfind(std::string("field '") + F.Key + "'", 0), 0u)
+            << Err;
+        Member = BaseMember;
+      },
+      Base, Changed);
+}
+
+TEST(Serialize, WireBytesPinned) {
+  // The wire layout is a protocol: these strings are the bytes the
+  // hand-written serializer produced before the field lists replaced it.
+  EXPECT_EQ(
+      toJson(MachineConfig::scaledDefault()).write(),
+      R"({"mesh_x":8,"mesh_y":8,"l1_size_bytes":2048,"l1_line_bytes":64,)"
+      R"("l1_ways":8,"l1_latency_cycles":2,"l2_size_bytes":16384,)"
+      R"("l2_line_bytes":256,"l2_ways":16,"l2_latency_cycles":10,)"
+      R"("shared_l2":false,"noc_per_hop_cycles":4,"noc_link_bytes":16,)"
+      R"("num_mcs":4,"placement":"corners","dram_banks":4,)"
+      R"("dram_row_buffer_bytes":4096,"dram_frfcfs_window_rows":8,)"
+      R"("dram_row_hit_cycles":28,"dram_row_miss_cycles":82,)"
+      R"("bytes_per_mc":1073741824,"granularity":"line","page_bytes":4096,)"
+      R"("page_policy":"round_robin","threads_per_core":1,)"
+      R"("compute_gap_cycles":16,"transform_overhead_cycles":1,)"
+      R"("directory_latency_cycles":6,"request_bytes":16,)"
+      R"("optimal_scheme":false,"burst_coalesce":false,)"
+      R"("burst_window_accesses":256,"burst_max_lines":8,)"
+      R"("dram_burst_beat_cycles":8,"coherence":"none",)"
+      R"("coherence_sparse_dir":false,"coherence_sparse_entries":4096,)"
+      R"("coherence_ack_bytes":8,"coherence_invalidate_bytes":8,)"
+      R"("check_invariants":false})");
+
+  MachineConfig C = MachineConfig::scaledDefault();
+  C.Placement = MCPlacementKind::Explicit;
+  C.MCNodes = {9, 22, 33, 54};
+  C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
+  C.Coherence.SparseDirectory = true;
+  C.Coherence.SparseEntries = 512;
+  EXPECT_EQ(
+      toJson(C).write(),
+      R"({"mesh_x":8,"mesh_y":8,"l1_size_bytes":2048,"l1_line_bytes":64,)"
+      R"("l1_ways":8,"l1_latency_cycles":2,"l2_size_bytes":16384,)"
+      R"("l2_line_bytes":256,"l2_ways":16,"l2_latency_cycles":10,)"
+      R"("shared_l2":false,"noc_per_hop_cycles":4,"noc_link_bytes":16,)"
+      R"("num_mcs":4,"placement":"explicit","mc_nodes":[9,22,33,54],)"
+      R"("dram_banks":4,"dram_row_buffer_bytes":4096,)"
+      R"("dram_frfcfs_window_rows":8,"dram_row_hit_cycles":28,)"
+      R"("dram_row_miss_cycles":82,"bytes_per_mc":1073741824,)"
+      R"("granularity":"line","page_bytes":4096,"page_policy":"round_robin",)"
+      R"("threads_per_core":1,"compute_gap_cycles":16,)"
+      R"("transform_overhead_cycles":1,"directory_latency_cycles":6,)"
+      R"("request_bytes":16,"optimal_scheme":false,"burst_coalesce":false,)"
+      R"("burst_window_accesses":256,"burst_max_lines":8,)"
+      R"("dram_burst_beat_cycles":8,"coherence":"msi",)"
+      R"("coherence_sparse_dir":true,"coherence_sparse_entries":512,)"
+      R"("coherence_ack_bytes":8,"coherence_invalidate_bytes":8,)"
+      R"("check_invariants":false})");
+
+  SimResponse Resp;
+  Resp.Id = "r7";
+  Resp.Status = ResponseStatus::Ok;
+  Resp.Singleflight = true;
+  Resp.Key = "0123456789abcdef0123456789abcdef";
+  Resp.ServerSeconds = 0.125;
+  Resp.Plan.ProgramName = "tiny";
+  Resp.Plan.NumClusters = 4;
+  Resp.Plan.Arrays.push_back({"a", true, "[1 0; 0 1]", "strip-mined"});
+  Resp.Plan.ArraysOptimizedFraction = 1.0;
+  Resp.Original = sampleResult();
+  Resp.Optimized = sampleResult();
+  const std::string Result =
+      R"({"execution_cycles":9007199254740993,"thread_finish_cycles":[11,12],)"
+      R"("total_accesses":100,"l1_hits":40,"local_l2_hits":20,)"
+      R"("remote_l2_hits":15,"offchip_accesses":25,)"
+      R"("onchip_net_latency":{"count":1,"sum":3.5,"min":3.5,"max":3.5},)"
+      R"("offchip_net_latency":{"count":2,"sum":20.350000000000001,)"
+      R"("min":0.10000000000000001,"max":20.25},)"
+      R"("mem_latency":{"count":1,"sum":100,"min":100,"max":100},)"
+      R"("access_latency":{"count":1,"sum":0.33333333333333331,)"
+      R"("min":0.33333333333333331,"max":0.33333333333333331},)"
+      R"("offnet_latency_hist":{"cap":1024,"buckets":[0,0,1]},)"
+      R"("onchip_msg_hops":{"cap":256,"buckets":[0,1]},)"
+      R"("offchip_msg_hops":{"cap":256,"buckets":[0,0,0,0,2]},)"
+      R"("num_nodes":2,"num_mcs":2,"node_to_mc_traffic":[1,2,3,4],)"
+      R"("avg_bank_queue_occupancy":0.75,"row_hit_rate":0.10000000000000001,)"
+      R"("per_mc_queue_occupancy":[0.5,9.9999999999999995e-08],)"
+      R"("per_mc_accesses":[10,15],"redirected_pages":3,)"
+      R"("allocated_pages":7,"burst_transactions":2,"burst_lines":5,)"
+      R"("per_mc_lines":[12,16],"coherence_upgrades":6,)"
+      R"("invalidations":8,"invalidation_acks":8,"downgrades":1,)"
+      R"("coherence_writebacks":2,"exclusive_grants":4,"dir_evictions":9,)"
+      R"("coh_msg_hops":{"cap":256,"buckets":[0,0,0,1]},)"
+      R"("link_busy_cycles":12345})";
+  EXPECT_EQ(
+      writeResponseLine(Resp),
+      R"({"id":"r7","status":"ok","cache":"miss","singleflight":true,)"
+      R"("key":"0123456789abcdef0123456789abcdef","server_seconds":0.125,)"
+      R"("plan":{"program":"tiny","clusters":4,"cores_per_cluster_x":0,)"
+      R"("cores_per_cluster_y":0,"mcs_per_cluster":0,)"
+      R"("arrays":[{"name":"a","optimized":true,"u":"[1 0; 0 1]",)"
+      R"("note":"strip-mined"}],"arrays_optimized_fraction":1,)"
+      R"("refs_satisfied_fraction":0,"source":""},"original":)" +
+          Result + R"(,"optimized":)" + Result + "}\n");
 }
 
 TEST(Serialize, MachineConfigFullRoundtrip) {
@@ -506,6 +729,72 @@ TEST(Service, ErrorResponsesAreNotCached) {
   EXPECT_EQ(Service.stats().Cache.Entries, 0u);
 }
 
+TEST(Service, ExecutorExceptionAnswersEveryoneAndRetiresKey) {
+  // An executor that throws must not lose the request: the leader and its
+  // single-flight waiter are answered with an error, drain() returns,
+  // nothing is cached, and the key is retired so the next identical
+  // request executes again instead of attaching to a dead leader.
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Open = false;
+  std::atomic<unsigned> Executions{0};
+  auto Exec = [&](const SimRequest &R) {
+    if (Executions.fetch_add(1) == 0) {
+      std::unique_lock<std::mutex> Lock(Mu);
+      Cv.wait(Lock, [&] { return Open; });
+      throw std::runtime_error("executor failed");
+    }
+    SimResponse Resp;
+    Resp.Id = R.Id;
+    Resp.Status = ResponseStatus::Ok;
+    return Resp;
+  };
+  SimService Service({/*Workers=*/2, /*QueueDepth=*/8, /*CacheCapacity=*/8},
+                     Exec);
+
+  std::mutex DoneMu;
+  std::vector<SimResponse> Answers;
+  auto Done = [&](SimResponse Resp) {
+    std::lock_guard<std::mutex> Lock(DoneMu);
+    Answers.push_back(std::move(Resp));
+  };
+  for (const char *Id : {"leader", "waiter"}) {
+    SimRequest R = tinySimulate();
+    R.Id = Id;
+    Service.submit(R, Done);
+  }
+  while (Service.stats().SingleflightHits < 1)
+    std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Open = true;
+  }
+  Cv.notify_all();
+  Service.drain();
+
+  {
+    std::lock_guard<std::mutex> Lock(DoneMu);
+    ASSERT_EQ(Answers.size(), 2u);
+    std::set<std::string> Ids;
+    for (const SimResponse &A : Answers) {
+      Ids.insert(A.Id);
+      EXPECT_EQ(A.Status, ResponseStatus::Error);
+      EXPECT_EQ(A.ErrorText, "internal error: executor failed");
+      std::string Err;
+      std::optional<JsonValue> J = parseJson(writeResponseLine(A), &Err);
+      ASSERT_TRUE(J.has_value()) << Err;
+      EXPECT_EQ(J->find("status")->asString(), "error");
+    }
+    EXPECT_EQ(Ids, (std::set<std::string>{"leader", "waiter"}));
+  }
+  EXPECT_EQ(Service.stats().Cache.Entries, 0u);
+
+  SimResponse Again = Service.call(tinySimulate());
+  EXPECT_TRUE(Again.ok());
+  EXPECT_FALSE(Again.Singleflight);
+  EXPECT_EQ(Executions.load(), 2u);
+}
+
 TEST(Service, BackpressureOverloadsAndDrains) {
   // A gate executor lets us hold requests in flight deterministically.
   std::mutex Mu;
@@ -602,8 +891,9 @@ TEST(Service, SingleflightMergesIdenticalConcurrentRequests) {
   // Wait until the three followers have attached to the leader; only then
   // is releasing the gate race-free (a follower arriving after completion
   // would be a cache hit instead, which is correct but not what this test
-  // pins).
-  while (Service.stats().SingleflightHits < N - 1)
+  // pins). Followers can attach before the leader, which registers the key
+  // first, has entered the executor, so wait for that too.
+  while (Service.stats().SingleflightHits < N - 1 || Executions.load() == 0)
     std::this_thread::yield();
   EXPECT_EQ(Executions.load(), 1u);
   {

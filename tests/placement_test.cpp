@@ -168,14 +168,14 @@ TEST(Placement, AllSupportedCombosAreDistinctAndInBounds) {
             continue;
           std::vector<unsigned> Nodes = C.placedMCNodes();
           ASSERT_EQ(Nodes.size(), MCs)
-              << X << "x" << Y << " " << mcPlacementName(Kind);
+              << X << "x" << Y << " " << enumName(Kind);
           std::set<unsigned> Unique(Nodes.begin(), Nodes.end());
           EXPECT_EQ(Unique.size(), MCs)
-              << X << "x" << Y << " " << mcPlacementName(Kind)
+              << X << "x" << Y << " " << enumName(Kind)
               << ": duplicate node";
           for (unsigned N : Nodes)
             EXPECT_LT(N, X * Y)
-                << X << "x" << Y << " " << mcPlacementName(Kind);
+                << X << "x" << Y << " " << enumName(Kind);
           ++Checked;
         }
   // The sweep must actually cover a meaningful slice of the space, not
@@ -192,12 +192,12 @@ TEST(Placement, PlacementNamesRoundTrip) {
        {MCPlacementKind::Corners, MCPlacementKind::EdgeMidpoints,
         MCPlacementKind::TopBottomSpread, MCPlacementKind::Explicit}) {
     MCPlacementKind Parsed;
-    ASSERT_TRUE(mcPlacementFromName(mcPlacementName(K), &Parsed));
+    ASSERT_TRUE(enumFromName(enumName(K), &Parsed));
     EXPECT_EQ(Parsed, K);
   }
   MCPlacementKind K = MCPlacementKind::Corners;
-  EXPECT_FALSE(mcPlacementFromName("Corners", &K));
-  EXPECT_FALSE(mcPlacementFromName("", &K));
+  EXPECT_FALSE(enumFromName("Corners", &K));
+  EXPECT_FALSE(enumFromName("", &K));
   EXPECT_EQ(K, MCPlacementKind::Corners); // left untouched on failure
 }
 

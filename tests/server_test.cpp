@@ -162,12 +162,20 @@ TEST_F(ServerTest, MalformedAndInvalidLinesAnswerErrors) {
   EXPECT_EQ(field(BadScale, "status"), "error");
   EXPECT_NE(field(BadScale, "error").find("scale"), std::string::npos);
 
-  // The connection survives all four errors.
+  // A negative wire integer is a request error, not a 2^64 - 2048 cache.
+  EXPECT_NE(field(roundtrip("{\"id\":\"n1\",\"method\":\"simulate\","
+                            "\"app\":\"swim\",\"config\":{"
+                            "\"l1_size_bytes\":-2048}}"),
+                  "error")
+                .find("l1_size_bytes"),
+            std::string::npos);
+
+  // The connection survives all five errors.
   EXPECT_EQ(field(roundtrip("{\"id\":\"after\",\"method\":\"ping\"}"), "id"),
             "after");
-  // The unparsable line and the two invalid requests count; the config
+  // The unparsable line and the three invalid requests count; the config
   // error does not (it is a well-formed request answered with diagnostics).
-  EXPECT_EQ(Server->counters().ParseErrors, 3u);
+  EXPECT_EQ(Server->counters().ParseErrors, 4u);
 }
 
 TEST_F(ServerTest, PipelinedRequestsAllAnswered) {

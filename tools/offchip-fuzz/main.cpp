@@ -5,9 +5,11 @@
 /// cross-checks the full SimResult for exact equality between the
 /// Pow2Divider fast (shift/mask) and generic (div/mod) decode paths on the
 /// identical configuration, with the runtime invariant checker
-/// (MachineConfig::CheckInvariants) armed on both runs. A pending-repro file is written *before* each trial
-/// and deleted on success, so even a crash or an invariant abort leaves the
-/// offending configuration and program on disk. Result mismatches are
+/// (MachineConfig::CheckInvariants) armed on both runs. Each trial's config
+/// must also survive the JSON wire with its content hash unchanged. A
+/// pending-repro file is written *before* each trial and deleted on
+/// success, so even a crash or an invariant abort leaves the offending
+/// configuration and program on disk. Result mismatches are
 /// additionally shrunk to a minimal failing spec and printed as a
 /// ready-to-paste GTest regression test.
 ///
@@ -17,6 +19,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "affine/ProgramText.h"
+#include "api/ContentHash.h"
+#include "api/Serialize.h"
 #include "harness/Experiment.h"
 #include "sim/Engine.h"
 #include "support/Options.h"
@@ -309,74 +313,28 @@ TrialSpec randomSpec(SplitMix64 &R) {
 // Running one trial
 //===----------------------------------------------------------------------===//
 
-/// Renders the spec's config as C++ statements against a variable `C`,
-/// listing every field the generator can move (defaults included, so the
-/// snippet is self-contained).
-std::string renderConfigCode(const MachineConfig &C) {
-  auto U = [](std::uint64_t V) { return std::to_string(V); };
-  std::string Out;
-  Out += "  MachineConfig C = MachineConfig::scaledDefault();\n";
-  Out += "  C.MeshX = " + U(C.MeshX) + ";\n";
-  Out += "  C.MeshY = " + U(C.MeshY) + ";\n";
-  Out += "  C.NumMCs = " + U(C.NumMCs) + ";\n";
-  Out += std::string("  C.Placement = MCPlacementKind::") +
-         (C.Placement == MCPlacementKind::Corners         ? "Corners"
-          : C.Placement == MCPlacementKind::EdgeMidpoints ? "EdgeMidpoints"
-          : C.Placement == MCPlacementKind::TopBottomSpread
-              ? "TopBottomSpread"
-              : "Explicit") +
-         ";\n";
-  if (C.Placement == MCPlacementKind::Explicit) {
-    Out += "  C.MCNodes = {";
-    for (std::size_t I = 0; I < C.MCNodes.size(); ++I)
-      Out += (I == 0 ? "" : ", ") + U(C.MCNodes[I]);
-    Out += "};\n";
+/// Whether \p C survives the wire: toJson, text, parseJson and
+/// machineConfigFromJson give back a config with the same content hash and
+/// the same wire bytes. \returns false with the reason in \p Why.
+bool wireRoundTrips(const MachineConfig &C, std::string *Why) {
+  SimRequest Sent;
+  Sent.Workload.ProgramText = "program fuzz";
+  Sent.Config = C;
+  SimRequest Received = Sent;
+  Received.Config = MachineConfig();
+  std::string Text = toJson(C).write();
+  std::optional<JsonValue> Wire = parseJson(Text, Why);
+  if (!Wire || !machineConfigFromJson(*Wire, &Received.Config, Why))
+    return false;
+  if (requestKey(Received) != requestKey(Sent)) {
+    *Why = "requestKey changed";
+    return false;
   }
-  Out += "  C.L1SizeBytes = " + U(C.L1SizeBytes) + ";\n";
-  Out += "  C.L1LineBytes = " + U(C.L1LineBytes) + ";\n";
-  Out += "  C.L1Ways = " + U(C.L1Ways) + ";\n";
-  Out += "  C.L2SizeBytes = " + U(C.L2SizeBytes) + ";\n";
-  Out += "  C.L2LineBytes = " + U(C.L2LineBytes) + ";\n";
-  Out += "  C.L2Ways = " + U(C.L2Ways) + ";\n";
-  Out += std::string("  C.SharedL2 = ") + (C.SharedL2 ? "true" : "false") +
-         ";\n";
-  Out += std::string("  C.Granularity = InterleaveGranularity::") +
-         (C.Granularity == InterleaveGranularity::CacheLine ? "CacheLine"
-                                                            : "Page") +
-         ";\n";
-  Out += "  C.PageBytes = " + U(C.PageBytes) + ";\n";
-  Out += std::string("  C.PagePolicy = PageAllocPolicy::") +
-         (C.PagePolicy == PageAllocPolicy::InterleavedRoundRobin
-              ? "InterleavedRoundRobin"
-              : C.PagePolicy == PageAllocPolicy::FirstTouch ? "FirstTouch"
-                                                            : "CompilerGuided") +
-         ";\n";
-  Out += "  C.BytesPerMC = " + U(C.BytesPerMC) + ";\n";
-  Out += "  C.Noc.LinkBytes = " + U(C.Noc.LinkBytes) + ";\n";
-  Out += "  C.Dram.Banks = " + U(C.Dram.Banks) + ";\n";
-  Out += "  C.Dram.RowBufferBytes = " + U(C.Dram.RowBufferBytes) + ";\n";
-  Out += "  C.ComputeGapCycles = " + U(C.ComputeGapCycles) + ";\n";
-  Out += "  C.ThreadsPerCore = " + U(C.ThreadsPerCore) + ";\n";
-  Out += std::string("  C.OptimalScheme = ") +
-         (C.OptimalScheme ? "true" : "false") + ";\n";
-  Out += std::string("  C.Burst.Enabled = ") +
-         (C.Burst.Enabled ? "true" : "false") + ";\n";
-  Out += "  C.Burst.WindowAccesses = " + U(C.Burst.WindowAccesses) + ";\n";
-  Out += "  C.Burst.MaxLines = " + U(C.Burst.MaxLines) + ";\n";
-  Out += std::string("  C.Coherence.Protocol = "
-                     "MachineConfig::CoherenceProtocol::") +
-         (C.Coherence.Protocol == MachineConfig::CoherenceProtocol::None
-              ? "None"
-              : C.Coherence.Protocol == MachineConfig::CoherenceProtocol::MSI
-                    ? "MSI"
-                    : "MESI") +
-         ";\n";
-  Out += std::string("  C.Coherence.SparseDirectory = ") +
-         (C.Coherence.SparseDirectory ? "true" : "false") + ";\n";
-  Out += "  C.Coherence.SparseEntries = " + U(C.Coherence.SparseEntries) +
-         ";\n";
-  Out += "  C.CheckInvariants = true;\n";
-  return Out;
+  if (toJson(Received.Config).write() != Text) {
+    *Why = "wire bytes changed";
+    return false;
+  }
+  return true;
 }
 
 /// What one trial compares; names the first differing SimResult field on
@@ -582,14 +540,9 @@ std::string renderReproFile(const TrialSpec &S, std::uint64_t Seed,
   Out += "# tripped the invariant checker. Re-run it with:\n";
   Out += "#   offchip-fuzz --seed " + std::to_string(Seed) + " --runs " +
          std::to_string(Trial + 1) + "\n";
-  Out += "#\n# Machine configuration (C++):\n";
-  std::string Code = renderConfigCode(S.Config);
-  std::size_t Pos = 0;
-  while (Pos < Code.size()) {
-    std::size_t End = Code.find('\n', Pos);
-    Out += "#" + Code.substr(Pos, End - Pos) + "\n";
-    Pos = End + 1;
-  }
+  Out += "#\n# Machine configuration (" + S.Config.summary() +
+         "), as wire JSON for machineConfigFromJson:\n";
+  Out += "#   " + toJson(S.Config).write() + "\n";
   if (S.OptimizedLayout)
     Out += "#   (simulate the optimized layout plan)\n";
   Out += "#\n# Program:\n" + renderProgram(S);
@@ -601,7 +554,12 @@ void printRegressionTest(const TrialSpec &S, const TrialOutcome &O) {
               O.Field.c_str());
   std::printf("---- paste into tests/fuzz_regression_test.cpp ----\n");
   std::printf("TEST(FuzzRegression, Shrunk) {\n");
-  std::printf("%s", renderConfigCode(S.Config).c_str());
+  std::printf("  MachineConfig C = MachineConfig::scaledDefault();\n");
+  std::printf("  std::string Err;\n");
+  std::printf("  std::optional<JsonValue> Wire = parseJson(R\"(%s)\", &Err);\n",
+              toJson(S.Config).write().c_str());
+  std::printf("  ASSERT_TRUE(Wire && machineConfigFromJson(*Wire, &C, &Err)) "
+              "<< Err;\n");
   std::printf("  const char *Text = R\"(\n%s)\";\n",
               renderProgram(S).c_str());
   std::printf("  std::optional<AffineProgram> P = parseProgramText(Text);\n");
@@ -679,6 +637,17 @@ int main(int Argc, char **Argv) {
     {
       std::ofstream ReproFile(ReproPath, std::ios::trunc);
       ReproFile << renderReproFile(S, Seed, Trial);
+    }
+
+    std::string WireWhy;
+    if (!wireRoundTrips(S.Config, &WireWhy)) {
+      std::printf("trial %u: config did not survive the wire: %s\n", Trial,
+                  WireWhy.c_str());
+      std::fprintf(stderr,
+                   "offchip-fuzz: wire round-trip failure at trial %u (seed "
+                   "%u); repro kept in %s\n",
+                   Trial, Seed, ReproPath.c_str());
+      return 1;
     }
 
     TrialOutcome O = runTrial(S);

@@ -82,7 +82,7 @@ int main(int Argc, char **Argv) {
                    }
                    return true;
                  },
-                 std::string("MC placement kind: ") + mcPlacementNames() +
+                 "MC placement kind: " + enumNameList<MCPlacementKind>() +
                      " (default corners)");
   Options.custom("--mc-nodes", "<n0,n1,...>",
                  [&](const std::string &V) {
@@ -113,15 +113,7 @@ int main(int Argc, char **Argv) {
                "transactions (default off)");
   Options.custom("--coherence", "<msi|mesi>",
                  [&](const std::string &V) {
-                   if (V == "msi")
-                     Config.Coherence.Protocol =
-                         MachineConfig::CoherenceProtocol::MSI;
-                   else if (V == "mesi")
-                     Config.Coherence.Protocol =
-                         MachineConfig::CoherenceProtocol::MESI;
-                   else
-                     return false;
-                   return true;
+                   return parseCoherenceOption(V, &Config.Coherence.Protocol);
                  },
                  "model an invalidation-based coherence protocol "
                  "(default off)");

@@ -588,7 +588,7 @@ int main(int Argc, char **Argv) {
       continue;
     MachineConfig C = Opt.Base;
     C.Placement = B.Kind;
-    Entries.push_back({mcPlacementName(B.Kind), C});
+    Entries.push_back({enumName(B.Kind), C});
   }
   Entries.push_back({"searched [" + candidateText(Best) + "]",
                      candidateConfig(Opt, Best)});
@@ -673,7 +673,7 @@ int main(int Argc, char **Argv) {
     if (B.Feasible &&
         (BestBuiltInName.empty() || B.Energy < BestBuiltIn)) {
       BestBuiltIn = B.Energy;
-      BestBuiltInName = mcPlacementName(B.Kind);
+      BestBuiltInName = enumName(B.Kind);
     }
   Sink->note("");
   if (BestBuiltInName.empty())
