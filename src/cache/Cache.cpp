@@ -136,19 +136,3 @@ bool Cache::invalidate(std::uint64_t LineAddr) {
   }
   return false;
 }
-
-std::uint64_t Cache::residentLines() const {
-  std::uint64_t N = 0;
-  for (const Way &W : Sets)
-    if (W.Valid)
-      ++N;
-  return N;
-}
-
-void Cache::reset() {
-  for (Way &W : Sets)
-    W = Way();
-  UseClock = 0;
-  Hits = 0;
-  Misses = 0;
-}

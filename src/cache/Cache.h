@@ -80,9 +80,6 @@ public:
   std::uint64_t hits() const { return Hits; }
   std::uint64_t misses() const { return Misses; }
 
-  /// Number of currently resident lines.
-  std::uint64_t residentLines() const;
-
   /// Invokes \p Fn(LineAddr) for every resident line (unspecified order).
   /// Tags are full line addresses (hashed index), so residents can be
   /// enumerated exactly; used by the invariant checker (src/check).
@@ -99,8 +96,6 @@ public:
       if (W.Valid)
         Fn(W.Tag, W.State);
   }
-
-  void reset();
 
 private:
   struct Way {

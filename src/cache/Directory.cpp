@@ -36,16 +36,6 @@ void Directory::removeSharer(std::uint64_t LineAddr, unsigned Node) {
     Lines.erase(LineAddr);
 }
 
-int Directory::findSharerExcept(std::uint64_t LineAddr, unsigned Node) const {
-  const std::uint64_t *Mask = Lines.find(LineAddr);
-  if (!Mask)
-    return -1;
-  std::uint64_t Others = *Mask & ~(1ull << Node);
-  if (Others == 0)
-    return -1;
-  return std::countr_zero(Others);
-}
-
 std::uint64_t Directory::sharerMask(std::uint64_t LineAddr) const {
   const std::uint64_t *Mask = Lines.find(LineAddr);
   return Mask ? *Mask : 0;

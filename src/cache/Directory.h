@@ -34,10 +34,6 @@ public:
   /// \returns a node currently holding \p LineAddr, or -1 if none.
   int findSharer(std::uint64_t LineAddr) const;
 
-  /// \returns a node holding \p LineAddr other than \p Node, or -1 if none.
-  /// Under coherence a requester must never be forwarded to itself.
-  int findSharerExcept(std::uint64_t LineAddr, unsigned Node) const;
-
   /// Records that \p Node now holds the line.
   void addSharer(std::uint64_t LineAddr, unsigned Node);
 

@@ -40,7 +40,7 @@ private:
 
 MemoryController::MemoryController(unsigned Id, DramConfig Config)
     : Id(Id), Config(Config), RowDiv(Config.RowBufferBytes),
-      BankDiv(Config.Banks), Banks(Config.Banks), IdealBanks(Config.Banks) {}
+      BankDiv(Config.Banks), Banks(Config.Banks) {}
 
 bool MemoryController::isRowHit(Bank &B, std::int64_t Row) const {
   for (std::size_t I = 0; I < B.RecentRows.size(); ++I) {
@@ -59,39 +59,7 @@ bool MemoryController::isRowHit(Bank &B, std::int64_t Row) const {
 
 DramAccessResult MemoryController::access(std::uint64_t PhysAddr,
                                           std::uint64_t Time) {
-  ScopedTimer Timer(TimeCalls, TimedSeconds, TimedCalls);
-  unsigned BankIdx = bankOf(PhysAddr);
-  Bank &B = Banks[BankIdx];
-  std::int64_t Row = rowOf(PhysAddr);
-
-  std::uint64_t Start = std::max(Time, B.BusyUntil);
-  bool Hit = isRowHit(B, Row);
-  std::uint64_t Service =
-      Hit ? Config.Timing.RowHitCycles : Config.Timing.RowMissCycles;
-
-  DramAccessResult R;
-  R.QueueCycles = Start - Time;
-  R.ServiceCycles = Service;
-  R.CompleteTime = Start + Service;
-  R.RowHit = Hit;
-
-  B.BusyUntil = R.CompleteTime;
-  B.BusyCycles += Service;
-
-  ++Accesses;
-  ++LinesTransferred;
-  if (Hit)
-    ++RowHits;
-  TotalQueueCycles += R.QueueCycles;
-  TotalServiceCycles += Service;
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::MCEnqueue, Time,
-                     static_cast<std::uint32_t>(R.QueueCycles), PhysAddr, Id);
-    Sink->emitShared(TraceKind::BankService, Start,
-                     static_cast<std::uint32_t>(Service), PhysAddr,
-                     (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
-  }
-  return R;
+  return accessBurst(&PhysAddr, 1, Time);
 }
 
 DramAccessResult MemoryController::accessBurst(const std::uint64_t *Addrs,
@@ -127,7 +95,6 @@ DramAccessResult MemoryController::accessBurst(const std::uint64_t *Addrs,
   R.RowHit = Hit;
 
   B.BusyUntil = R.CompleteTime;
-  B.BusyCycles += Service;
 
   ++Accesses; // one transaction, however wide
   LinesTransferred += NumAddrs;
@@ -135,38 +102,12 @@ DramAccessResult MemoryController::accessBurst(const std::uint64_t *Addrs,
     ++RowHits;
   TotalQueueCycles += R.QueueCycles;
   TotalServiceCycles += Service;
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::MCEnqueue, Time,
-                     static_cast<std::uint32_t>(R.QueueCycles), Addrs[0], Id);
-    Sink->emitShared(TraceKind::BankService, Start,
-                     static_cast<std::uint32_t>(Service), Addrs[0],
-                     (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
-  }
-  return R;
-}
-
-DramAccessResult MemoryController::accessIdeal(std::uint64_t PhysAddr,
-                                               std::uint64_t Time) {
-  ScopedTimer Timer(TimeCalls, TimedSeconds, TimedCalls);
-  unsigned BankIdx = bankOf(PhysAddr);
-  Bank &B = IdealBanks[BankIdx];
-  bool Hit = isRowHit(B, rowOf(PhysAddr));
-  DramAccessResult R;
-  R.QueueCycles = 0;
-  R.ServiceCycles =
-      Hit ? Config.Timing.RowHitCycles : Config.Timing.RowMissCycles;
-  R.CompleteTime = Time + R.ServiceCycles;
-  R.RowHit = Hit;
-  ++Accesses;
-  ++LinesTransferred;
-  if (Hit)
-    ++RowHits;
-  TotalServiceCycles += R.ServiceCycles;
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::MCEnqueue, Time, 0, PhysAddr, Id);
-    Sink->emitShared(TraceKind::BankService, Time,
-                     static_cast<std::uint32_t>(R.ServiceCycles), PhysAddr,
-                     (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
+  if (Sink) {
+    Sink->emit(TraceKind::MCEnqueue, Time,
+               static_cast<std::uint32_t>(R.QueueCycles), Addrs[0], Id);
+    Sink->emit(TraceKind::BankService, Start,
+               static_cast<std::uint32_t>(Service), Addrs[0],
+               (Id << 16) | (BankIdx << 1) | (Hit ? 1u : 0u));
   }
   return R;
 }
@@ -182,34 +123,10 @@ void MemoryController::writeback(std::uint64_t PhysAddr, std::uint64_t Time) {
   std::uint64_t Service =
       Hit ? Config.Timing.RowHitCycles : Config.Timing.RowMissCycles;
   B.BusyUntil = Start + Service;
-  B.BusyCycles += Service;
 }
 
 double MemoryController::averageQueueOccupancy(std::uint64_t Now) const {
   if (Now == 0)
     return 0.0;
   return static_cast<double>(TotalQueueCycles) / static_cast<double>(Now);
-}
-
-double MemoryController::bankUtilization(std::uint64_t Now) const {
-  if (Now == 0 || Banks.empty())
-    return 0.0;
-  std::uint64_t Busy = 0;
-  for (const Bank &B : Banks)
-    Busy = std::max(Busy, B.BusyCycles);
-  return std::min(1.0, static_cast<double>(Busy) / static_cast<double>(Now));
-}
-
-void MemoryController::reset() {
-  for (Bank &B : Banks)
-    B = Bank();
-  for (Bank &B : IdealBanks)
-    B = Bank();
-  Accesses = 0;
-  RowHits = 0;
-  LinesTransferred = 0;
-  TotalQueueCycles = 0;
-  TotalServiceCycles = 0;
-  TimedSeconds = 0.0;
-  TimedCalls = 0;
 }

@@ -76,7 +76,7 @@ public:
   const DramConfig &config() const { return Config; }
 
   /// Services the access to \p PhysAddr arriving at \p Time, advancing bank
-  /// state.
+  /// state: a one-line accessBurst().
   DramAccessResult access(std::uint64_t PhysAddr, std::uint64_t Time);
 
   /// Services a coalesced burst of \p NumAddrs line addresses (ascending,
@@ -90,26 +90,20 @@ public:
   DramAccessResult accessBurst(const std::uint64_t *Addrs,
                                unsigned NumAddrs, std::uint64_t Time);
 
-  /// Contention-free service (optimal scheme of Section 2): zero queue
-  /// latency, but the row-buffer behaviour stays realistic (tracked on a
-  /// shadow bank state so the optimal run pays hit/conflict service times
-  /// without waiting).
-  DramAccessResult accessIdeal(std::uint64_t PhysAddr, std::uint64_t Time);
-
   /// Fire-and-forget writeback: occupies the bank without a waiting
   /// requester.
   void writeback(std::uint64_t PhysAddr, std::uint64_t Time);
 
   std::uint64_t accesses() const { return Accesses; }
   std::uint64_t rowHits() const { return RowHits; }
-  /// L2 lines moved over this controller's channel: access()/accessIdeal()
-  /// add 1, accessBurst() adds its line count. Writebacks are not counted
+  /// L2 lines moved over this controller's channel: access() adds 1,
+  /// accessBurst() adds its line count. Writebacks are not counted
   /// (matching SimResult::NodeToMCTraffic, which counts requests only).
   std::uint64_t linesTransferred() const { return LinesTransferred; }
   std::uint64_t totalQueueCycles() const { return TotalQueueCycles; }
   std::uint64_t totalServiceCycles() const { return TotalServiceCycles; }
 
-  /// Starts accumulating wall-clock time spent in access()/accessIdeal()/
+  /// Starts accumulating wall-clock time spent in access()/accessBurst()/
   /// writeback() (SimResult::PhaseTimes). Off by default: measuring reads
   /// the clock twice per request.
   void enableCallTiming() { TimeCalls = true; }
@@ -128,25 +122,18 @@ public:
   /// bank-queue occupancy metric.
   double averageQueueOccupancy(std::uint64_t Now) const;
 
-  /// Fraction of [0, Now) during which at least this controller's busiest
-  /// bank was busy; a utilization proxy.
-  double bankUtilization(std::uint64_t Now) const;
-
-  /// Attaches the tracing sink. When set and a shared trace context is
-  /// open, access()/accessIdeal() emit one MCEnqueue (Aux = MC id, Dur =
-  /// queue-wait cycles) and one BankService (Aux = (MC id << 16) |
-  /// (bank << 1) | row-hit, Dur = service cycles) event. writeback() stays
-  /// silent so the traced request counts match SimResult::NodeToMCTraffic.
+  /// Attaches the tracing sink. When set, access()/accessBurst() emit one
+  /// MCEnqueue (Aux = MC id, Dur = queue-wait cycles) and one BankService
+  /// (Aux = (MC id << 16) | (bank << 1) | row-hit, Dur = service cycles)
+  /// event into the sink's open access context. writeback() stays silent
+  /// so the traced request counts match SimResult::NodeToMCTraffic.
   void setTraceSink(TraceSink *S) { Sink = S; }
-
-  void reset();
 
 private:
   struct Bank {
     std::uint64_t BusyUntil = 0;
     /// Most-recently-served rows, front = newest (FR-FCFS window).
     std::vector<std::int64_t> RecentRows;
-    std::uint64_t BusyCycles = 0;
   };
 
   /// True (and refreshed) when \p Row is within the bank's FR-FCFS window.
@@ -174,8 +161,6 @@ private:
   Pow2Divider RowDiv;
   Pow2Divider BankDiv;
   std::vector<Bank> Banks;
-  /// Row-state shadow used by accessIdeal().
-  std::vector<Bank> IdealBanks;
   std::uint64_t Accesses = 0;
   std::uint64_t RowHits = 0;
   std::uint64_t LinesTransferred = 0;

@@ -115,8 +115,8 @@ MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
     unsigned N = East ? B.X - A.X : A.X - B.X;
     for (unsigned I = 0; I < N; ++I) {
       std::uint64_t Booked = Links[Node * 4 + Dir].reserve(Cur, Flits, Floor);
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::NocHop, Booked, Flits, 0, Node * 4 + Dir);
+      if (Sink)
+        Sink->emit(TraceKind::NocHop, Booked, Flits, 0, Node * 4 + Dir);
       Cur = Booked + Config.PerHopCycles;
       Node = static_cast<unsigned>(static_cast<int>(Node) + Step);
     }
@@ -130,8 +130,8 @@ MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
     unsigned N = South ? B.Y - A.Y : A.Y - B.Y;
     for (unsigned I = 0; I < N; ++I) {
       std::uint64_t Booked = Links[Node * 4 + Dir].reserve(Cur, Flits, Floor);
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::NocHop, Booked, Flits, 0, Node * 4 + Dir);
+      if (Sink)
+        Sink->emit(TraceKind::NocHop, Booked, Flits, 0, Node * 4 + Dir);
       Cur = Booked + Config.PerHopCycles;
       Node = static_cast<unsigned>(static_cast<int>(Node) + Step);
     }
@@ -160,16 +160,6 @@ MessageResult Network::sendIdeal(unsigned Src, unsigned Dst, unsigned Bytes,
       Time + static_cast<std::uint64_t>(Hops) * Config.PerHopCycles +
       (Flits - 1);
   return {Arrival, Arrival - Time, Hops};
-}
-
-void Network::reset() {
-  for (LinkState &L : Links)
-    L.clear();
-  Messages = 0;
-  LinkBusyCycles = 0;
-  ClassCount.fill(0);
-  TimedSeconds = 0.0;
-  TimedCalls = 0;
 }
 
 bool Network::checkCalendars(std::string *Why) const {

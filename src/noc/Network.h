@@ -114,7 +114,7 @@ public:
   /// clock twice per message.
   void enableCallTiming() { TimeCalls = true; }
 
-  /// Wall-clock seconds spent in send() since construction/reset; zero
+  /// Wall-clock seconds spent in send() since construction; zero
   /// unless enableCallTiming() was called. Raw accumulation — the caller
   /// subtracts the calibrated clock-read overhead (support/HostClock.h)
   /// using timedCalls().
@@ -124,14 +124,11 @@ public:
   /// the calibrated overhead correction.
   std::uint64_t timedCalls() const { return TimedCalls; }
 
-  /// Attaches the tracing sink. When set and a shared trace context is
-  /// open, every link reservation emits one NocHop event (Start = booked
-  /// cycle, Dur = flits, Aux = directed link id). sendIdeal() reserves
-  /// nothing and therefore traces nothing.
+  /// Attaches the tracing sink. When set, every link reservation emits one
+  /// NocHop event (Start = booked cycle, Dur = flits, Aux = directed link
+  /// id) into the sink's open access context. sendIdeal() reserves nothing
+  /// and therefore traces nothing.
   void setTraceSink(TraceSink *S) { Sink = S; }
-
-  /// Forgets all link occupancy and counters.
-  void reset();
 
   /// Invariant check (src/check): every link's reservation calendar must be
   /// sorted by start, non-overlapping, and made of non-empty intervals past
@@ -165,11 +162,6 @@ private:
     /// reclaimed.
     std::uint64_t reserve(std::uint64_t From, unsigned Flits,
                           std::uint64_t Floor);
-
-    void clear() {
-      Reserved.clear();
-      Head = 0;
-    }
   };
 
   Mesh Topology;

@@ -72,96 +72,55 @@ unsigned Machine::mcForPhys(std::uint64_t PA) const {
 std::uint64_t Machine::access(unsigned Node, std::uint64_t VA, bool IsWrite,
                               std::uint64_t Time, SimResult &R,
                               ThreadStream *Lookahead, std::uint64_t Key) {
-  // Coherent mode: every access runs through the protocol engine, which
-  // does its own L1/L2 probes (permission checks, not just presence), so
-  // the tile-local fast paths below are skipped entirely.
-  if (coherent()) {
-    if (Sink)
-      Sink->beginShared(Node, Key);
-    std::uint64_t Done = accessCoherent(Node, VA, IsWrite, Time, R);
-    if (Sink)
-      Sink->endShared();
-    return Done;
-  }
+  if (Sink)
+    Sink->beginAccess(Node, Key);
+  Net.advanceFloor(Time);
+  ++R.TotalAccesses;
+  // Coherent mode: the protocol does its own L1/L2 probes (permission
+  // checks, not just presence).
+  if (coherent())
+    return accessCoherent(Node, VA, IsWrite, Time, R);
 
   std::uint64_t T1 = Time + Config.L1LatencyCycles;
-  if (l1Probe(Node, VA, IsWrite)) {
+  if (L1s[Node].access(L1LineDiv.div(VA), IsWrite)) {
     if (Sink)
-      Sink->emit(Node, Key, TraceKind::L1Hit, Time, Config.L1LatencyCycles,
-                 VA, 0);
-    ++R.TotalAccesses;
+      Sink->emit(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA, 0);
     ++R.L1Hits;
     R.AccessLatency.addSample(static_cast<double>(T1 - Time));
     return T1;
   }
   if (Sink)
-    Sink->emit(Node, Key, TraceKind::L1Miss, Time, Config.L1LatencyCycles, VA,
-               0);
-  std::uint64_t Done;
-  if (localL2Eligible()) {
-    // PA == VA: the MC-select bits sit below the page offset, identity map.
-    std::uint64_t T2 = T1 + Config.L2LatencyCycles;
-    if (l2ProbeLocal(Node, VA, IsWrite)) {
-      if (Sink)
-        Sink->emit(Node, Key, TraceKind::L2Hit, T1, Config.L2LatencyCycles,
-                   VA, Node);
-      ++R.TotalAccesses;
-      ++R.LocalL2Hits;
-      fillL1(Node, VA, IsWrite, T2);
-      if (Sink)
-        Sink->emit(Node, Key, TraceKind::L1Fill, T2, 0, VA, 0);
-      R.AccessLatency.addSample(static_cast<double>(T2 - Time));
-      return T2;
-    }
-    if (Sink) {
-      Sink->emit(Node, Key, TraceKind::L2Miss, T1, Config.L2LatencyCycles, VA,
-                 Node);
-      Sink->beginShared(Node, Key);
-    }
-    Done = missAfterL2(Node, VA, IsWrite, Time, R, Lookahead);
-  } else {
-    if (Sink)
-      Sink->beginShared(Node, Key);
-    Done = missAfterL1(Node, VA, IsWrite, Time, R, Lookahead);
-  }
-  if (Sink)
-    Sink->endShared();
-  return Done;
-}
-
-std::uint64_t Machine::missAfterL1(unsigned Node, std::uint64_t VA,
-                                   bool IsWrite, std::uint64_t Time,
-                                   SimResult &R, ThreadStream *Lookahead) {
-  Net.advanceFloor(Time);
-  ++R.TotalAccesses;
-  std::uint64_t T = Time + Config.L1LatencyCycles;
+    Sink->emit(TraceKind::L1Miss, Time, Config.L1LatencyCycles, VA, 0);
   std::uint64_t PA = physFor(VA, Node);
-  std::uint64_t Done =
-      Config.SharedL2 ? accessShared(Node, PA, IsWrite, T, R)
-                      : accessPrivate(Node, PA, VA, IsWrite, T, R, Lookahead);
-  fillL1(Node, VA, IsWrite, Done);
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-    Sink->emitShared(TraceKind::Complete, Time,
-                     static_cast<std::uint32_t>(Done - Time), VA, 0);
-  }
-  R.AccessLatency.addSample(static_cast<double>(Done - Time));
-  return Done;
+  if (Config.SharedL2)
+    return completeL1Miss(Node, VA, IsWrite, Time,
+                          accessShared(Node, PA, IsWrite, T1, R), R);
+
+  std::uint64_t T2 = T1 + Config.L2LatencyCycles;
+  bool Hit = L2s[Node].access(L2LineDiv.div(PA), IsWrite);
+  if (Sink)
+    Sink->emit(Hit ? TraceKind::L2Hit : TraceKind::L2Miss, T1,
+               Config.L2LatencyCycles, PA, Node);
+  if (!Hit)
+    return completeL1Miss(
+        Node, VA, IsWrite, Time,
+        privateMissTail(Node, PA, VA, IsWrite, T2, R, Lookahead), R);
+  ++R.LocalL2Hits;
+  // No Complete for cache-line own-L2 hits: keeps existing traces' bytes.
+  return completeL1Miss(Node, VA, IsWrite, Time, T2, R,
+                        Config.Granularity != InterleaveGranularity::CacheLine);
 }
 
-std::uint64_t Machine::missAfterL2(unsigned Node, std::uint64_t VA,
-                                   bool IsWrite, std::uint64_t Time,
-                                   SimResult &R, ThreadStream *Lookahead) {
-  Net.advanceFloor(Time);
-  ++R.TotalAccesses;
-  std::uint64_t T = Time + Config.L1LatencyCycles + Config.L2LatencyCycles;
-  // Cache-line interleaving: VA == PA (identity map).
-  std::uint64_t Done = privateMissTail(Node, VA, VA, IsWrite, T, R, Lookahead);
+std::uint64_t Machine::completeL1Miss(unsigned Node, std::uint64_t VA,
+                                      bool IsWrite, std::uint64_t Time,
+                                      std::uint64_t Done, SimResult &R,
+                                      bool TraceComplete) {
   fillL1(Node, VA, IsWrite, Done);
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-    Sink->emitShared(TraceKind::Complete, Time,
-                     static_cast<std::uint32_t>(Done - Time), VA, 0);
+  if (Sink) {
+    Sink->emit(TraceKind::L1Fill, Done, 0, VA, 0);
+    if (TraceComplete)
+      Sink->emit(TraceKind::Complete, Time,
+                 static_cast<std::uint32_t>(Done - Time), VA, 0);
   }
   R.AccessLatency.addSample(static_cast<double>(Done - Time));
   return Done;
@@ -187,21 +146,56 @@ void Machine::fillL1(unsigned Node, std::uint64_t VA, bool IsWrite,
   }
 }
 
-std::uint64_t Machine::accessPrivate(unsigned Node, std::uint64_t PA,
-                                     std::uint64_t VA, bool IsWrite,
-                                     std::uint64_t Time, SimResult &R,
-                                     ThreadStream *Lookahead) {
-  std::uint64_t T = Time + Config.L2LatencyCycles;
-  std::uint64_t Line = L2LineDiv.div(PA);
-  bool Hit = L2s[Node].access(Line, IsWrite);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(Hit ? TraceKind::L2Hit : TraceKind::L2Miss, Time,
-                     Config.L2LatencyCycles, PA, Node);
-  if (Hit) {
-    ++R.LocalL2Hits;
-    return T;
+void Machine::retireL2Victim(unsigned Node, const Cache::Eviction &Ev,
+                             std::uint64_t T) {
+  if (!Ev.Valid)
+    return;
+  // A no-op for the SNUCA banks, which never enter the directory.
+  Dir.removeSharer(Ev.LineAddr, Node);
+  if (Ev.Dirty) {
+    std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
+    unsigned VictimMC = mcForPhys(VictimPA);
+    MessageResult WB = Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes,
+                                T, MsgClass::Writeback);
+    MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
   }
-  return privateMissTail(Node, PA, VA, IsWrite, T, R, Lookahead);
+}
+
+std::uint64_t Machine::forwardFromL2(unsigned Node, unsigned Source,
+                                     unsigned DirNode, std::uint64_t PA,
+                                     const MessageResult &Req,
+                                     std::uint64_t T, SimResult &R) {
+  MessageResult Fwd =
+      Net.send(DirNode, Source, Config.RequestBytes, T, MsgClass::Request);
+  if (Sink)
+    Sink->emit(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
+               Config.L2LatencyCycles, PA, Source);
+  T = Fwd.ArrivalTime + Config.L2LatencyCycles;
+  MessageResult Data =
+      Net.send(Source, Node, Config.L2LineBytes, T, MsgClass::Data);
+  ++R.RemoteL2Hits;
+  R.OnChipNetLatency.addSample(static_cast<double>(
+      Req.NetworkCycles + Fwd.NetworkCycles + Data.NetworkCycles));
+  R.OnChipMsgHops.addSample(Req.Hops);
+  R.OnChipMsgHops.addSample(Fwd.Hops);
+  R.OnChipMsgHops.addSample(Data.Hops);
+  return Data.ArrivalTime;
+}
+
+void Machine::recordOffChip(unsigned Node, unsigned MC,
+                            const MessageResult &Req,
+                            const DramAccessResult &Dram,
+                            const MessageResult &Data, SimResult &R) {
+  ++R.OffChipAccesses;
+  R.OffChipNetLatency.addSample(
+      static_cast<double>(Req.NetworkCycles + Data.NetworkCycles));
+  R.OffNetLatencyHist.addSample((Req.NetworkCycles + Data.NetworkCycles) /
+                                64);
+  R.MemLatency.addSample(
+      static_cast<double>(Dram.QueueCycles + Dram.ServiceCycles));
+  R.OffChipMsgHops.addSample(Req.Hops);
+  R.OffChipMsgHops.addSample(Data.Hops);
+  R.NodeToMCTraffic[static_cast<std::size_t>(Node) * Config.NumMCs + MC]++;
 }
 
 void Machine::collectBurst(unsigned MC, std::uint64_t TriggerLine,
@@ -315,30 +309,16 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
   MessageResult Req = Optimal
                           ? Net.sendIdeal(Node, DirNode, Config.RequestBytes, T)
                           : Net.send(Node, DirNode, Config.RequestBytes, T);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::DirLookup, Req.ArrivalTime,
-                     Config.DirectoryLatencyCycles, PA, DirNode);
+  if (Sink)
+    Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
+               Config.DirectoryLatencyCycles, PA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
 
   int Sharer = Dir.findSharer(Line);
   if (Sharer >= 0 && static_cast<unsigned>(Sharer) != Node) {
     // On-chip access: forward to the sharing L2, which responds with data.
-    MessageResult Fwd = Net.send(DirNode, static_cast<unsigned>(Sharer),
-                                 Config.RequestBytes, T);
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
-                       Config.L2LatencyCycles, PA,
-                       static_cast<std::uint32_t>(Sharer));
-    T = Fwd.ArrivalTime + Config.L2LatencyCycles;
-    MessageResult Data = Net.send(static_cast<unsigned>(Sharer), Node,
-                                  Config.L2LineBytes, T);
-    T = Data.ArrivalTime;
-    ++R.RemoteL2Hits;
-    R.OnChipNetLatency.addSample(static_cast<double>(
-        Req.NetworkCycles + Fwd.NetworkCycles + Data.NetworkCycles));
-    R.OnChipMsgHops.addSample(Req.Hops);
-    R.OnChipMsgHops.addSample(Fwd.Hops);
-    R.OnChipMsgHops.addSample(Data.Hops);
+    T = forwardFromL2(Node, static_cast<unsigned>(Sharer), DirNode, PA, Req,
+                      T, R);
   } else {
     // Off-chip access: path 2 (DRAM) then path 3 (data back to the L2).
     // With Config.Burst enabled, adjacent future lines of the same thread
@@ -360,11 +340,11 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
       Dram = MCs[MC].accessBurst(BurstPAs.data(), BurstK, T);
       ++R.BurstTransactions;
       R.BurstLines += BurstK;
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::BurstCoalesce,
-                         Dram.CompleteTime - Dram.ServiceCycles,
-                         static_cast<std::uint32_t>(Dram.ServiceCycles), PA,
-                         (MC << 8) | (BurstK & 0xffu));
+      if (Sink)
+        Sink->emit(TraceKind::BurstCoalesce,
+                   Dram.CompleteTime - Dram.ServiceCycles,
+                   static_cast<std::uint32_t>(Dram.ServiceCycles), PA,
+                   (MC << 8) | (BurstK & 0xffu));
     } else {
       Dram = MCs[MC].access(PA, T);
     }
@@ -376,16 +356,7 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
                                Config.L2LineBytes,
                            T);
     T = Data.ArrivalTime;
-    ++R.OffChipAccesses;
-    R.OffChipNetLatency.addSample(
-        static_cast<double>(Req.NetworkCycles + Data.NetworkCycles));
-    R.OffNetLatencyHist.addSample(
-        (Req.NetworkCycles + Data.NetworkCycles) / 64);
-    R.MemLatency.addSample(
-        static_cast<double>(Dram.QueueCycles + Dram.ServiceCycles));
-    R.OffChipMsgHops.addSample(Req.Hops);
-    R.OffChipMsgHops.addSample(Data.Hops);
-    R.NodeToMCTraffic[static_cast<std::size_t>(Node) * Config.NumMCs + MC]++;
+    recordOffChip(Node, MC, Req, Dram, Data, R);
 
     // Ridealong lines fill the requester's L2 clean so their future
     // touches become local L2 hits; the directory stays exact.
@@ -393,34 +364,14 @@ std::uint64_t Machine::privateMissTail(unsigned Node, std::uint64_t PA,
       for (std::uint64_t RL : BurstRun) {
         if (RL == Line)
           continue;
-        Cache::Eviction REv = L2s[Node].insert(RL, false);
-        if (REv.Valid) {
-          Dir.removeSharer(REv.LineAddr, Node);
-          if (REv.Dirty) {
-            std::uint64_t VictimPA = REv.LineAddr * Config.L2LineBytes;
-            unsigned VictimMC = mcForPhys(VictimPA);
-            MessageResult WB =
-                Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes, T);
-            MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-          }
-        }
+        retireL2Victim(Node, L2s[Node].insert(RL, false), T);
         Dir.addSharer(RL, Node);
       }
     }
   }
 
   // Fill the private L2 and keep the directory exact.
-  Cache::Eviction Ev = L2s[Node].insert(Line, IsWrite);
-  if (Ev.Valid) {
-    Dir.removeSharer(Ev.LineAddr, Node);
-    if (Ev.Dirty) {
-      std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
-      unsigned VictimMC = mcForPhys(VictimPA);
-      MessageResult WB =
-          Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes, T);
-      MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-    }
-  }
+  retireL2Victim(Node, L2s[Node].insert(Line, IsWrite), T);
   Dir.addSharer(Line, Node);
   return T;
 }
@@ -436,9 +387,9 @@ std::uint64_t Machine::accessShared(unsigned Node, std::uint64_t PA,
   std::uint64_t T = Req.ArrivalTime + Config.L2LatencyCycles;
 
   bool HomeHit = L2s[Home].access(Line, IsWrite);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(HomeHit ? TraceKind::L2Hit : TraceKind::L2Miss,
-                     Req.ArrivalTime, Config.L2LatencyCycles, PA, Home);
+  if (Sink)
+    Sink->emit(HomeHit ? TraceKind::L2Hit : TraceKind::L2Miss,
+               Req.ArrivalTime, Config.L2LatencyCycles, PA, Home);
   if (HomeHit) {
     // Path 5: data back to the requesting L1.
     MessageResult Resp = Net.send(Home, Node, Config.L1LineBytes, T);
@@ -467,14 +418,7 @@ std::uint64_t Machine::accessShared(unsigned Node, std::uint64_t PA,
   T = FromMC.ArrivalTime;
 
   // Fill the home bank.
-  Cache::Eviction Ev = L2s[Home].insert(Line, IsWrite);
-  if (Ev.Valid && Ev.Dirty) {
-    std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
-    unsigned VictimMC = mcForPhys(VictimPA);
-    MessageResult WB =
-        Net.send(Home, MCNodes[VictimMC], Config.L2LineBytes, T);
-    MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-  }
+  retireL2Victim(Home, L2s[Home].insert(Line, IsWrite), T);
 
   // Path 5: data to the requesting L1.
   MessageResult Resp = Net.send(Home, Node, Config.L1LineBytes, T);
@@ -504,20 +448,16 @@ std::uint64_t Machine::accessShared(unsigned Node, std::uint64_t PA,
 std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
                                       bool IsWrite, std::uint64_t Time,
                                       SimResult &R) {
-  assert(coherent() && !Config.SharedL2 &&
-         "coherence runs on the private-L2 flow only");
-  Net.advanceFloor(Time);
-  ++R.TotalAccesses;
+  assert(!Config.SharedL2 && "coherence runs on the private-L2 flow only");
   std::uint64_t T = Time + Config.L1LatencyCycles;
 
   // L1 probe. A write probe sets the dirty bit before write permission is
   // confirmed — harmless and deterministic, because upgrades never fail:
   // by the time this access completes the line is Modified.
-  bool L1Hit = l1Probe(Node, VA, IsWrite);
+  bool L1Hit = L1s[Node].access(L1LineDiv.div(VA), IsWrite);
   if (L1Hit && !IsWrite) {
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA,
-                       Node);
+    if (Sink)
+      Sink->emit(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA, Node);
     ++R.L1Hits;
     R.AccessLatency.addSample(static_cast<double>(T - Time));
     return T;
@@ -538,9 +478,8 @@ std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
       if (St == static_cast<int>(LineState::Exclusive))
         L2s[Node].setState(Line, LineState::Modified); // silent E->M (MESI)
       L2s[Node].markDirty(Line);
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA,
-                         Node);
+      if (Sink)
+        Sink->emit(TraceKind::L1Hit, Time, Config.L1LatencyCycles, VA, Node);
       ++R.L1Hits;
       R.AccessLatency.addSample(static_cast<double>(T - Time));
       return T;
@@ -549,9 +488,9 @@ std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
       // Upgrade: a directory round trip invalidating every other copy.
       std::uint64_t Done = coherentUpgrade(Node, Line, T, R);
       ++R.CoherenceUpgrades;
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::Complete, Time,
-                         static_cast<std::uint32_t>(Done - Time), VA, 0);
+      if (Sink)
+        Sink->emit(TraceKind::Complete, Time,
+                   static_cast<std::uint32_t>(Done - Time), VA, 0);
       R.AccessLatency.addSample(static_cast<double>(Done - Time));
       return Done;
     }
@@ -560,51 +499,27 @@ std::uint64_t Machine::accessCoherent(unsigned Node, std::uint64_t VA,
     // (the L2 probe misses and the line is refetched).
   }
 
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::L1Miss, Time, Config.L1LatencyCycles, VA,
-                     Node);
+  if (Sink)
+    Sink->emit(TraceKind::L1Miss, Time, Config.L1LatencyCycles, VA, Node);
   std::uint64_t T2 = T + Config.L2LatencyCycles;
   bool L2Hit = L2s[Node].access(Line, IsWrite);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(L2Hit ? TraceKind::L2Hit : TraceKind::L2Miss, T,
-                     Config.L2LatencyCycles, PA, Node);
-  if (L2Hit) {
-    int St = L2s[Node].stateOf(Line);
-    if (!IsWrite || St != static_cast<int>(LineState::Shared)) {
-      if (IsWrite && St == static_cast<int>(LineState::Exclusive))
-        L2s[Node].setState(Line, LineState::Modified); // silent E->M (MESI)
-      ++R.LocalL2Hits;
-      fillL1(Node, VA, IsWrite, T2);
-      if (Sink && Sink->sharedActive()) {
-        Sink->emitShared(TraceKind::L1Fill, T2, 0, VA, 0);
-        Sink->emitShared(TraceKind::Complete, Time,
-                         static_cast<std::uint32_t>(T2 - Time), VA, 0);
-      }
-      R.AccessLatency.addSample(static_cast<double>(T2 - Time));
-      return T2;
-    }
+  if (Sink)
+    Sink->emit(L2Hit ? TraceKind::L2Hit : TraceKind::L2Miss, T,
+               Config.L2LatencyCycles, PA, Node);
+  if (!L2Hit)
+    return completeL1Miss(Node, VA, IsWrite, Time,
+                          coherentMissTail(Node, PA, IsWrite, T2, R), R);
+  int St = L2s[Node].stateOf(Line);
+  if (IsWrite && St == static_cast<int>(LineState::Shared)) {
     // Write to a Shared copy in the own L2: upgrade.
-    std::uint64_t Done = coherentUpgrade(Node, Line, T2, R);
     ++R.CoherenceUpgrades;
-    fillL1(Node, VA, IsWrite, Done);
-    if (Sink && Sink->sharedActive()) {
-      Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-      Sink->emitShared(TraceKind::Complete, Time,
-                       static_cast<std::uint32_t>(Done - Time), VA, 0);
-    }
-    R.AccessLatency.addSample(static_cast<double>(Done - Time));
-    return Done;
+    return completeL1Miss(Node, VA, IsWrite, Time,
+                          coherentUpgrade(Node, Line, T2, R), R);
   }
-
-  std::uint64_t Done = coherentMissTail(Node, PA, IsWrite, T2, R);
-  fillL1(Node, VA, IsWrite, Done);
-  if (Sink && Sink->sharedActive()) {
-    Sink->emitShared(TraceKind::L1Fill, Done, 0, VA, 0);
-    Sink->emitShared(TraceKind::Complete, Time,
-                     static_cast<std::uint32_t>(Done - Time), VA, 0);
-  }
-  R.AccessLatency.addSample(static_cast<double>(Done - Time));
-  return Done;
+  if (IsWrite && St == static_cast<int>(LineState::Exclusive))
+    L2s[Node].setState(Line, LineState::Modified); // silent E->M (MESI)
+  ++R.LocalL2Hits;
+  return completeL1Miss(Node, VA, IsWrite, Time, T2, R);
 }
 
 std::uint64_t Machine::coherentUpgrade(unsigned Node, std::uint64_t Line,
@@ -614,9 +529,9 @@ std::uint64_t Machine::coherentUpgrade(unsigned Node, std::uint64_t Line,
   unsigned DirNode = MCNodes[MC];
   MessageResult Req =
       Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::DirLookup, Req.ArrivalTime,
-                     Config.DirectoryLatencyCycles, LinePA, DirNode);
+  if (Sink)
+    Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
+               Config.DirectoryLatencyCycles, LinePA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
   // The grant leaves only once every other copy is gone.
   T = invalidateSharers(Line, Node, DirNode, T, R);
@@ -643,8 +558,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
     Mask &= Mask - 1;
     MessageResult Inv = Net.send(DirNode, S, Config.Coherence.InvalidateBytes,
                                  T, MsgClass::Invalidate);
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::Invalidate, Inv.ArrivalTime, 0, LinePA, S);
+    if (Sink)
+      Sink->emit(TraceKind::Invalidate, Inv.ArrivalTime, 0, LinePA, S);
     bool WasM =
         L2s[S].stateOf(Line) == static_cast<int>(LineState::Modified);
     CohLedger.invSent(S);
@@ -661,8 +576,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
       MCs[mcForPhys(LinePA)].writeback(LinePA, Ack.ArrivalTime);
       ++R.CoherenceWritebacks;
     }
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::InvAck, Ack.ArrivalTime, 0, LinePA, S);
+    if (Sink)
+      Sink->emit(TraceKind::InvAck, Ack.ArrivalTime, 0, LinePA, S);
     ++R.Invalidations;
     ++R.InvalidationAcks;
     R.CohMsgHops.addSample(Inv.Hops);
@@ -719,9 +634,9 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
 
   MessageResult Req =
       Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
-  if (Sink && Sink->sharedActive())
-    Sink->emitShared(TraceKind::DirLookup, Req.ArrivalTime,
-                     Config.DirectoryLatencyCycles, PA, DirNode);
+  if (Sink)
+    Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
+               Config.DirectoryLatencyCycles, PA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
   std::uint64_t DirT = T;
 
@@ -735,21 +650,7 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
     // the request type requires.
     unsigned Source = static_cast<unsigned>(std::countr_zero(Holders));
     int Owner = Dir.exclusiveOwner(Line);
-    MessageResult Fwd =
-        Net.send(DirNode, Source, Config.RequestBytes, T, MsgClass::Request);
-    if (Sink && Sink->sharedActive())
-      Sink->emitShared(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
-                       Config.L2LatencyCycles, PA, Source);
-    T = Fwd.ArrivalTime + Config.L2LatencyCycles;
-    MessageResult Data =
-        Net.send(Source, Node, Config.L2LineBytes, T, MsgClass::Data);
-    T = Data.ArrivalTime;
-    ++R.RemoteL2Hits;
-    R.OnChipNetLatency.addSample(static_cast<double>(
-        Req.NetworkCycles + Fwd.NetworkCycles + Data.NetworkCycles));
-    R.OnChipMsgHops.addSample(Req.Hops);
-    R.OnChipMsgHops.addSample(Fwd.Hops);
-    R.OnChipMsgHops.addSample(Data.Hops);
+    T = forwardFromL2(Node, Source, DirNode, PA, Req, T, R);
 
     if (IsWrite) {
       // Write miss: the source's invalidation rides the forward (its dirty
@@ -782,9 +683,8 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
         ++R.CoherenceWritebacks;
       }
       R.CohMsgHops.addSample(Notify.Hops);
-      if (Sink && Sink->sharedActive())
-        Sink->emitShared(TraceKind::Downgrade, Notify.ArrivalTime, 0, PA,
-                         Source);
+      if (Sink)
+        Sink->emit(TraceKind::Downgrade, Notify.ArrivalTime, 0, PA, Source);
       Dir.clearExclusive(Line);
       coherentL2Insert(Node, Line, false, LineState::Shared, T, R);
     } else {
@@ -801,15 +701,7 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
   MessageResult Data =
       Net.send(DirNode, Node, Config.L2LineBytes, T, MsgClass::Data);
   T = Data.ArrivalTime;
-  ++R.OffChipAccesses;
-  R.OffChipNetLatency.addSample(
-      static_cast<double>(Req.NetworkCycles + Data.NetworkCycles));
-  R.OffNetLatencyHist.addSample((Req.NetworkCycles + Data.NetworkCycles) / 64);
-  R.MemLatency.addSample(
-      static_cast<double>(Dram.QueueCycles + Dram.ServiceCycles));
-  R.OffChipMsgHops.addSample(Req.Hops);
-  R.OffChipMsgHops.addSample(Data.Hops);
-  R.NodeToMCTraffic[static_cast<std::size_t>(Node) * Config.NumMCs + MC]++;
+  recordOffChip(Node, MC, Req, Dram, Data, R);
 
   LineState St = LineState::Shared;
   if (IsWrite) {
@@ -829,19 +721,12 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
 void Machine::coherentL2Insert(unsigned Node, std::uint64_t Line, bool IsWrite,
                                LineState St, std::uint64_t T, SimResult &R) {
   Cache::Eviction Ev = L2s[Node].insert(Line, IsWrite, St);
+  retireL2Victim(Node, Ev, T);
   if (Ev.Valid) {
-    Dir.removeSharer(Ev.LineAddr, Node);
     if (Dir.exclusiveOwner(Ev.LineAddr) == static_cast<int>(Node))
       Dir.clearExclusive(Ev.LineAddr);
     // Inclusion: the L1 must not outlive the L2 line that covers it.
     backInvalidateL1(Node, Ev.LineAddr);
-    if (Ev.Dirty) {
-      std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
-      unsigned VictimMC = mcForPhys(VictimPA);
-      MessageResult WB = Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes,
-                                  T, MsgClass::Writeback);
-      MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
-    }
   }
   coherentTrack(Line, Node, T, R);
 }

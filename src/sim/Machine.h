@@ -14,10 +14,10 @@
 /// bank fetches from the MC (paths 2-4) and responds to the L1 (path 5).
 ///
 /// The optimal scheme of Section 2 short-circuits the off-chip legs: the
-/// nearest MC serves the request over an uncontended route with no bank
-/// queueing. Everything else (caches, on-chip transfers) stays identical, so
-/// the on-chip latency improvement of Figure 4 emerges purely from the
-/// removed network contention.
+/// nearest MC serves the request over an uncontended route. Its banks still
+/// queue and keep row-buffer state as usual, and everything else (caches,
+/// on-chip transfers) stays identical, so the on-chip latency improvement of
+/// Figure 4 emerges purely from the removed network contention.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,12 +54,14 @@ public:
   /// Simulates one access issued by \p Node at \p Time; records metrics into
   /// \p R. \returns the completion cycle. The engine calls this once per
   /// access in (time, thread) order, which every shared structure (network
-  /// calendar, directory, MCs, virtual memory) relies on. \p Lookahead,
-  /// when non-null, is the issuing thread's stream; the burst coalescer
-  /// (Config.Burst) peeks it for adjacent future off-chip lines. \p Key is
-  /// the access's packed event key; with a trace sink attached every event
-  /// of the access is stamped with it, tile-local probe steps directly and
-  /// the rest inside a beginShared/endShared bracket.
+  /// calendar, directory, MCs, virtual memory) relies on. One flow per L2
+  /// organisation: the private flow (L1, own L2, then privateMissTail), the
+  /// SNUCA flow (accessShared) and, with a coherence protocol configured,
+  /// the MSI/MESI flow (accessCoherent). \p Lookahead, when non-null, is the
+  /// issuing thread's stream; the burst coalescer (Config.Burst) peeks it
+  /// for adjacent future off-chip lines. \p Key is the access's packed event
+  /// key; with a trace sink attached every event of the access is stamped
+  /// with it.
   std::uint64_t access(unsigned Node, std::uint64_t VA, bool IsWrite,
                        std::uint64_t Time, SimResult &R,
                        ThreadStream *Lookahead = nullptr,
@@ -70,19 +72,9 @@ public:
   /// accessCoherent.
   bool coherent() const { return Config.Coherence.enabled(); }
 
-  /// Simulates one access under the configured MSI/MESI protocol
-  /// (coherent() must hold; private L2s only). Handles the full flow —
-  /// L1, own L2 with protocol permission, directory, invalidations,
-  /// downgrades, DRAM — and \returns the completion cycle. Must run in
-  /// event order: it touches directory and network state on every access.
-  std::uint64_t accessCoherent(unsigned Node, std::uint64_t VA, bool IsWrite,
-                               std::uint64_t Time, SimResult &R);
-
   /// Attaches the tracing sink to the machine and its substrates (network,
-  /// MCs). access() emits the tile-local probe events itself and opens the
-  /// sink's shared context around the rest of the flow, which the shared
-  /// pieces (missAfterL1/missAfterL2 and below) and the substrates emit
-  /// through. Null detaches.
+  /// MCs). access() opens the sink's per-access context, and the machine
+  /// and the substrates emit into it. Null detaches.
   void setTraceSink(TraceSink *S) {
     Sink = S;
     Net.setTraceSink(S);
@@ -109,66 +101,47 @@ public:
 private:
   //===--------------------------------------------------------------------===//
   // Access pieces (composed by access())
-  //
-  // The probe/fill pieces touch only the node's own tile state; the miss
-  // pieces reach shared state (network, directory, MCs, virtual memory).
   //===--------------------------------------------------------------------===//
 
-  /// True when an L1 miss can be resolved against the node's own L2 without
-  /// touching shared state: private L2s and cache-line interleaving (where
-  /// translation is the identity, so no VM state is consulted).
-  bool localL2Eligible() const {
-    return !Config.SharedL2 &&
-           Config.Granularity == InterleaveGranularity::CacheLine;
-  }
-
-  /// Probes (and updates) node's L1. Touches only L1s[Node].
-  bool l1Probe(unsigned Node, std::uint64_t VA, bool IsWrite) {
-    return L1s[Node].access(L1LineDiv.div(VA), IsWrite);
-  }
-
-  /// Probes (and updates) the node's private L2 by physical address. Only
-  /// valid under localL2Eligible(). Touches only L2s[Node].
-  bool l2ProbeLocal(unsigned Node, std::uint64_t PA, bool IsWrite) {
-    assert(localL2Eligible() && "local L2 probe needs node-local addressing");
-    return L2s[Node].access(L2LineDiv.div(PA), IsWrite);
-  }
-
   /// Fills the node's L1 with \p VA completing at \p Done; dirty victims
-  /// write back into the next level. Node-local under localL2Eligible();
-  /// touches the network / VM otherwise.
+  /// write back into the next level.
   void fillL1(unsigned Node, std::uint64_t VA, bool IsWrite,
               std::uint64_t Done);
 
-  /// Completes an access that missed the L1, for configurations where the
-  /// L1 miss immediately needs shared state (page-granularity translation
-  /// or a shared L2). \p Time is the access issue time; \p Lookahead as in
-  /// access(). \returns the completion cycle; fills the L1 and samples
-  /// latency into \p R.
-  std::uint64_t missAfterL1(unsigned Node, std::uint64_t VA, bool IsWrite,
-                            std::uint64_t Time, SimResult &R,
-                            ThreadStream *Lookahead);
+  /// Closes an access issued at \p Time that missed the L1 and completes at
+  /// \p Done: fills the L1, traces the L1Fill (and, with \p TraceComplete,
+  /// the Complete span) and samples the latency. \returns \p Done.
+  std::uint64_t completeL1Miss(unsigned Node, std::uint64_t VA, bool IsWrite,
+                               std::uint64_t Time, std::uint64_t Done,
+                               SimResult &R, bool TraceComplete = true);
 
-  /// Completes an access that missed both the L1 and the node's private L2
-  /// (localL2Eligible() configurations; \p VA == physical). \p Time is the
-  /// access issue time; \p Lookahead as in access(). \returns the
-  /// completion cycle; fills both cache levels and samples latency into
-  /// \p R.
-  std::uint64_t missAfterL2(unsigned Node, std::uint64_t VA, bool IsWrite,
-                            std::uint64_t Time, SimResult &R,
-                            ThreadStream *Lookahead);
+  /// Retires the L2 victim \p Ev evicted from \p Node's slice at \p T: drops
+  /// \p Node from the directory's sharers and writes a dirty victim back to
+  /// its MC (fire-and-forget).
+  void retireL2Victim(unsigned Node, const Cache::Eviction &Ev,
+                      std::uint64_t T);
+
+  /// On-chip access of the directory flows: the directory at \p DirNode,
+  /// reached by \p Req and done with its lookup at \p T, forwards to the L2
+  /// of \p Source, which returns the line to \p Node. Records the remote
+  /// hit; \returns the data arrival.
+  std::uint64_t forwardFromL2(unsigned Node, unsigned Source, unsigned DirNode,
+                              std::uint64_t PA, const MessageResult &Req,
+                              std::uint64_t T, SimResult &R);
+
+  /// Records an off-chip access of the directory flows: request leg \p Req,
+  /// DRAM access \p Dram at \p MC and data leg \p Data.
+  void recordOffChip(unsigned Node, unsigned MC, const MessageResult &Req,
+                     const DramAccessResult &Dram, const MessageResult &Data,
+                     SimResult &R);
 
   std::uint64_t physFor(std::uint64_t VA, unsigned Node);
   unsigned mcForPhys(std::uint64_t PA) const;
 
-  /// Private-L2 flow past the L1 miss. \p VA is the access's virtual
-  /// address (the burst coalescer matches window accesses by virtual line;
-  /// under cache-line interleaving VA == PA).
-  std::uint64_t accessPrivate(unsigned Node, std::uint64_t PA,
-                              std::uint64_t VA, bool IsWrite,
-                              std::uint64_t Time, SimResult &R,
-                              ThreadStream *Lookahead);
   /// Private-L2 flow past the local L2 miss (directory, DRAM, L2 fill).
+  /// \p VA is the access's virtual address (the burst coalescer matches
+  /// window accesses by virtual line; under cache-line interleaving
+  /// VA == PA).
   std::uint64_t privateMissTail(unsigned Node, std::uint64_t PA,
                                 std::uint64_t VA, bool IsWrite,
                                 std::uint64_t Time, SimResult &R,
@@ -192,6 +165,13 @@ private:
   //===--------------------------------------------------------------------===//
   // Coherence protocol pieces (accessCoherent)
   //===--------------------------------------------------------------------===//
+
+  /// The access flow under the configured MSI/MESI protocol (coherent()
+  /// must hold; private L2s only): L1, own L2 with protocol permission,
+  /// directory, invalidations, downgrades, DRAM. \returns the completion
+  /// cycle.
+  std::uint64_t accessCoherent(unsigned Node, std::uint64_t VA, bool IsWrite,
+                               std::uint64_t Time, SimResult &R);
 
   /// Coherent flow past an L1 + own-L2 miss: directory lookup, then remote
   /// forward (with write-invalidation or read-downgrade of other copies) or

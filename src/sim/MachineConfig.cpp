@@ -249,8 +249,9 @@ std::vector<ConfigDiagnostic> MachineConfig::validate() const {
           "use the default 8-line cap");
   }
   // Coherence: the protocol rides the private-L2 directory flow, so the
-  // SNUCA machine has no state for it to govern, and the burst coalescer's
-  // ridealong fills are not coherence-aware yet.
+  // SNUCA machine has no state for it to govern, the burst coalescer's
+  // ridealong fills are not coherence-aware yet, and the protocol flow has
+  // no nearest-MC redirection for the optimal scheme to switch on.
   if (Coherence.enabled()) {
     if (SharedL2)
       Bad("SharedL2", 1,
@@ -261,6 +262,11 @@ std::vector<ConfigDiagnostic> MachineConfig::validate() const {
       Bad("Burst.Enabled", 1,
           "burst coalescing's ridealong fills are not coherence-aware",
           "disable one of --coherence and --burst-coalesce");
+    if (OptimalScheme)
+      Bad("OptimalScheme", 1,
+          "the optimal scheme redirects the coherence-free flow; the "
+          "coherence protocol's directory flow does not model it",
+          "disable one of --coherence and the optimal scheme");
     if (Coherence.SparseDirectory && Coherence.SparseEntries < 1)
       Bad("Coherence.SparseEntries", Coherence.SparseEntries,
           "a sparse directory must track at least one line",

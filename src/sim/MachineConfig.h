@@ -95,7 +95,8 @@ struct MachineConfig {
   unsigned RequestBytes = 16;
 
   /// The optimal scheme of Section 2: every off-chip request is served by
-  /// the nearest MC with no network contention and no bank queueing.
+  /// the nearest MC with no network contention; the banks still queue and
+  /// keep their row-buffer state. Coherence-free machines only.
   bool OptimalScheme = false;
 
   /// Coherence protocol modeled on the private-L2 flow. None (the default)

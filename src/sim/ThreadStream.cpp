@@ -87,17 +87,6 @@ bool ThreadStream::next(AccessRequest &Out) {
   return true;
 }
 
-bool ThreadStream::peek(std::size_t I, AccessRequest &Out) {
-  while (Lookahead.size() - LookHead <= I) {
-    AccessRequest R;
-    if (!generate(R))
-      return false;
-    Lookahead.push_back(R);
-  }
-  Out = Lookahead[LookHead + I];
-  return true;
-}
-
 const AccessRequest *ThreadStream::peekSpan(std::size_t N, std::size_t *Avail) {
   // Compact the consumed prefix once it dominates the buffer: a consumer
   // that peeks ahead faster than it fully drains (the burst coalescer,

@@ -35,20 +35,14 @@ public:
   /// Produces the next access. \returns false when the stream is exhausted.
   bool next(AccessRequest &Out);
 
-  /// Looks \p I accesses past the current position without consuming
-  /// anything: peek(0) is what the next next() will return. Generates into
-  /// an internal lookahead buffer that next() drains first, so peeking is
-  /// invisible to the stream's consumers (generated() does not move).
-  /// \returns false when the stream ends within \p I accesses. Used by the
+  /// Looks ahead without consuming anything: fills the lookahead buffer
+  /// with up to \p N future accesses (fewer only when the stream ends
+  /// first) and returns a pointer to the first, with the valid count in
+  /// \p *Avail (which may exceed \p N when earlier calls buffered further
+  /// ahead). next() drains the buffer first, so peeking is invisible to the
+  /// stream's consumers (generated() does not move). The pointer is
+  /// invalidated by the next call to next() or peekSpan(). Used by the
   /// burst coalescer to scan the triggering thread's future window.
-  bool peek(std::size_t I, AccessRequest &Out);
-
-  /// Bulk peek: fills the lookahead buffer with up to \p N future accesses
-  /// (fewer only when the stream ends first) and returns a pointer to the
-  /// first, with the valid count in \p *Avail (which may exceed \p N when
-  /// earlier peeks buffered further ahead). The pointer is invalidated by
-  /// the next call to next(), peek() or peekSpan(). Lets the burst
-  /// coalescer scan its window without a function call per access.
   const AccessRequest *peekSpan(std::size_t N, std::size_t *Avail);
 
   std::uint64_t generated() const { return Generated; }
@@ -115,7 +109,7 @@ private:
   bool HasPendingData = false;
   AccessRequest PendingData;
 
-  /// Accesses produced by peek() but not yet consumed by next():
+  /// Accesses produced by peekSpan() but not yet consumed by next():
   /// [LookHead, Lookahead.size()) in generation order.
   std::vector<AccessRequest> Lookahead;
   std::size_t LookHead = 0;

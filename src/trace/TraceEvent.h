@@ -9,7 +9,7 @@
 /// Ordering invariant: every event carries the packed (time << ThreadShift)
 /// | thread key of the access that caused it, and all events of one access
 /// are recorded into one per-node buffer in emission order. A stable sort of
-/// the concatenated buffers by Key therefore yields the engine's (time,
+/// the concatenated buffers by Key therefore yields the simulation's (time,
 /// thread) event order — the property the byte-identical trace.json tests
 /// pin.
 ///
@@ -60,7 +60,7 @@ enum class TraceKind : std::uint8_t {
 struct TraceEvent {
   std::uint64_t Key = 0;   ///< Packed (time, thread) key of the owning access.
   std::uint64_t Start = 0; ///< Cycle the step begins.
-  std::uint64_t Addr = 0;  ///< Address (VA on tile-local steps, PA beyond).
+  std::uint64_t Addr = 0;  ///< VA on L1 steps and Complete, PA otherwise.
   std::uint32_t Dur = 0;   ///< Step duration in cycles (flits for NocHop).
   std::uint32_t Aux = 0;   ///< Kind-specific payload (link/MC/bank/node id).
   std::uint16_t Node = 0;  ///< Node that issued the owning access.

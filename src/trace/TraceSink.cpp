@@ -36,10 +36,8 @@ void TraceSink::push(unsigned Node, const TraceEvent &E) {
   ++R.Dropped;
 }
 
-void TraceSink::emitShared(TraceKind Kind, std::uint64_t Start,
-                           std::uint32_t Dur, std::uint64_t Addr,
-                           std::uint32_t Aux) {
-  assert(CtxActive && "emitShared outside beginShared/endShared");
+void TraceSink::emit(TraceKind Kind, std::uint64_t Start, std::uint32_t Dur,
+                     std::uint64_t Addr, std::uint32_t Aux) {
   push(CtxNode, {CtxKey, Start, Addr, Dur, Aux,
                  static_cast<std::uint16_t>(CtxNode), Kind});
 
@@ -107,8 +105,8 @@ TraceData TraceSink::take(unsigned ThreadShift) {
     R.First = 0;
   }
   // Stable sort by key: same-key events all come from one node's buffer,
-  // already in emission order, so this is the serial event order for any
-  // engine (see TraceEvent.h).
+  // already in emission order, so this is the simulation's event order
+  // (see TraceEvent.h).
   std::stable_sort(
       D.Events.begin(), D.Events.end(),
       [](const TraceEvent &A, const TraceEvent &B) { return A.Key < B.Key; });

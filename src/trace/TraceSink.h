@@ -9,13 +9,12 @@
 /// one thread running it; concurrent simulations (--jobs) each own a sink
 /// and share no trace state.
 ///
-///  - emit(Node, ...) records a tile-local step of the access the engine is
-///    processing for that node.
-///  - beginShared/emitShared/endShared bracket the part of an access that
-///    reaches shared machine state; emitShared appends to the buffer of the
-///    node named by beginShared, so substrates need no engine keys.
+///  - beginAccess(Node, Key) opens the context of the access the machine is
+///    about to simulate; every emit() until the next beginAccess is stamped
+///    with that key and appended to that node's buffer, so the substrates
+///    (Network, MemoryController) need no engine keys.
 ///  - The aggregate tables (link busy, MC queue, node->MC traffic) are
-///    updated only from emitShared and are never capped.
+///    folded in by emit() and are never capped.
 ///
 /// Events live in one ring per node rather than one ordered buffer because
 /// TraceConfig::MaxEventsPerNode caps each node's newest window: a single
@@ -28,8 +27,6 @@
 
 #include "trace/TraceEvent.h"
 
-#include <cassert>
-
 namespace offchip {
 
 class TraceSink {
@@ -40,39 +37,18 @@ public:
             unsigned NumMCs, std::vector<unsigned> MCNodes);
 
   //===--------------------------------------------------------------------===//
-  // Node-local emission
+  // Emission
   //===--------------------------------------------------------------------===//
 
-  void emit(unsigned Node, std::uint64_t Key, TraceKind Kind,
-            std::uint64_t Start, std::uint32_t Dur, std::uint64_t Addr,
-            std::uint32_t Aux) {
-    push(Node, {Key, Start, Addr, Dur, Aux, static_cast<std::uint16_t>(Node),
-                Kind});
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Shared-state emission
-  //===--------------------------------------------------------------------===//
-
-  /// Opens the per-request context: subsequent emitShared calls are stamped
-  /// with \p Key and appended to \p Node's buffer. Instrumented substrates
-  /// (Network, MemoryController) emit through this context so they need no
-  /// knowledge of engine keys.
-  void beginShared(unsigned Node, std::uint64_t Key) {
-    assert(!CtxActive && "nested shared trace contexts");
-    CtxActive = true;
+  /// Opens the per-access context: subsequent emit calls are stamped with
+  /// \p Key and appended to \p Node's buffer.
+  void beginAccess(unsigned Node, std::uint64_t Key) {
     CtxNode = Node;
     CtxKey = Key;
   }
 
-  void endShared() { CtxActive = false; }
-
-  /// True between beginShared and endShared; substrates use this to skip
-  /// emission for un-attributed calls (e.g. direct accessCoherent callers).
-  bool sharedActive() const { return CtxActive; }
-
-  void emitShared(TraceKind Kind, std::uint64_t Start, std::uint32_t Dur,
-                  std::uint64_t Addr, std::uint32_t Aux);
+  void emit(TraceKind Kind, std::uint64_t Start, std::uint32_t Dur,
+            std::uint64_t Addr, std::uint32_t Aux);
 
   //===--------------------------------------------------------------------===//
   // Extraction
@@ -80,7 +56,7 @@ public:
 
   /// Moves everything collected into an exportable TraceData: buffers are
   /// unwound in node order and stably sorted by Key, which reproduces the
-  /// engine's event order (see TraceEvent.h). Call once, after the run.
+  /// simulation's event order (see TraceEvent.h). Call once, after the run.
   TraceData take(unsigned ThreadShift);
 
   /// Totals across all node rings.
@@ -106,11 +82,10 @@ private:
   std::vector<unsigned> MCNodes;
   std::vector<NodeRing> Rings;
 
-  bool CtxActive = false;
   unsigned CtxNode = 0;
   std::uint64_t CtxKey = 0;
 
-  // Aggregate tables (written by emitShared; never ring-capped).
+  // Aggregate tables (written by emit; never ring-capped).
   std::vector<std::vector<std::uint64_t>> LinkBusyPerBucket;
   std::vector<std::vector<TraceData::McSample>> McQueuePerBucket;
   std::vector<std::uint64_t> NodeToMCRequests;

@@ -1,6 +1,6 @@
 //===- tests/coherence_test.cpp - MSI/MESI protocol unit tests -------------===//
 ///
-/// Drives Machine::accessCoherent directly with hand-picked addresses,
+/// Drives Machine::access on coherent machines with hand-picked addresses,
 /// pinning the protocol's counter semantics (invalidations, downgrades,
 /// upgrades, exclusive grants, sparse-directory evictions), the invariant
 /// algebra over those counters, and run-to-run determinism with coherence
@@ -43,7 +43,7 @@ struct Rig {
   /// Issues one coherent access and returns its completion cycle.
   std::uint64_t go(unsigned Node, std::uint64_t VA, bool IsWrite,
                    std::uint64_t Time) {
-    return M.accessCoherent(Node, VA, IsWrite, Time, R);
+    return M.access(Node, VA, IsWrite, Time, R);
   }
 
   /// Finalizes and demands a clean invariant report.

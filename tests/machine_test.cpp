@@ -265,6 +265,20 @@ TEST(ConfigValidate, RejectsZeroNocAndDramGeometry) {
   EXPECT_TRUE(rejectsWith(C, "ThreadsPerCore"));
 }
 
+TEST(ConfigValidate, RejectsOptimalSchemeUnderCoherence) {
+  // The coherence flow never reads OptimalScheme, so accepting the pair
+  // would answer an "optimal" run with the plain coherent results.
+  MachineConfig C = MachineConfig::scaledDefault();
+  C.OptimalScheme = true;
+  EXPECT_TRUE(C.validate().empty());
+  for (MachineConfig::CoherenceProtocol P :
+       {MachineConfig::CoherenceProtocol::MSI,
+        MachineConfig::CoherenceProtocol::MESI}) {
+    C.Coherence.Protocol = P;
+    EXPECT_TRUE(rejectsWith(C, "OptimalScheme"));
+  }
+}
+
 TEST(ConfigValidate, DiagnosticsCarryValueConstraintAndFix) {
   MachineConfig C = MachineConfig::scaledDefault();
   C.MeshX = 0;

@@ -170,11 +170,24 @@ TEST_F(ServerTest, MalformedAndInvalidLinesAnswerErrors) {
                 .find("l1_size_bytes"),
             std::string::npos);
 
-  // The connection survives all five errors.
+  // An optimal-scheme request under coherence is a config error: the
+  // protocol flow does not model the scheme.
+  JsonValue BadCombo = roundtrip(
+      "{\"id\":\"o1\",\"method\":\"simulate\",\"app\":\"swim\","
+      "\"scale\":0.1,\"config\":{\"coherence\":\"msi\","
+      "\"optimal_scheme\":true}}");
+  EXPECT_EQ(field(BadCombo, "status"), "error");
+  Diags = BadCombo.find("diagnostics");
+  ASSERT_NE(Diags, nullptr);
+  ASSERT_EQ(Diags->size(), 1u);
+  EXPECT_EQ(field(Diags->at(0), "field"), "OptimalScheme");
+
+  // The connection survives all six errors.
   EXPECT_EQ(field(roundtrip("{\"id\":\"after\",\"method\":\"ping\"}"), "id"),
             "after");
   // The unparsable line and the three invalid requests count; the config
-  // error does not (it is a well-formed request answered with diagnostics).
+  // errors do not (they are well-formed requests answered with
+  // diagnostics).
   EXPECT_EQ(Server->counters().ParseErrors, 4u);
 }
 

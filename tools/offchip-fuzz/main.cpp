@@ -143,7 +143,8 @@ T pick(SplitMix64 &R, const T (&Choices)[N]) {
 }
 
 /// --coherence: every trial draws MSI or MESI (and drops the incompatible
-/// shared-L2/burst axes), concentrating the whole budget on protocol paths.
+/// shared-L2/burst/optimal axes), concentrating the whole budget on
+/// protocol paths.
 bool ForceCoherence = false;
 
 MachineConfig randomConfig(SplitMix64 &R) {
@@ -249,10 +250,11 @@ MachineConfig randomConfig(SplitMix64 &R) {
   C.Burst.MaxLines = pick(R, MaxLines);
 
   // Coherence: MSI/MESI protocol traffic over the private-L2 machine, with
-  // an optional bounded (sparse) directory. Incompatible with the shared L2
-  // and with burst coalescing (validate rejects both combinations), so
-  // those draws force the protocol off instead of skewing the rejection
-  // sampling below.
+  // an optional bounded (sparse) directory. Incompatible with the shared L2,
+  // with burst coalescing and with the optimal scheme (validate rejects all
+  // three combinations), so those draws force the protocol off, or the
+  // optimal scheme off under a drawn protocol, instead of skewing the
+  // rejection sampling below.
   switch (ForceCoherence ? 1 + R.nextBelow(2) : R.nextBelow(4)) {
   case 1:
     C.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
@@ -271,6 +273,8 @@ MachineConfig randomConfig(SplitMix64 &R) {
   }
   if (C.SharedL2 || C.Burst.Enabled)
     C.Coherence.Protocol = MachineConfig::CoherenceProtocol::None;
+  if (C.Coherence.enabled())
+    C.OptimalScheme = false;
 
   C.CheckInvariants = true;
   return C;
@@ -598,7 +602,7 @@ int main(int Argc, char **Argv) {
   Options.flag("--verbose", &Verbose, "print every trial's configuration");
   Options.flag("--coherence", &ForceCoherence,
                "draw a coherence protocol (MSI or MESI) on every trial, "
-               "dropping the incompatible shared-L2/burst axes");
+               "dropping the incompatible shared-L2/burst/optimal axes");
 
   std::string Err;
   bool WantedHelp = false;
