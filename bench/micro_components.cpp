@@ -2,8 +2,9 @@
 ///
 /// google-benchmark timings of the pieces the experiments lean on: the
 /// Data-to-Core solve, full layout-pass runs, customized-layout address
-/// computation (the source of the ~4% overhead of Section 6.1), XY-routed
-/// message injection, and DRAM bank service.
+/// computation (the source of the ~4% overhead of Section 6.1) next to the
+/// access stream's cursor step and boundary recompute, XY-routed message
+/// injection, and DRAM bank service.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 #include "harness/Experiment.h"
 #include "noc/Network.h"
 #include "sim/AddressMap.h"
+#include "sim/ThreadStream.h"
 #include "workloads/AppModel.h"
 
 #include <benchmark/benchmark.h>
@@ -81,6 +83,58 @@ void BM_RowMajorAddressCompute(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_RowMajorAddressCompute);
+
+/// A cursor recompute: the offset of a box point plus its affine run, what
+/// the stream pays at a block or run boundary.
+void BM_PrivateLayoutRunRecompute(benchmark::State &State) {
+  MachineConfig C = benchConfig();
+  ClusterMapping Mapping = makeM1Mapping(C);
+  ArrayDecl Decl{"a", {512, 512}, 8};
+  PrivateL2Layout Layout(Decl, IntMatrix::identity(2), Mapping,
+                         C.L2LineBytes / 8);
+  IntVector T{0, 0};
+  const IntVector Step{0, 1};
+  std::int64_t I = 0;
+  for (auto _ : State) {
+    T[0] = I % 512;
+    T[1] = (I * 7) % 512;
+    ++I;
+    benchmark::DoNotOptimize(Layout.offsetInBox(T));
+    benchmark::DoNotOptimize(Layout.runAlong(T, Step).Steps);
+  }
+}
+BENCHMARK(BM_PrivateLayoutRunRecompute);
+
+/// One access of an optimized stream (swim, page interleaving): mostly a
+/// cursor step, with the occasional boundary recompute the layout's runs
+/// call for. Compare with BM_PrivateLayoutAddressCompute, the per-access
+/// cost before the cursors.
+void BM_CursorStepOptimizedStream(benchmark::State &State) {
+  MachineConfig C = benchConfig();
+  C.Granularity = InterleaveGranularity::Page;
+  ClusterMapping Mapping = makeM1Mapping(C);
+  AppModel App = buildApp("swim", 0.25);
+  LayoutPlan Plan = LayoutTransformer(Mapping, C.layoutOptions())
+                        .run(App.Program);
+  VmConfig VC;
+  VC.PageBytes = C.PageBytes;
+  VC.NumMCs = C.NumMCs;
+  VC.BytesPerMC = C.BytesPerMC;
+  VirtualMemory VM(VC, C.PagePolicy);
+  AddressMap Map(App.Program, Plan, VM, C);
+  auto Stream = std::make_unique<ThreadStream>(Map, 0, C.numNodes());
+  AccessRequest R;
+  for (auto _ : State) {
+    if (!Stream->next(R)) {
+      State.PauseTiming();
+      Stream = std::make_unique<ThreadStream>(Map, 0, C.numNodes());
+      State.ResumeTiming();
+      Stream->next(R);
+    }
+    benchmark::DoNotOptimize(R.VA);
+  }
+}
+BENCHMARK(BM_CursorStepOptimizedStream);
 
 void BM_NetworkSend(benchmark::State &State) {
   Mesh M(8, 8);

@@ -3,7 +3,7 @@
 /// The BENCH_perf trajectory: wall-clock throughput of fixed (app, config)
 /// simulations covering the simulator's hot paths — the page-interleaved
 /// fig03 runs (stream generation + private-L2 + directory + DRAM), the
-/// transformed-layout fig14 run (general-path address computation), and the
+/// transformed-layout fig14 run (customized-layout address cursors), and the
 /// fig25 co-run (cache-line interleaving + multiprogrammed contention).
 ///
 /// Timing per row is best/median/p95 over --repeats repetitions with phase

@@ -65,14 +65,20 @@ struct ArrayDecl {
 
   /// Inverse of linearize.
   IntVector delinearize(std::uint64_t Offset) const {
-    IntVector V(Dims.size());
+    IntVector V;
+    delinearizeInto(Offset, V);
+    return V;
+  }
+
+  /// delinearize() into the caller's buffer \p V (resized to rank()).
+  void delinearizeInto(std::uint64_t Offset, IntVector &V) const {
+    V.resize(Dims.size());
     for (std::size_t I = Dims.size(); I > 0; --I) {
       std::uint64_t D = static_cast<std::uint64_t>(Dims[I - 1]);
       V[I - 1] = static_cast<std::int64_t>(Offset % D);
       Offset /= D;
     }
     assert(Offset == 0 && "delinearize offset out of bounds");
-    return V;
   }
 };
 

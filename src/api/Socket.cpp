@@ -71,21 +71,22 @@ bool offchip::sendAll(int Fd, const std::string &Data) {
 
 bool LineReader::readLine(std::string *Line) {
   for (;;) {
-    std::size_t NL = Buf.find('\n', Pos);
+    std::size_t NL = Buf.find('\n', Scanned);
     if (NL != std::string::npos) {
       std::size_t Len = NL - Pos;
       if (Len > 0 && Buf[Pos + Len - 1] == '\r')
         --Len;
       Line->assign(Buf, Pos, Len);
-      Pos = NL + 1;
+      Pos = Scanned = NL + 1;
       // Periodically discard consumed bytes so a long-lived connection
       // doesn't accrete its whole history.
       if (Pos > 64 * 1024) {
         Buf.erase(0, Pos);
-        Pos = 0;
+        Pos = Scanned = 0;
       }
       return true;
     }
+    Scanned = Buf.size();
     if (Eof) {
       if (Pos < Buf.size()) {
         std::size_t Len = Buf.size() - Pos;

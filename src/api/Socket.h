@@ -36,6 +36,9 @@ private:
   int Fd;
   std::string Buf;
   std::size_t Pos = 0;
+  /// End of the prefix of Buf already searched for '\n' (>= Pos), so each
+  /// received chunk is scanned once however long the line grows.
+  std::size_t Scanned = 0;
   bool Eof = false;
 };
 

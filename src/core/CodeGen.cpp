@@ -116,7 +116,7 @@ EmittedExpr emitPrivate(const AffineRef &Ref, const PrivateL2Layout &L,
   std::string Q =
       SeqName + "[" + CY + "*" + num(CXc) + " + " + CX + "]";
 
-  // Whole-block linearization mirrors PrivateL2Layout::elementOffset.
+  // Whole-block linearization mirrors PrivateL2Layout::offsetInBox.
   std::string Fast = InB;
   for (unsigned D = 1; D < Rank; ++D)
     Fast = "(" + Fast + "*" + num(L.box().extent(D)) + " + " + T[D] + ")";

@@ -5,6 +5,7 @@
 #include "support/MathUtil.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace offchip;
 
@@ -41,12 +42,22 @@ UnimodularBox::UnimodularBox(const IntMatrix &Matrix, const ArrayDecl &Decl)
 }
 
 IntVector UnimodularBox::transform(const IntVector &DataVec) const {
-  IntVector T = U.apply(DataVec);
-  for (std::size_t I = 0; I < T.size(); ++I) {
-    T[I] += Shift[I];
-    assert(T[I] >= 0 && T[I] < Extents[I] && "transformed point out of box");
-  }
+  IntVector T;
+  transformInto(DataVec, T);
   return T;
+}
+
+void UnimodularBox::transformInto(const IntVector &DataVec,
+                                  IntVector &T) const {
+  assert(DataVec.size() == rank() && "data vector rank mismatch");
+  T.resize(rank());
+  for (unsigned R = 0; R < rank(); ++R) {
+    std::int64_t V = Shift[R];
+    for (unsigned Col = 0; Col < rank(); ++Col)
+      V += U.at(R, Col) * DataVec[Col];
+    assert(V >= 0 && V < Extents[R] && "transformed point out of box");
+    T[R] = V;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -86,7 +97,88 @@ std::uint64_t linearizeCoords(const IntVector &Coords,
   return Off;
 }
 
+/// Steps k >= 0 that keep X + k*D inside [Lo, Hi], for X inside. The
+/// unsigned differences stay exact when Lo or Hi is an unbounded sentinel.
+std::uint64_t stepsWithin(std::int64_t X, std::int64_t D, std::int64_t Lo,
+                          std::int64_t Hi) {
+  if (D > 0)
+    return (static_cast<std::uint64_t>(Hi) - static_cast<std::uint64_t>(X)) /
+           static_cast<std::uint64_t>(D);
+  if (D < 0)
+    return (static_cast<std::uint64_t>(X) - static_cast<std::uint64_t>(Lo)) /
+           (0 - static_cast<std::uint64_t>(D));
+  return UnboundedSteps;
+}
+
+/// A box point's place in the phase-aligned block decomposition both
+/// customized layouts use: the owning block Beta (clamped to the first and
+/// last block) and the point's coordinate on the whole-block fast axis
+/// (InBlock, t1, ..., t_{n-1}).
+struct BlockPos {
+  std::int64_t Beta;
+  std::int64_t Fast;
+};
+
+BlockPos locateInBlocks(const UnimodularBox &Box, const IntVector &T,
+                        std::int64_t Phase, std::int64_t BlockSize,
+                        std::int64_t NumBlocks) {
+  std::int64_t TVp = T[0] - Phase;
+  std::int64_t Beta = std::clamp<std::int64_t>(floorDiv(TVp, BlockSize), 0,
+                                               NumBlocks - 1);
+  // Edge elements below the phase (or past the last block boundary) stay
+  // with the first/last block; the fast coordinate absorbs the spill.
+  std::int64_t Fast = TVp - Beta * BlockSize + BlockSize;
+  assert(Fast >= 0 && Fast < 3 * BlockSize &&
+         "in-block spill out of the budgeted range");
+  for (unsigned D = 1; D < Box.rank(); ++D)
+    Fast = Fast * Box.extent(D) + T[D];
+  return {Beta, Fast};
+}
+
+/// The affine run of a customized layout: the offset moves with the fast
+/// coordinate for as long as the point stays in its block and in its
+/// RunSize-element run of the fast axis.
+AffineRun blockRunAlong(const UnimodularBox &Box, const IntVector &T,
+                        const IntVector &DT, std::int64_t Phase,
+                        std::int64_t BlockSize, std::int64_t NumBlocks,
+                        std::int64_t RunSize) {
+  BlockPos Pos = locateInBlocks(Box, T, Phase, BlockSize, NumBlocks);
+  std::int64_t DFast = DT[0];
+  for (unsigned D = 1; D < Box.rank(); ++D)
+    DFast = DFast * Box.extent(D) + DT[D];
+  std::int64_t BlockLo = Pos.Beta == 0
+                             ? std::numeric_limits<std::int64_t>::min()
+                             : Pos.Beta * BlockSize;
+  std::int64_t BlockHi = Pos.Beta == NumBlocks - 1
+                             ? std::numeric_limits<std::int64_t>::max()
+                             : Pos.Beta * BlockSize + BlockSize - 1;
+  std::int64_t RunLo = Pos.Fast - Pos.Fast % RunSize;
+  return {std::min(stepsWithin(T[0] - Phase, DT[0], BlockLo, BlockHi),
+                   stepsWithin(Pos.Fast, DFast, RunLo, RunLo + RunSize - 1)),
+          DFast};
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// RowMajorLayout
+//===----------------------------------------------------------------------===//
+
+RowMajorLayout::RowMajorLayout(ArrayDecl Decl)
+    : DataLayout(IntMatrix::identity(Decl.rank()), Decl),
+      Decl(std::move(Decl)) {}
+
+std::uint64_t RowMajorLayout::offsetInBox(const IntVector &T) const {
+  return linearizeCoords(T, Decl.Dims);
+}
+
+AffineRun RowMajorLayout::runAlong(const IntVector &,
+                                   const IntVector &DT) const {
+  std::int64_t Delta = DT.empty() ? 0 : DT[0];
+  for (std::size_t D = 1; D < DT.size(); ++D)
+    Delta = Delta * Decl.Dims[D] + DT[D];
+  return {UnboundedSteps, Delta};
+}
 
 //===----------------------------------------------------------------------===//
 // PrivateL2Layout
@@ -96,7 +188,7 @@ PrivateL2Layout::PrivateL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
                                  const ClusterMapping &Mapping,
                                  unsigned ElementsPerUnit,
                                  std::int64_t PartitionPhase)
-    : Box(U, Decl), Mapping(&Mapping), P(ElementsPerUnit),
+    : DataLayout(U, Decl), Mapping(&Mapping), P(ElementsPerUnit),
       K(Mapping.mcsPerCluster()), C(Mapping.numClusters()) {
   assert(P > 0 && "interleave unit must hold at least one element");
   unsigned NumCores = Mapping.mesh().numNodes();
@@ -131,25 +223,14 @@ PrivateL2Layout::PrivateL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
                   C * static_cast<std::uint64_t>(RunElems);
 }
 
-std::uint64_t PrivateL2Layout::elementOffset(const IntVector &DataVec) const {
-  IntVector T = Box.transform(DataVec);
-  unsigned Rank = Box.rank();
-
-  std::int64_t NumBlocks =
-      static_cast<std::int64_t>(Mapping->mesh().numNodes());
-  std::int64_t TVp = T[0] - Phase;
-  std::int64_t BetaClamped = std::clamp<std::int64_t>(
-      floorDiv(TVp, Block.BlockSize), 0, NumBlocks - 1);
-  // Edge elements below the phase (or past the last block boundary) stay
-  // with the first/last block; the fast coordinate absorbs the spill.
-  std::int64_t InBlock = TVp - BetaClamped * Block.BlockSize +
-                         Block.BlockSize;
-  assert(InBlock >= 0 && InBlock < 3 * Block.BlockSize &&
-         "in-block spill out of the budgeted range");
-  std::int64_t Beta = BetaClamped;
+std::uint64_t PrivateL2Layout::offsetInBox(const IntVector &T) const {
+  BlockPos Pos =
+      locateInBlocks(Box, T, Phase, Block.BlockSize,
+                     static_cast<std::int64_t>(Mapping->mesh().numNodes()));
 
   // Decompose the block id into (cluster-X, x-in-cluster, cluster-Y,
   // y-in-cluster) following R(r_v) of Section 5.3.
+  std::int64_t Beta = Pos.Beta;
   std::int64_t NY = Mapping->coresPerClusterY();
   std::int64_t NXc = Mapping->coresPerClusterX();
   std::int64_t CYc = Mapping->clustersY();
@@ -167,21 +248,23 @@ std::uint64_t PrivateL2Layout::elementOffset(const IntVector &DataVec) const {
                      static_cast<unsigned>(CXPos);
   std::uint64_t Q = Mapping->sequenceId(Cluster);
 
-  // Whole-block linearization: (InBlock, t1, ..., t_{n-1}).
-  std::int64_t Fast = InBlock;
-  for (unsigned D = 1; D < Rank; ++D)
-    Fast = Fast * Box.extent(D) + T[D];
-  std::int64_t L = Fast / RunElems;
-  std::int64_t On = Fast % RunElems;
-
-  IntVector Pre = {XX, W};
-  std::uint64_t PreLin = linearizeCoords(Pre, PreExtents);
+  std::int64_t L = Pos.Fast / RunElems;
+  std::int64_t On = Pos.Fast % RunElems;
+  // The slow (x-in-cluster, y-in-cluster) coordinates, row-major.
+  std::uint64_t PreLin = static_cast<std::uint64_t>(XX * PreExtents[1] + W);
   return ((PreLin * static_cast<std::uint64_t>(NumL) +
            static_cast<std::uint64_t>(L)) *
               C +
           Q) *
              static_cast<std::uint64_t>(RunElems) +
          static_cast<std::uint64_t>(On);
+}
+
+AffineRun PrivateL2Layout::runAlong(const IntVector &T,
+                                    const IntVector &DT) const {
+  return blockRunAlong(Box, T, DT, Phase, Block.BlockSize,
+                       static_cast<std::int64_t>(Mapping->mesh().numNodes()),
+                       RunElems);
 }
 
 int PrivateL2Layout::desiredMCForOffset(std::uint64_t ElemOffset) const {
@@ -201,7 +284,7 @@ SharedL2Layout::SharedL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
                                const ClusterMapping &Mapping,
                                unsigned ElementsPerUnit, bool EnableDeltaSkip,
                                std::int64_t PartitionPhase)
-    : Box(U, Decl), Mapping(&Mapping), P(ElementsPerUnit),
+    : DataLayout(U, Decl), Mapping(&Mapping), P(ElementsPerUnit),
       N(Mapping.mesh().numNodes()) {
   assert(P > 0 && "interleave unit must hold at least one element");
   unsigned Rank = Box.rank();
@@ -216,8 +299,7 @@ SharedL2Layout::SharedL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
       alignTo(static_cast<std::uint64_t>(BlockElems),
               static_cast<std::uint64_t>(P)));
   NumLp = FastExtent / static_cast<std::int64_t>(P);
-  TotalElements =
-      productOf(PreExtents) * static_cast<std::uint64_t>(NumLp) * N * P;
+  TotalElements = static_cast<std::uint64_t>(NumLp) * N * P;
 
   // Desired MC per node: the nearest MC of the node's cluster.
   const Mesh &M = Mapping.mesh();
@@ -308,42 +390,36 @@ SharedL2Layout::SharedL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
         static_cast<int>(DesiredOfNode[Owner]);
 }
 
-std::uint64_t SharedL2Layout::runOf(const IntVector &DataVec,
-                                    std::int64_t *FastRem) const {
-  IntVector T = Box.transform(DataVec);
-  unsigned Rank = Box.rank();
-  std::int64_t TVp = T[0] - Phase;
-  std::int64_t Beta = std::clamp<std::int64_t>(
-      floorDiv(TVp, Block.BlockSize), 0,
-      static_cast<std::int64_t>(N) - 1); // owning thread (R'(r_v))
-  std::int64_t InBlock = TVp - Beta * Block.BlockSize + Block.BlockSize;
-  assert(InBlock >= 0 && InBlock < 3 * Block.BlockSize &&
-         "in-block spill out of the budgeted range");
-  // Home bank = the bank hosting the owning thread's data: the owner's own
-  // node (footnote 5 binding) unless the off-chip pass relocated it to an
-  // acceptable-residue neighbor.
-  std::int64_t Bank = static_cast<std::int64_t>(
-      HostOfOwner[Mapping->threadToNode(static_cast<unsigned>(Beta))]);
-
-  // Whole-block linearization: (InBlock, t1, ..., t_{n-1}).
-  std::int64_t Fast = InBlock;
-  for (unsigned D = 1; D < Rank; ++D)
-    Fast = Fast * Box.extent(D) + T[D];
-  std::int64_t Lp = Fast / static_cast<std::int64_t>(P);
-  if (FastRem)
-    *FastRem = Fast % static_cast<std::int64_t>(P);
-
-  return static_cast<std::uint64_t>(Lp) * N + static_cast<std::uint64_t>(Bank);
+std::uint64_t SharedL2Layout::bankOf(const IntVector &T,
+                                     std::int64_t *Fast) const {
+  BlockPos Pos = locateInBlocks(Box, T, Phase, Block.BlockSize,
+                                static_cast<std::int64_t>(N));
+  *Fast = Pos.Fast;
+  // Home bank = the bank hosting the owning thread's (R'(r_v)) data: the
+  // owner's own node (footnote 5 binding) unless the off-chip pass
+  // relocated it to an acceptable-residue neighbor.
+  return HostOfOwner[Mapping->threadToNode(static_cast<unsigned>(Pos.Beta))];
 }
 
-std::uint64_t SharedL2Layout::elementOffset(const IntVector &DataVec) const {
-  std::int64_t Rem = 0;
-  std::uint64_t Run = runOf(DataVec, &Rem);
-  return Run * P + static_cast<std::uint64_t>(Rem);
+std::uint64_t SharedL2Layout::offsetInBox(const IntVector &T) const {
+  std::int64_t Fast = 0;
+  std::uint64_t Bank = bankOf(T, &Fast);
+  std::int64_t Lp = Fast / static_cast<std::int64_t>(P);
+  std::int64_t Rem = Fast % static_cast<std::int64_t>(P);
+  return (static_cast<std::uint64_t>(Lp) * N + Bank) * P +
+         static_cast<std::uint64_t>(Rem);
+}
+
+AffineRun SharedL2Layout::runAlong(const IntVector &T,
+                                   const IntVector &DT) const {
+  return blockRunAlong(Box, T, DT, Phase, Block.BlockSize,
+                       static_cast<std::int64_t>(N),
+                       static_cast<std::int64_t>(P));
 }
 
 unsigned SharedL2Layout::homeBankForDataVec(const IntVector &DataVec) const {
-  return static_cast<unsigned>(runOf(DataVec, nullptr) % N);
+  std::int64_t Fast = 0;
+  return static_cast<unsigned>(bankOf(Box.transform(DataVec), &Fast));
 }
 
 int SharedL2Layout::desiredMCForOffset(std::uint64_t ElemOffset) const {

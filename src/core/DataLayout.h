@@ -23,45 +23,6 @@
 
 namespace offchip {
 
-/// Abstract mapping from data vectors to element offsets.
-class DataLayout {
-public:
-  virtual ~DataLayout();
-
-  /// Element offset of \p DataVec within the array allocation.
-  virtual std::uint64_t elementOffset(const IntVector &DataVec) const = 0;
-
-  /// Allocation size in elements, padding included.
-  virtual std::uint64_t sizeInElements() const = 0;
-
-  /// True for customized (non-row-major) layouts; the simulator charges the
-  /// address-computation overhead of the strip-mine/permute expressions for
-  /// references through such layouts.
-  virtual bool isTransformed() const { return false; }
-
-  /// Desired memory controller for the element at \p ElemOffset, or -1 when
-  /// the layout expresses no preference. Used to derive the per-page
-  /// madvise-style hints for the OS-assisted page allocation (Section 5.3)
-  /// and by the traffic-map statistics.
-  virtual int desiredMCForOffset(std::uint64_t ElemOffset) const;
-};
-
-/// The original row-major layout.
-class RowMajorLayout : public DataLayout {
-public:
-  explicit RowMajorLayout(ArrayDecl Decl) : Decl(std::move(Decl)) {}
-
-  std::uint64_t elementOffset(const IntVector &DataVec) const override {
-    return Decl.linearize(DataVec);
-  }
-  std::uint64_t sizeInElements() const override { return Decl.numElements(); }
-
-  const ArrayDecl &decl() const { return Decl; }
-
-private:
-  ArrayDecl Decl;
-};
-
 /// The axis-aligned bounding box of U applied to an array's index box; maps
 /// original data vectors to non-negative transformed coordinates.
 class UnimodularBox {
@@ -77,6 +38,10 @@ public:
   /// U * DataVec shifted into the box (all coordinates >= 0).
   IntVector transform(const IntVector &DataVec) const;
 
+  /// transform() into the caller's buffer \p T (resized to rank()), so a
+  /// hot loop reusing \p T allocates nothing.
+  void transformInto(const IntVector &DataVec, IntVector &T) const;
+
   const IntMatrix &matrix() const { return U; }
 
   /// The shift applied to transformed dimension \p D (codegen needs it to
@@ -87,6 +52,76 @@ private:
   IntMatrix U;
   IntVector Shift;   // -min of each transformed coordinate
   IntVector Extents; // max - min + 1
+};
+
+/// How far a box point can walk along a step vector with its element offset
+/// moving by a constant delta: for every k in [1, Steps] with T + k*DT still
+/// inside the box, offsetInBox(T + k*DT) == offsetInBox(T) + k*Delta.
+struct AffineRun {
+  std::uint64_t Steps = 0;
+  std::int64_t Delta = 0;
+};
+
+/// AffineRun::Steps of a walk no block or run boundary interrupts.
+constexpr std::uint64_t UnboundedSteps = ~std::uint64_t(0);
+
+/// Abstract mapping from data vectors to element offsets. Every layout
+/// first maps a data vector r into its box, T = U*r + shift (the identity
+/// box for row-major), and arranges the box points; offsetInBox() is that
+/// arrangement, and runAlong() says where it stops being affine along a
+/// step, which is what lets the access stream advance a reference's address
+/// by a constant delta between block and run boundaries.
+class DataLayout {
+public:
+  virtual ~DataLayout();
+
+  /// Element offset of \p DataVec within the array allocation.
+  std::uint64_t elementOffset(const IntVector &DataVec) const {
+    return offsetInBox(Box.transform(DataVec));
+  }
+
+  /// Element offset of box point \p T (every coordinate in [0, extent)).
+  virtual std::uint64_t offsetInBox(const IntVector &T) const = 0;
+
+  /// The affine run of offsetInBox() from box point \p T along \p DT.
+  virtual AffineRun runAlong(const IntVector &T, const IntVector &DT) const = 0;
+
+  /// Allocation size in elements, padding included.
+  virtual std::uint64_t sizeInElements() const = 0;
+
+  /// True for customized (non-row-major) layouts; the simulator charges the
+  /// address-computation overhead of the strip-mine/permute expressions for
+  /// references through such layouts.
+  virtual bool isTransformed() const { return false; }
+
+  /// Desired memory controller for the element at \p ElemOffset, or -1 when
+  /// the layout expresses no preference. Used to derive the per-page
+  /// madvise-style hints for the OS-assisted page allocation (Section 5.3)
+  /// and by the traffic-map statistics.
+  virtual int desiredMCForOffset(std::uint64_t ElemOffset) const;
+
+  /// The box the layout arranges.
+  const UnimodularBox &box() const { return Box; }
+
+protected:
+  DataLayout(const IntMatrix &U, const ArrayDecl &Decl) : Box(U, Decl) {}
+
+  UnimodularBox Box;
+};
+
+/// The original row-major layout: the identity box, linearized.
+class RowMajorLayout : public DataLayout {
+public:
+  explicit RowMajorLayout(ArrayDecl Decl);
+
+  std::uint64_t offsetInBox(const IntVector &T) const override;
+  AffineRun runAlong(const IntVector &T, const IntVector &DT) const override;
+  std::uint64_t sizeInElements() const override { return Decl.numElements(); }
+
+  const ArrayDecl &decl() const { return Decl; }
+
+private:
+  ArrayDecl Decl;
 };
 
 /// Geometry shared by the customized layouts: how the data-partition
@@ -123,13 +158,13 @@ public:
                   const ClusterMapping &Mapping, unsigned ElementsPerUnit,
                   std::int64_t PartitionPhase = 0);
 
-  std::uint64_t elementOffset(const IntVector &DataVec) const override;
+  std::uint64_t offsetInBox(const IntVector &T) const override;
+  AffineRun runAlong(const IntVector &T, const IntVector &DT) const override;
   std::uint64_t sizeInElements() const override { return TotalElements; }
   bool isTransformed() const override { return true; }
   int desiredMCForOffset(std::uint64_t ElemOffset) const override;
 
   // Geometry accessors for tests and codegen.
-  const UnimodularBox &box() const { return Box; }
   std::int64_t blockSize() const { return Block.BlockSize; }
   const ClusterMapping &mapping() const { return *Mapping; }
   unsigned elementsPerUnit() const { return P; }
@@ -149,7 +184,6 @@ public:
   std::int64_t partitionPhase() const { return Phase; }
 
 private:
-  UnimodularBox Box;
   const ClusterMapping *Mapping;
   unsigned P;                // elements per interleave unit
   unsigned K;                // MCs per cluster
@@ -192,7 +226,8 @@ public:
                  bool EnableDeltaSkip = true,
                  std::int64_t PartitionPhase = 0);
 
-  std::uint64_t elementOffset(const IntVector &DataVec) const override;
+  std::uint64_t offsetInBox(const IntVector &T) const override;
+  AffineRun runAlong(const IntVector &T, const IntVector &DT) const override;
   std::uint64_t sizeInElements() const override { return TotalElements; }
   bool isTransformed() const override { return true; }
   int desiredMCForOffset(std::uint64_t ElemOffset) const override;
@@ -205,20 +240,19 @@ public:
   unsigned relocatedBanks() const { return Relocated; }
 
   // Geometry accessors for tests and codegen.
-  const UnimodularBox &box() const { return Box; }
   std::int64_t blockSize() const { return Block.BlockSize; }
   const ClusterMapping &mapping() const { return *Mapping; }
   unsigned elementsPerUnit() const { return P; }
   std::int64_t numLp() const { return NumLp; }
-  const IntVector &preExtents() const { return PreExtents; }
   const std::vector<unsigned> &hostOfOwner() const { return HostOfOwner; }
   /// Effective phase in [0, blockSize()).
   std::int64_t partitionPhase() const { return Phase; }
 
 private:
-  std::uint64_t runOf(const IntVector &DataVec, std::int64_t *FastRem) const;
+  /// Hosting bank of the block owning box point \p T and \p T's position
+  /// on the whole-block fast axis.
+  std::uint64_t bankOf(const IntVector &T, std::int64_t *Fast) const;
 
-  UnimodularBox Box;
   const ClusterMapping *Mapping;
   unsigned P;
   unsigned N; // number of cores / home banks
@@ -226,7 +260,6 @@ private:
   BlockDecomposition Block;
   std::int64_t FastExtent; // padded fast-dim extent (multiple of P)
   std::int64_t NumLp;      // FastExtent / P
-  IntVector PreExtents;
   /// HostOfOwner[node] = bank hosting that owner's data (a permutation).
   std::vector<unsigned> HostOfOwner;
   /// Desired MC per hosting bank (indexed by bank id).

@@ -50,32 +50,15 @@ AddressMap::AddressMap(const AffineProgram &Program, const LayoutPlan &Plan,
   }
 }
 
-bool AddressMap::strideBytesAlong(const AffineRef &Ref, unsigned Dim,
-                                  std::int64_t &DeltaBytes) const {
-  ArrayId Id = Ref.arrayId();
-  if (Layouts[Id]->isTransformed())
-    return false;
-  const ArrayDecl &Decl = Program->array(Id);
-  const IntMatrix &A = Ref.accessMatrix();
-  assert(Dim < A.numCols() && "stride dimension out of range");
-  // Row-major VA is Base + sum_d DataVec[d] * stride_d with stride_d the
-  // byte stride of data dimension d; stepping iterator Dim by one adds
-  // A[d][Dim] to DataVec[d], so the VA delta is the stride-weighted column.
-  std::int64_t Stride = static_cast<std::int64_t>(Decl.ElementBytes);
-  std::int64_t Delta = 0;
-  for (unsigned D = Decl.rank(); D > 0; --D) {
-    Delta += A.at(D - 1, Dim) * Stride;
-    Stride *= Decl.Dims[D - 1];
-  }
-  DeltaBytes = Delta;
-  return true;
-}
-
-std::uint64_t AddressMap::vaOfFlat(ArrayId Id, std::int64_t Flat) const {
+std::uint64_t AddressMap::vaOfFlat(ArrayId Id, std::int64_t Flat,
+                                   FlatScratch &Scratch) const {
   const ArrayDecl &Decl = Program->array(Id);
   std::int64_t MaxFlat = static_cast<std::int64_t>(Decl.numElements()) - 1;
   Flat = std::clamp<std::int64_t>(Flat, 0, MaxFlat);
-  if (!Layouts[Id]->isTransformed())
+  const DataLayout &Layout = *Layouts[Id];
+  if (!Layout.isTransformed())
     return Bases[Id] + static_cast<std::uint64_t>(Flat) * Decl.ElementBytes;
-  return vaOf(Id, Decl.delinearize(static_cast<std::uint64_t>(Flat)));
+  Decl.delinearizeInto(static_cast<std::uint64_t>(Flat), Scratch.Data);
+  Layout.box().transformInto(Scratch.Data, Scratch.Box);
+  return Bases[Id] + Layout.offsetInBox(Scratch.Box) * Decl.ElementBytes;
 }

@@ -37,22 +37,28 @@ public:
            Layouts[Id]->elementOffset(DataVec) * Decl.ElementBytes;
   }
 
+  /// Reused coordinate buffers for vaOfFlat(), so a gather through a
+  /// transformed layout allocates nothing per access.
+  struct FlatScratch {
+    IntVector Data;
+    IntVector Box;
+  };
+
   /// Virtual address of the element at row-major flat offset \p Flat (the
-  /// value an index array holds). Delinearizes through the original shape,
-  /// then applies the (possibly transformed) layout.
-  std::uint64_t vaOfFlat(ArrayId Id, std::int64_t Flat) const;
+  /// value an index array holds, clamped into the array). Delinearizes
+  /// through the original shape into \p Scratch, then applies the (possibly
+  /// transformed) layout.
+  std::uint64_t vaOfFlat(ArrayId Id, std::int64_t Flat,
+                         FlatScratch &Scratch) const;
 
   /// True when accesses to this array pay the transformed-layout address
   /// computation overhead.
   bool isTransformed(ArrayId Id) const { return Layouts[Id]->isTransformed(); }
 
-  /// Constant VA delta of \p Ref when loop dimension \p Dim advances by one
-  /// with all other iterators unchanged. Only exists for untransformed
-  /// (row-major) layouts, whose VA is affine in the data vector; customized
-  /// layouts interpose strip-mine/permute arithmetic that is not. \returns
-  /// false (leaving \p DeltaBytes untouched) when no constant delta exists.
-  bool strideBytesAlong(const AffineRef &Ref, unsigned Dim,
-                        std::int64_t &DeltaBytes) const;
+  /// The layout the array's elements are placed by; together with base()
+  /// and the element size it lets the access stream walk a reference's
+  /// addresses in box coordinates (DataLayout::runAlong).
+  const DataLayout &layout(ArrayId Id) const { return *Layouts[Id]; }
 
   std::uint64_t base(ArrayId Id) const { return Bases[Id]; }
 

@@ -10,21 +10,67 @@ ThreadStream::ThreadStream(const AddressMap &Map, unsigned ThreadId,
   seekNest();
 }
 
-void ThreadStream::prepareFastRefs() {
-  if (NestIdx == FastNestIdx)
+void ThreadStream::prepareCursors() {
+  if (NestIdx == CursorNestIdx)
     return;
-  const LoopNest &Nest = Map->program().nests()[NestIdx];
+  const AffineProgram &P = Map->program();
+  const LoopNest &Nest = P.nests()[NestIdx];
   unsigned Depth = Nest.space().depth();
-  Fast.assign(Nest.refs().size(), FastRef());
-  for (std::size_t I = 0; I < Nest.refs().size(); ++I) {
-    const AffineRef &Ref = Nest.refs()[I];
-    FastRef &F = Fast[I];
-    F.IsWrite = Ref.isWrite();
-    F.Transformed = Map->isTransformed(Ref.arrayId());
-    if (Depth != 0)
-      F.HasDelta = Map->strideBytesAlong(Ref, Depth - 1, F.Delta);
+  auto Build = [&](const AffineRef &Ref, bool IsWrite) {
+    ArrayId Id = Ref.arrayId();
+    const DataLayout &Layout = Map->layout(Id);
+    const UnimodularBox &Box = Layout.box();
+    AffineRef InBox = Ref.transformed(Box.matrix());
+    Cursor C;
+    C.Layout = &Layout;
+    C.Base = Map->base(Id);
+    C.ElementBytes = P.array(Id).ElementBytes;
+    C.ToBox = InBox.accessMatrix();
+    C.Const = InBox.offset();
+    for (unsigned R = 0; R < Box.rank(); ++R)
+      C.Const[R] += Box.shiftAt(R);
+    C.Step = Depth != 0 ? C.ToBox.column(Depth - 1) : IntVector(Box.rank(), 0);
+    C.T.assign(Box.rank(), 0);
+    C.IsWrite = IsWrite;
+    C.Transformed = Layout.isTransformed();
+    return C;
+  };
+  Cursors.clear();
+  Gathers.clear();
+  for (const AffineRef &Ref : Nest.refs())
+    Cursors.push_back(Build(Ref, Ref.isWrite()));
+  for (const IndexedRef &IRef : Nest.indexedRefs()) {
+    Cursors.push_back(Build(IRef.IndexAccess, /*IsWrite=*/false));
+    const ArrayDecl &Decl = P.array(IRef.IndexArray);
+    const IntMatrix &A = IRef.IndexAccess.accessMatrix();
+    Gather G;
+    G.SlotCoef.assign(Depth, 0);
+    std::int64_t Stride = 1;
+    for (unsigned D = Decl.rank(); D > 0; --D) {
+      for (unsigned L = 0; L < Depth; ++L)
+        G.SlotCoef[L] += A.at(D - 1, L) * Stride;
+      G.SlotConst += IRef.IndexAccess.offset()[D - 1] * Stride;
+      Stride *= Decl.Dims[D - 1];
+    }
+    G.Values = P.indexArrayValues(IRef.IndexArray);
+    assert(G.Values && "indexed reference without index array contents");
+    Gathers.push_back(G);
   }
-  FastNestIdx = NestIdx;
+  CursorNestIdx = NestIdx;
+}
+
+void ThreadStream::recompute(Cursor &C) {
+  ++Recomputes;
+  for (unsigned R = 0; R < C.T.size(); ++R) {
+    std::int64_t V = C.Const[R];
+    for (unsigned D = 0; D < Iter.size(); ++D)
+      V += C.ToBox.at(R, D) * Iter[D];
+    C.T[R] = V;
+  }
+  C.VA = C.Base + C.Layout->offsetInBox(C.T) * C.ElementBytes;
+  AffineRun Run = C.Layout->runAlong(C.T, C.Step);
+  C.StepsLeft = Run.Steps;
+  C.DeltaBytes = Run.Delta * static_cast<std::int64_t>(C.ElementBytes);
 }
 
 bool ThreadStream::seekNest() {
@@ -48,7 +94,7 @@ bool ThreadStream::seekNest() {
     Iter = ChunkSpace.firstIteration();
     InIteration = true;
     Slot = 0;
-    prepareFastRefs();
+    prepareCursors();
     return true;
   }
   InIteration = false;
@@ -123,36 +169,25 @@ bool ThreadStream::generate(AccessRequest &Out) {
       advanceIteration();
       continue;
     }
-    if (Slot < NumAffine) {
-      FastRef &F = Fast[Slot];
-      if (FastStep && F.HasDelta) {
-        // Unsigned wraparound makes negative deltas exact: the final VA is
-        // in range, so the mod-2^64 sum equals the recomputed value.
-        F.LastVA += static_cast<std::uint64_t>(F.Delta);
-      } else {
-        const AffineRef &Ref = Nest.refs()[Slot];
-        F.LastVA = Map->vaOf(Ref.arrayId(), Ref.evaluate(Iter));
-      }
-      ++Slot;
-      Out.VA = F.LastVA;
-      Out.IsWrite = F.IsWrite;
-      Out.Transformed = F.Transformed;
+    unsigned Ref = Slot++;
+    Cursor &C = Cursors[Ref];
+    Out.VA = advance(C);
+    Out.IsWrite = C.IsWrite;
+    Out.Transformed = C.Transformed;
+    if (Ref < NumAffine)
       return true;
-    }
-    const IndexedRef &IRef = Nest.indexedRefs()[Slot - NumAffine];
-    ++Slot;
-    // First the read of the index array element...
-    IntVector IndexVec = IRef.IndexAccess.evaluate(Iter);
-    Out.VA = Map->vaOf(IRef.IndexArray, IndexVec);
-    Out.IsWrite = false;
-    Out.Transformed = Map->isTransformed(IRef.IndexArray);
-    // ...then the dependent data access it names.
-    const std::vector<std::int64_t> *Values =
-        P.indexArrayValues(IRef.IndexArray);
-    assert(Values && "indexed reference without index array contents");
-    std::uint64_t SlotIdx = P.array(IRef.IndexArray).linearize(IndexVec);
-    assert(SlotIdx < Values->size() && "index array contents too small");
-    PendingData.VA = Map->vaOfFlat(IRef.DataArray, (*Values)[SlotIdx]);
+    // An indexed reference: the index-array read just produced, then the
+    // dependent data access it names.
+    const IndexedRef &IRef = Nest.indexedRefs()[Ref - NumAffine];
+    const Gather &G = Gathers[Ref - NumAffine];
+    std::int64_t SlotIdx = G.SlotConst;
+    for (unsigned D = 0; D < Iter.size(); ++D)
+      SlotIdx += G.SlotCoef[D] * Iter[D];
+    assert(SlotIdx >= 0 &&
+           static_cast<std::size_t>(SlotIdx) < G.Values->size() &&
+           "index array contents too small");
+    PendingData.VA =
+        Map->vaOfFlat(IRef.DataArray, (*G.Values)[SlotIdx], Scratch);
     PendingData.IsWrite = IRef.IsWrite;
     PendingData.Transformed = Map->isTransformed(IRef.DataArray);
     HasPendingData = true;

@@ -47,6 +47,12 @@ public:
 
   std::uint64_t generated() const { return Generated; }
 
+  /// Cursor recomputes so far: the accesses whose address was evaluated
+  /// from the iteration vector rather than stepped by a delta (run and
+  /// block boundaries, outer-loop steps, nest starts). Deterministic, so a
+  /// test can pin it to catch per-access general-path work coming back.
+  std::uint64_t recomputes() const { return Recomputes; }
+
   /// Host bytes held by the lookahead buffer, counting capacity (what the
   /// process actually pays, including the consumed prefix awaiting
   /// compaction). The peekSpan() consumed-prefix compaction keeps this
@@ -62,28 +68,65 @@ private:
   /// as consumed.
   bool generate(AccessRequest &Out);
 
-  /// Positions the cursor at the first non-empty (nest, repetition) at or
+  /// Positions the walk at the first non-empty (nest, repetition) at or
   /// after the current one. \returns false when the program is done.
   bool seekNest();
 
   /// Advances to the next iteration (and nest/repetition when exhausted).
   void advanceIteration();
 
-  /// Per-affine-reference strength-reduction state. Along the innermost
-  /// loop the VA of an untransformed reference moves by a constant byte
-  /// delta, so successive iterations add Delta to the previous VA instead
-  /// of re-running the full evaluate()/elementOffset() delinearization.
-  /// Transformed and indexed references keep the general path.
-  struct FastRef {
-    std::int64_t Delta = 0;
-    std::uint64_t LastVA = 0;
-    bool HasDelta = false;
+  /// Address cursor of one affine reference: every affine reference of the
+  /// nest, then each indexed reference's index-array read. The reference's
+  /// box coordinates T = (U*A)*Iter + (U*o + shift) are affine in the
+  /// iteration vector, and the layout's offset stays affine in T until T
+  /// crosses a block or run boundary (DataLayout::runAlong). So along the
+  /// innermost loop the VA moves by a constant DeltaBytes for StepsLeft
+  /// more iterations; only at a boundary, after an outer-loop step or at a
+  /// nest start is T recomputed (into a reused buffer) and the layout asked
+  /// again. Row-major is the identity box with unbounded runs.
+  struct Cursor {
+    const DataLayout *Layout = nullptr;
+    std::uint64_t Base = 0;
+    std::uint64_t ElementBytes = 0;
+    IntMatrix ToBox; // U*A: iteration vector -> box coordinates
+    IntVector Const; // U*o + box shift
+    IntVector Step;  // innermost column of ToBox
+    IntVector T;     // box coordinates at the last recompute
+    std::uint64_t VA = 0;
+    std::int64_t DeltaBytes = 0;
+    std::uint64_t StepsLeft = 0;
     bool IsWrite = false;
     bool Transformed = false;
   };
 
-  /// Rebuilds Fast for the current nest (no-op when unchanged).
-  void prepareFastRefs();
+  /// The dependent half of an indexed reference: the index array's slot
+  /// is the row-major linearization of the index reference's data vector,
+  /// so it is affine in the iteration vector too.
+  struct Gather {
+    IntVector SlotCoef; // row-major strides * A
+    std::int64_t SlotConst = 0;
+    const std::vector<std::int64_t> *Values = nullptr;
+  };
+
+  /// Rebuilds Cursors and Gathers for the current nest (no-op when
+  /// unchanged).
+  void prepareCursors();
+
+  /// The VA of cursor \p C at the current iteration.
+  std::uint64_t advance(Cursor &C) {
+    if (FastStep && C.StepsLeft != 0) {
+      --C.StepsLeft;
+      // Unsigned wraparound makes negative deltas exact: the final VA is
+      // in range, so the mod-2^64 sum equals the recomputed value.
+      C.VA += static_cast<std::uint64_t>(C.DeltaBytes);
+      return C.VA;
+    }
+    recompute(C);
+    return C.VA;
+  }
+
+  /// Evaluates \p C's box coordinates at Iter and restarts its run there.
+  void recompute(Cursor &C);
 
   const AddressMap *Map;
   unsigned ThreadId;
@@ -95,12 +138,16 @@ private:
   IntVector Iter;
   bool InIteration = false;
 
-  std::vector<FastRef> Fast;
-  /// Nest the Fast deltas were computed for (~0 before the first).
-  unsigned FastNestIdx = ~0u;
+  std::vector<Cursor> Cursors;
+  std::vector<Gather> Gathers;
+  /// Nest the cursors were built for (~0 before the first).
+  unsigned CursorNestIdx = ~0u;
   /// True when the current iteration was reached by a pure innermost-loop
-  /// step, making every LastVA + Delta valid.
+  /// step, so a cursor with StepsLeft may add its delta.
   bool FastStep = false;
+  /// Reused buffers of the gathers' vaOfFlat().
+  AddressMap::FlatScratch Scratch;
+  std::uint64_t Recomputes = 0;
 
   /// Position within the current iteration's access list: affine refs come
   /// first, then each indexed ref expands to two slots.

@@ -7,13 +7,18 @@
 ///      allocation;
 ///   2. MC correctness — each element's interleave unit lands on an MC of
 ///      the owning cluster's group (private), or its line lands on the
-///      host bank the layout claims (shared).
+///      host bank the layout claims (shared);
+/// and the affine-run contract the access stream's cursors rely on:
+///   3. runAlong — from a box point T, the offset moves by the reported
+///      delta for every reported step k with T + k*dT still in the box.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/DataLayout.h"
+#include "harness/Experiment.h"
 #include "linalg/IntLinAlg.h"
 #include "support/Random.h"
+#include "workloads/AppModel.h"
 
 #include <gtest/gtest.h>
 
@@ -288,3 +293,137 @@ TEST(LayoutPhase, WithoutPhaseTheCenterSpills) {
   }
   EXPECT_GT(Mismatches, 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Affine-run contract (DataLayout::runAlong)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The machines the contract is checked on.
+enum class RunMachine { ScaledDefault, ThreeMCs, NonSquare };
+
+/// Which layout the layout pass builds.
+enum class RunOrg { Private, SharedSkip, SharedNoSkip };
+
+MachineConfig runMachine(RunMachine Kind, InterleaveGranularity G,
+                         RunOrg Org) {
+  MachineConfig C = MachineConfig::scaledDefault();
+  C.Granularity = G;
+  C.SharedL2 = Org != RunOrg::Private;
+  switch (Kind) {
+  case RunMachine::ScaledDefault:
+    break;
+  case RunMachine::ThreeMCs:
+    C.MeshX = 6;
+    C.NumMCs = 3;
+    C.Placement = MCPlacementKind::Explicit;
+    C.MCNodes = {1, 45, 4};
+    break;
+  case RunMachine::NonSquare:
+    C.MeshX = 4;
+    break;
+  }
+  return C;
+}
+
+bool inBox(const UnimodularBox &Box, const IntVector &T) {
+  for (unsigned D = 0; D < Box.rank(); ++D)
+    if (T[D] < 0 || T[D] >= Box.extent(D))
+      return false;
+  return true;
+}
+
+/// Checks the contract from \p T along \p DT. \returns the steps checked.
+std::uint64_t checkRun(const DataLayout &L, const IntVector &T,
+                       const IntVector &DT) {
+  const UnimodularBox &Box = L.box();
+  AffineRun Run = L.runAlong(T, DT);
+  std::uint64_t Base = L.offsetInBox(T);
+  IntVector P = T;
+  std::uint64_t K = 0;
+  while (K < Run.Steps) {
+    for (unsigned D = 0; D < Box.rank(); ++D)
+      P[D] += DT[D];
+    if (!inBox(Box, P))
+      break; // the box is convex: the walk never re-enters it
+    ++K;
+    std::uint64_t Want = Base + K * static_cast<std::uint64_t>(Run.Delta);
+    EXPECT_EQ(L.offsetInBox(P), Want)
+        << "step " << K << " of " << Run.Steps << " from T[0]=" << T[0]
+        << " along DT[0]=" << DT[0];
+    if (::testing::Test::HasFailure() || isZeroVector(DT))
+      break;
+  }
+  return K;
+}
+
+} // namespace
+
+class LayoutRunContract
+    : public ::testing::TestWithParam<
+          std::tuple<RunMachine, InterleaveGranularity, RunOrg>> {};
+
+TEST_P(LayoutRunContract, OffsetIsAffineWithinReportedRun) {
+  auto [Kind, Granularity, Org] = GetParam();
+  MachineConfig C = runMachine(Kind, Granularity, Org);
+  ClusterMapping Mapping = makeM1Mapping(C);
+  LayoutOptions Options = C.layoutOptions();
+  Options.EnableDeltaSkip = Org != RunOrg::SharedNoSkip;
+  SplitMix64 Rng(0x5eed + static_cast<unsigned>(Kind) * 10 +
+                 static_cast<unsigned>(Org));
+  std::uint64_t Checked = 0, Customized = 0;
+  for (const std::string &Name : appNames()) {
+    AppModel App = buildApp(Name, 0.25);
+    LayoutPlan Plan = LayoutTransformer(Mapping, Options).run(App.Program);
+    for (ArrayId Id = 0; Id < App.Program.numArrays(); ++Id) {
+      const ArrayLayoutResult &R = Plan.PerArray[Id];
+      RowMajorLayout RowMajor(App.Program.array(Id));
+      // Step vectors: the U*A columns of the array's references (the
+      // cursors' actual steps), then random vectors in [-2, 2].
+      std::vector<IntVector> Steps;
+      for (const LoopNest &Nest : App.Program.nests())
+        for (const AffineRef &Ref : Nest.refs())
+          if (Ref.arrayId() == Id) {
+            IntMatrix UA = R.U.multiply(Ref.accessMatrix());
+            for (unsigned Col = 0; Col < UA.numCols(); ++Col)
+              Steps.push_back(UA.column(Col));
+          }
+      unsigned Rank = App.Program.array(Id).rank();
+      for (int I = 0; I < 4; ++I) {
+        IntVector V(Rank);
+        for (std::int64_t &E : V)
+          E = static_cast<std::int64_t>(Rng.nextBelow(5)) - 2;
+        Steps.push_back(V);
+      }
+      Customized += R.Layout->isTransformed() ? 1 : 0;
+      const DataLayout *Layouts[] = {R.Layout.get(), &RowMajor};
+      for (const DataLayout *L : Layouts) {
+        const UnimodularBox &Box = L->box();
+        for (const IntVector &DT : Steps)
+          for (int Sample = 0; Sample < 8; ++Sample) {
+            IntVector T(Rank);
+            for (unsigned D = 0; D < Rank; ++D)
+              T[D] = static_cast<std::int64_t>(
+                  Rng.nextBelow(static_cast<std::uint64_t>(Box.extent(D))));
+            Checked += checkRun(*L, T, DT);
+            ASSERT_FALSE(HasFailure()) << Name << " array " << Id;
+          }
+      }
+    }
+  }
+  // The layout pass customized arrays on this machine, and the runs were
+  // long enough to check something.
+  EXPECT_GT(Customized, 0u);
+  EXPECT_GT(Checked, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, LayoutRunContract,
+    ::testing::Combine(::testing::Values(RunMachine::ScaledDefault,
+                                         RunMachine::ThreeMCs,
+                                         RunMachine::NonSquare),
+                       ::testing::Values(InterleaveGranularity::CacheLine,
+                                         InterleaveGranularity::Page),
+                       ::testing::Values(RunOrg::Private, RunOrg::SharedSkip,
+                                         RunOrg::SharedNoSkip)));

@@ -4,7 +4,8 @@
 // in-process SocketServer on an ephemeral port: the server-level methods
 // (ping/apps/stats), a full optimize request over the wire, malformed-line
 // handling, pipelined ids, the already-bound-port diagnostic, and graceful
-// shutdown (every admitted request answered before run() returns).
+// shutdown (every admitted request answered before run() returns); and the
+// line reader itself over a socketpair.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,8 +17,10 @@
 
 #include "gtest/gtest.h"
 
+#include <chrono>
 #include <optional>
 #include <set>
+#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 
@@ -229,6 +232,40 @@ TEST_F(ServerTest, GracefulStopDeliversInFlightAnswers) {
   EXPECT_EQ(field(V, "id"), "last");
   EXPECT_EQ(field(V, "status"), "ok");
   EXPECT_EQ(Service->stats().Completed, 1u);
+}
+
+TEST(LineReaderTest, LongLineAndSplitCrlfReadIntact) {
+  // A ~1 MB line arrives in 4 KB writes; each chunk must be scanned once
+  // (a rescan of the whole unread buffer per chunk is quadratic). Then a
+  // CRLF line whose "\r" and "\n" arrive in separate writes.
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::string Long(1 << 20, 'x');
+  for (std::size_t I = 0; I < Long.size(); I += 997)
+    Long[I] = static_cast<char>('a' + I % 26);
+  std::thread Writer([&] {
+    std::string Wire = Long + "\n";
+    for (std::size_t I = 0; I < Wire.size(); I += 4096)
+      ASSERT_TRUE(sendAll(Fds[1], Wire.substr(I, 4096)));
+    ASSERT_TRUE(sendAll(Fds[1], "split\r"));
+    // Let the reader drain the first half before the rest arrives.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(sendAll(Fds[1], "\nlast"));
+    ::shutdown(Fds[1], SHUT_WR);
+  });
+  LineReader Reader(Fds[0]);
+  std::string Line;
+  ASSERT_TRUE(Reader.readLine(&Line));
+  EXPECT_EQ(Line.size(), Long.size());
+  EXPECT_TRUE(Line == Long) << "long line corrupted";
+  ASSERT_TRUE(Reader.readLine(&Line));
+  EXPECT_EQ(Line, "split");
+  ASSERT_TRUE(Reader.readLine(&Line));
+  EXPECT_EQ(Line, "last");
+  EXPECT_FALSE(Reader.readLine(&Line));
+  Writer.join();
+  ::close(Fds[0]);
+  ::close(Fds[1]);
 }
 
 TEST(SocketServer, RefusesAlreadyBoundPort) {

@@ -99,14 +99,14 @@ TEST(AddressMap, FlatLookupMatchesVectorLookup) {
   VC.NumMCs = C.NumMCs;
   VirtualMemory VM(VC, PageAllocPolicy::InterleavedRoundRobin);
   AddressMap Map(P, Plan, VM, C);
+  AddressMap::FlatScratch S;
   for (std::int64_t Flat : {0, 5, 63, 64, 4095}) {
     IntVector Vec = P.array(0).delinearize(static_cast<std::uint64_t>(Flat));
-    EXPECT_EQ(Map.vaOfFlat(0, Flat), Map.vaOf(0, Vec));
+    EXPECT_EQ(Map.vaOfFlat(0, Flat, S), Map.vaOf(0, Vec));
   }
   // Out-of-range flats clamp instead of crashing.
-  EXPECT_EQ(Map.vaOfFlat(0, -5), Map.vaOfFlat(0, 0));
-  EXPECT_EQ(Map.vaOfFlat(0, 1 << 30),
-            Map.vaOfFlat(0, 64 * 64 - 1));
+  EXPECT_EQ(Map.vaOfFlat(0, -5, S), Map.vaOfFlat(0, 0, S));
+  EXPECT_EQ(Map.vaOfFlat(0, 1 << 30, S), Map.vaOfFlat(0, 64 * 64 - 1, S));
 }
 
 TEST(AddressMap, EmitsPageHintsUnderCompilerGuidedPolicy) {

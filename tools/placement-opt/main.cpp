@@ -1,13 +1,14 @@
 //===- tools/placement-opt/main.cpp - joint placement x layout search -----===//
 ///
 /// Searches memory-controller placements jointly with the paper's layout
-/// transformation (ROADMAP item 4): every candidate is an Explicit
-/// MachineConfig::MCNodes list, MachineConfig::validate() (plus
-/// validateGrouping() when --mcs-per-cluster > 1) is the feasibility
-/// oracle, and candidate evaluations fan across cores through
-/// ExperimentRunner. Small spaces (at most --exhaustive-threshold
-/// candidate node sets) are enumerated exhaustively; larger ones run a
-/// seeded batch-synchronous simulated annealing.
+/// transformation (EXPERIMENTS.md, "Placement methodology"): every
+/// candidate is an Explicit MachineConfig::MCNodes list,
+/// MachineConfig::validate() (plus validateGrouping() when
+/// --mcs-per-cluster > 1) is the feasibility oracle, and candidate
+/// evaluations fan across cores through ExperimentRunner. Small spaces
+/// (at most --exhaustive-threshold candidate node sets) are enumerated
+/// exhaustively; larger ones run a seeded batch-synchronous simulated
+/// annealing.
 ///
 /// Output is a Pareto table over the fig03 apps — placement x layout ->
 /// avg off-chip latency, off-chip message hops, link-busy cycles —
@@ -635,7 +636,8 @@ int main(int Argc, char **Argv) {
       Csv ? makeCsvSink() : Json ? makeJsonSink() : makeTableSink();
   Sink->begin("placement-opt: joint MC-placement x layout search",
               "MC placement is a first-order lever next to the paper's "
-              "layout transformation (ROADMAP item 4)",
+              "layout transformation (EXPERIMENTS.md, Placement "
+              "methodology)",
               Opt.Base.summary());
   Sink->meta("seed", formatString("%llu",
                                   static_cast<unsigned long long>(Opt.Seed)));
