@@ -27,7 +27,7 @@ using AppList = std::vector<std::shared_ptr<const AppModel>>;
 SimFuture scheduleMix(BenchSuite &Suite, AppList Apps,
                       const MachineConfig &Config,
                       const ClusterMapping &Mapping, bool Optimized,
-                      std::shared_ptr<MultiRunOutputs> Multi) {
+                      std::shared_ptr<RunOutputs> Multi) {
   MachineConfig C = Config;
   if (Optimized && C.Granularity == InterleaveGranularity::Page)
     C.PagePolicy = PageAllocPolicy::CompilerGuided;
@@ -59,7 +59,7 @@ SimFuture scheduleMix(BenchSuite &Suite, AppList Apps,
   });
 }
 
-double weightedSpeedup(const MultiRunOutputs &Multi,
+double weightedSpeedup(const RunOutputs &Multi,
                        const std::vector<double> &AloneRates) {
   double WS = 0.0;
   for (unsigned I = 0; I < AloneRates.size(); ++I) {
@@ -85,7 +85,7 @@ int main(int Argc, char **Argv) {
     std::string Label;
     std::vector<SimFuture> Alone; // accesses-per-cycle when run alone
     SimFuture Base, Opt;
-    std::shared_ptr<MultiRunOutputs> MultiBase, MultiOpt;
+    std::shared_ptr<RunOutputs> MultiBase, MultiOpt;
   };
   // Alone-rate runs are shared between mixes containing the same app at the
   // same scale.
@@ -115,8 +115,8 @@ int main(int Argc, char **Argv) {
         Row.Label += "+";
       Row.Label += Name;
     }
-    Row.MultiBase = std::make_shared<MultiRunOutputs>();
-    Row.MultiOpt = std::make_shared<MultiRunOutputs>();
+    Row.MultiBase = std::make_shared<RunOutputs>();
+    Row.MultiOpt = std::make_shared<RunOutputs>();
     Row.Base = scheduleMix(Suite, Apps, Config, Mapping,
                            /*Optimized=*/false, Row.MultiBase);
     Row.Opt = scheduleMix(Suite, std::move(Apps), Config, Mapping,

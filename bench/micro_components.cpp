@@ -3,8 +3,9 @@
 /// google-benchmark timings of the pieces the experiments lean on: the
 /// Data-to-Core solve, full layout-pass runs, customized-layout address
 /// computation (the source of the ~4% overhead of Section 6.1) next to the
-/// access stream's cursor step and boundary recompute, XY-routed message
-/// injection, and DRAM bank service.
+/// access stream's cursor step and boundary recompute, the event loop's
+/// tournament-tree step, XY-routed message injection and the link calendar
+/// under it, cache probes and fills, and DRAM bank service.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include "noc/Network.h"
 #include "sim/AddressMap.h"
 #include "sim/ThreadStream.h"
+#include "support/Random.h"
+#include "support/TournamentTree.h"
 #include "workloads/AppModel.h"
 
 #include <benchmark/benchmark.h>
@@ -136,12 +139,50 @@ void BM_CursorStepOptimizedStream(benchmark::State &State) {
 }
 BENCHMARK(BM_CursorStepOptimizedStream);
 
+/// The event loop's per-access queue step: pop the earliest of 64 threads'
+/// packed keys and reschedule the same thread a jittered gap later.
+void BM_TournamentTreeReplaceTop(benchmark::State &State) {
+  const unsigned Threads = 64, Shift = 6;
+  TournamentTree Tree(Threads);
+  for (unsigned T = 0; T < Threads; ++T)
+    Tree.set(T, (static_cast<std::uint64_t>(T) * 389 % 1024) << Shift | T);
+  SplitMix64 Jitter(1);
+  for (auto _ : State) {
+    std::uint64_t Top = Tree.top();
+    unsigned T = static_cast<unsigned>(Top & (Threads - 1));
+    std::uint64_t Next = (Top >> Shift) + 20 + (Jitter.next() & 63);
+    Tree.set(T, Next << Shift | T);
+    benchmark::DoNotOptimize(Top);
+  }
+}
+BENCHMARK(BM_TournamentTreeReplaceTop);
+
+/// One link's calendar under the mix the simulator sees: mostly requests
+/// queueing at the back (inline appends and back-merges), with one in four
+/// a response booked into the future, whose gaps later messages fill (the
+/// out-of-line insert path), at about 60% link load.
+void BM_LinkCalendarReserveMixed(benchmark::State &State) {
+  Network::LinkState Link;
+  SplitMix64 Rng(5);
+  std::uint64_t Floor = 0;
+  for (auto _ : State) {
+    std::uint64_t R = Rng.next();
+    Floor += R & 31;
+    std::uint64_t From = Floor + ((R >> 8 & 3) == 0 ? (R >> 16 & 511) : 0);
+    benchmark::DoNotOptimize(Link.reserve(From, 16, Floor));
+  }
+}
+BENCHMARK(BM_LinkCalendarReserveMixed);
+
 void BM_NetworkSend(benchmark::State &State) {
   Mesh M(8, 8);
   Network Net(M, NocConfig());
   std::uint64_t T = 0;
   unsigned Src = 0;
   for (auto _ : State) {
+    // The engine raises the floor to each access's time; without it no
+    // calendar is ever pruned and every link's list grows for the whole run.
+    Net.advanceFloor(T);
     MessageResult R = Net.send(Src, 63 - Src, 256, T);
     T = R.ArrivalTime;
     Src = (Src + 1) % 64;
@@ -164,6 +205,21 @@ void BM_CacheAccess(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CacheAccess);
+
+/// A miss fill into a full 16-way set: the residency probe over every tag,
+/// then the LRU victim scan, then the eviction.
+void BM_CacheInsertFullSet(benchmark::State &State) {
+  const unsigned Ways = 16;
+  Cache Set(Ways * 64, 64, Ways); // one set
+  std::uint64_t Line = 0;
+  for (; Line < Ways; ++Line)
+    Set.insert(Line, false);
+  for (auto _ : State) {
+    Cache::Eviction Ev = Set.insert(Line++, false);
+    benchmark::DoNotOptimize(Ev.LineAddr);
+  }
+}
+BENCHMARK(BM_CacheInsertFullSet);
 
 void BM_DirectoryFindSharer(benchmark::State &State) {
   Directory Dir(64);

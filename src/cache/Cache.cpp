@@ -5,6 +5,10 @@
 #include "support/Error.h"
 #include "support/MathUtil.h"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+
 using namespace offchip;
 
 Cache::Cache(std::uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
@@ -17,122 +21,111 @@ Cache::Cache(std::uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
     reportFatalError("cache must have at least one set");
   LineDiv = Pow2Divider(LineBytes);
   SetDiv = Pow2Divider(NumSets);
-  Sets.resize(static_cast<std::size_t>(NumSets) * Ways);
+  std::size_t NumWays = static_cast<std::size_t>(NumSets) * Ways;
+  Tags.assign(NumWays, InvalidTag);
+  LastUse.assign(NumWays, 0);
+  Dirty.assign(NumWays, 0);
+  States.assign(NumWays, LineState::Shared);
+}
+
+std::size_t Cache::find(std::size_t Base, std::uint64_t Tag) const {
+  assert(Tag != InvalidTag && "line address collides with the empty tag");
+  // One pass over the set's contiguous tags, 64 ways per match mask.
+  const std::uint64_t *T = Tags.data() + Base;
+  for (unsigned W0 = 0; W0 < Ways; W0 += 64) {
+    unsigned Len = std::min(Ways - W0, 64u);
+    std::uint64_t Match = 0;
+    for (unsigned W = 0; W < Len; ++W)
+      Match |= static_cast<std::uint64_t>(T[W0 + W] == Tag) << W;
+    if (Match)
+      return Base + W0 + static_cast<unsigned>(std::countr_zero(Match));
+  }
+  return NoWay;
 }
 
 bool Cache::access(std::uint64_t LineAddr, bool IsWrite) {
-  unsigned Set = setOf(LineAddr);
-  std::uint64_t Tag = tagOf(LineAddr);
-  Way *Base = &Sets[static_cast<std::size_t>(Set) * Ways];
-  for (unsigned W = 0; W < Ways; ++W) {
-    Way &Entry = Base[W];
-    if (!Entry.Valid || Entry.Tag != Tag)
-      continue;
-    Entry.LastUse = ++UseClock;
-    Entry.Dirty = Entry.Dirty || IsWrite;
-    ++Hits;
-    return true;
+  std::size_t I = find(baseOf(LineAddr), tagOf(LineAddr));
+  if (I == NoWay) {
+    ++Misses;
+    return false;
   }
-  ++Misses;
-  return false;
+  LastUse[I] = ++UseClock;
+  Dirty[I] |= IsWrite;
+  ++Hits;
+  return true;
 }
 
 bool Cache::contains(std::uint64_t LineAddr) const {
-  unsigned Set = setOf(LineAddr);
-  std::uint64_t Tag = tagOf(LineAddr);
-  const Way *Base = &Sets[static_cast<std::size_t>(Set) * Ways];
-  for (unsigned W = 0; W < Ways; ++W)
-    if (Base[W].Valid && Base[W].Tag == Tag)
-      return true;
-  return false;
+  return find(baseOf(LineAddr), tagOf(LineAddr)) != NoWay;
 }
 
 Cache::Eviction Cache::insert(std::uint64_t LineAddr, bool IsWrite,
                               LineState State) {
-  unsigned Set = setOf(LineAddr);
   std::uint64_t Tag = tagOf(LineAddr);
-  Way *Base = &Sets[static_cast<std::size_t>(Set) * Ways];
-
-  // Reuse an invalid way or the LRU victim.
-  Way *Victim = &Base[0];
+  assert(Tag != InvalidTag && "line address collides with the empty tag");
+  std::size_t Base = baseOf(LineAddr);
+  // One pass over the set: residency across every way (a line resident
+  // behind an invalidated way is refreshed, not duplicated) and the first
+  // minimum of LastUse, i.e. the first empty way, else the LRU way.
+  const std::uint64_t *T = Tags.data() + Base;
+  const std::uint64_t *U = LastUse.data() + Base;
+  unsigned V = 0;
+  unsigned Resident = Ways;
   for (unsigned W = 0; W < Ways; ++W) {
-    Way &Entry = Base[W];
-    if (Entry.Valid && Entry.Tag == Tag) {
-      // Already resident (racy double-insert); refresh instead.
-      Entry.LastUse = ++UseClock;
-      Entry.Dirty = Entry.Dirty || IsWrite;
-      Entry.State = State;
-      return Eviction();
-    }
-    if (!Entry.Valid) {
-      Victim = &Entry;
-      break;
-    }
-    if (Entry.LastUse < Victim->LastUse || !Victim->Valid)
-      Victim = &Entry;
+    Resident = T[W] == Tag ? W : Resident;
+    V = U[W] < U[V] ? W : V;
   }
+  if (Resident != Ways) {
+    // Already resident (racy double-insert); refresh instead.
+    std::size_t I = Base + Resident;
+    LastUse[I] = ++UseClock;
+    Dirty[I] |= IsWrite;
+    States[I] = State;
+    return Eviction();
+  }
+  std::size_t I = Base + V;
 
   Eviction Out;
-  if (Victim->Valid) {
+  if (Tags[I] != InvalidTag) {
     Out.Valid = true;
-    Out.LineAddr = Victim->Tag;
-    Out.Dirty = Victim->Dirty;
-    Out.State = Victim->State;
+    Out.LineAddr = Tags[I];
+    Out.Dirty = Dirty[I] != 0;
+    Out.State = States[I];
   }
-  Victim->Tag = Tag;
-  Victim->Valid = true;
-  Victim->Dirty = IsWrite;
-  Victim->State = State;
-  Victim->LastUse = ++UseClock;
+  Tags[I] = Tag;
+  Dirty[I] = IsWrite;
+  States[I] = State;
+  LastUse[I] = ++UseClock;
   return Out;
 }
 
 int Cache::stateOf(std::uint64_t LineAddr) const {
-  unsigned Set = setOf(LineAddr);
-  std::uint64_t Tag = tagOf(LineAddr);
-  const Way *Base = &Sets[static_cast<std::size_t>(Set) * Ways];
-  for (unsigned W = 0; W < Ways; ++W)
-    if (Base[W].Valid && Base[W].Tag == Tag)
-      return static_cast<int>(Base[W].State);
-  return -1;
+  std::size_t I = find(baseOf(LineAddr), tagOf(LineAddr));
+  return I == NoWay ? -1 : static_cast<int>(States[I]);
 }
 
 bool Cache::setState(std::uint64_t LineAddr, LineState State) {
-  unsigned Set = setOf(LineAddr);
-  std::uint64_t Tag = tagOf(LineAddr);
-  Way *Base = &Sets[static_cast<std::size_t>(Set) * Ways];
-  for (unsigned W = 0; W < Ways; ++W) {
-    if (Base[W].Valid && Base[W].Tag == Tag) {
-      Base[W].State = State;
-      return true;
-    }
-  }
-  return false;
+  std::size_t I = find(baseOf(LineAddr), tagOf(LineAddr));
+  if (I == NoWay)
+    return false;
+  States[I] = State;
+  return true;
 }
 
 bool Cache::markDirty(std::uint64_t LineAddr) {
-  unsigned Set = setOf(LineAddr);
-  std::uint64_t Tag = tagOf(LineAddr);
-  Way *Base = &Sets[static_cast<std::size_t>(Set) * Ways];
-  for (unsigned W = 0; W < Ways; ++W) {
-    if (Base[W].Valid && Base[W].Tag == Tag) {
-      Base[W].Dirty = true;
-      return true;
-    }
-  }
-  return false;
+  std::size_t I = find(baseOf(LineAddr), tagOf(LineAddr));
+  if (I == NoWay)
+    return false;
+  Dirty[I] = 1;
+  return true;
 }
 
 bool Cache::invalidate(std::uint64_t LineAddr) {
-  unsigned Set = setOf(LineAddr);
-  std::uint64_t Tag = tagOf(LineAddr);
-  Way *Base = &Sets[static_cast<std::size_t>(Set) * Ways];
-  for (unsigned W = 0; W < Ways; ++W) {
-    if (Base[W].Valid && Base[W].Tag == Tag) {
-      Base[W].Valid = false;
-      Base[W].Dirty = false;
-      return true;
-    }
-  }
-  return false;
+  std::size_t I = find(baseOf(LineAddr), tagOf(LineAddr));
+  if (I == NoWay)
+    return false;
+  Tags[I] = InvalidTag;
+  LastUse[I] = 0;
+  Dirty[I] = 0;
+  return true;
 }

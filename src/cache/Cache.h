@@ -84,27 +84,23 @@ public:
   /// Tags are full line addresses (hashed index), so residents can be
   /// enumerated exactly; used by the invariant checker (src/check).
   template <typename FnT> void forEachLine(FnT Fn) const {
-    for (const Way &W : Sets)
-      if (W.Valid)
-        Fn(W.Tag);
+    for (std::uint64_t Tag : Tags)
+      if (Tag != InvalidTag)
+        Fn(Tag);
   }
 
   /// Invokes \p Fn(LineAddr, LineState) for every resident line; the
   /// protocol-state cross-check of the coherence invariants (src/check).
   template <typename FnT> void forEachLineState(FnT Fn) const {
-    for (const Way &W : Sets)
-      if (W.Valid)
-        Fn(W.Tag, W.State);
+    for (std::size_t I = 0; I < Tags.size(); ++I)
+      if (Tags[I] != InvalidTag)
+        Fn(Tags[I], States[I]);
   }
 
 private:
-  struct Way {
-    std::uint64_t Tag = 0;
-    std::uint64_t LastUse = 0;
-    bool Valid = false;
-    bool Dirty = false;
-    LineState State = LineState::Shared;
-  };
+  /// Tag of an empty way. Line addresses are byte addresses divided by the
+  /// line size, so no resident line can carry it.
+  static constexpr std::uint64_t InvalidTag = ~0ull;
 
   /// XOR-folded set index (index hashing, as in modern LLCs). A plain
   /// modulo would interact pathologically with MC-interleaved layouts:
@@ -119,6 +115,15 @@ private:
   /// With a hashed index the stored tag is the full line address.
   std::uint64_t tagOf(std::uint64_t LineAddr) const { return LineAddr; }
 
+  /// Index of \p LineAddr's set's first way in the per-way arrays.
+  std::size_t baseOf(std::uint64_t LineAddr) const {
+    return static_cast<std::size_t>(setOf(LineAddr)) * Ways;
+  }
+
+  /// Global way index holding \p Tag in the set at \p Base, or NoWay.
+  std::size_t find(std::size_t Base, std::uint64_t Tag) const;
+  static constexpr std::size_t NoWay = ~static_cast<std::size_t>(0);
+
   unsigned LineBytes;
   unsigned Ways;
   unsigned NumSets;
@@ -126,7 +131,15 @@ private:
   /// configured sizes are not powers of two).
   Pow2Divider LineDiv;
   Pow2Divider SetDiv;
-  std::vector<Way> Sets; // NumSets * Ways entries
+  /// The ways as structure-of-arrays, NumSets * Ways entries each, one
+  /// set's ways contiguous: a probe scans only Tags, and an insert scans
+  /// Tags and LastUse once. An empty way holds InvalidTag and LastUse 0
+  /// (every resident line's LastUse is >= 1), so the LRU scan's first
+  /// minimum is the first empty way when there is one.
+  std::vector<std::uint64_t> Tags;
+  std::vector<std::uint64_t> LastUse;
+  std::vector<std::uint8_t> Dirty;
+  std::vector<LineState> States;
   std::uint64_t UseClock = 0;
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;

@@ -5,6 +5,7 @@
 #include "trace/TraceSink.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 
 using namespace offchip;
@@ -14,75 +15,79 @@ Network::Network(const Mesh &M, NocConfig Config)
       FlitDiv(Config.LinkBytes),
       Links(static_cast<std::size_t>(M.numNodes()) * 4) {}
 
-std::uint64_t Network::LinkState::reserve(std::uint64_t From,
-                                          unsigned Flits,
-                                          std::uint64_t Floor) {
+std::uint64_t Network::LinkState::reserveSlow(std::uint64_t From,
+                                              unsigned Flits,
+                                              std::uint64_t Floor) {
+  assert(From >= Floor && "reservation below the injection floor");
+  ++SlowReserves;
   // Reclaim reservations that ended before the engine's time floor: no
   // future injection can land there. Pruning only advances Head; the dead
   // prefix is erased in bulk once it dominates the buffer, keeping the
   // amortized cost O(1) without deque's segmented storage.
   std::size_t N = Reserved.size();
-  while (Head < N && Reserved[Head].End <= Floor)
-    ++Head;
-  if (Head == N) {
-    Reserved.clear();
-    Head = 0;
-    N = 0;
-  } else if (Head >= 64 && Head * 2 >= N) {
-    Reserved.erase(Reserved.begin(),
-                   Reserved.begin() + static_cast<std::ptrdiff_t>(Head));
-    N -= Head;
-    Head = 0;
+  if (N - Head >= PruneMinLive) {
+    while (Head < N && Reserved[Head].End <= Floor)
+      ++Head;
+    if (Head == N) {
+      Reserved.clear();
+      Head = 0;
+      N = 0;
+    } else if (Head >= 64 && Head * 2 >= N) {
+      Reserved.erase(Reserved.begin(),
+                     Reserved.begin() + static_cast<std::ptrdiff_t>(Head));
+      N -= Head;
+      Head = 0;
+    }
   }
-
-  // Fast path: the message lands at or after the last reservation's start,
-  // so it queues behind everything — an append (or back-merge). Sorted
-  // non-overlapping intervals have monotone Ends, so the max over all
-  // Ends with Start <= From is just the last End.
   if (N == Head) {
     Reserved.push_back({From, From + Flits});
     return From;
   }
-  Interval &Back = Reserved.back();
-  if (From >= Back.Start) {
-    std::uint64_t Start = std::max(From, Back.End);
-    if (Start == Back.End)
-      Back.End += Flits;
-    else
-      Reserved.push_back({Start, Start + Flits});
-    return Start;
-  }
+  if (From >= Reserved.back().Start)
+    return append(From, Flits);
 
   // FIFO by arrival: the message must queue behind every reservation whose
   // transmission starts at or before its own arrival (those messages are
   // already in the router), but may claim idle time ahead of reservations
   // that only start in the future (e.g. a response still waiting on DRAM) —
   // that keeps the link work-conserving without clairvoyant reordering.
-  std::uint64_t Start = From;
+  // Ends are monotone, so the last such reservation's End is the bound.
   std::size_t Pos = Head;
-  while (Pos < N && Reserved[Pos].Start <= From) {
-    Start = std::max(Start, Reserved[Pos].End);
-    ++Pos;
-  }
+  while (Reserved[Pos].Start <= From)
+    ++Pos; // stops inside the list: the back starts after From
+  std::uint64_t Start =
+      Pos > Head ? std::max(From, Reserved[Pos - 1].End) : From;
   for (; Pos < N; ++Pos) {
     const Interval &I = Reserved[Pos];
     if (Start + Flits <= I.Start)
       break; // fits in the gap before I
     Start = std::max(Start, I.End);
   }
-  Reserved.insert(Reserved.begin() + static_cast<std::ptrdiff_t>(Pos),
-                  {Start, Start + Flits});
-  // Merge with neighbors when exactly adjacent to keep the list short.
-  if (Pos + 1 < Reserved.size() &&
-      Reserved[Pos].End == Reserved[Pos + 1].Start) {
-    Reserved[Pos].End = Reserved[Pos + 1].End;
-    Reserved.erase(Reserved.begin() + static_cast<std::ptrdiff_t>(Pos) + 1);
-  }
-  if (Pos > Head && Reserved[Pos - 1].End == Reserved[Pos].Start) {
+
+  // Decide the merges with exactly adjacent neighbours before touching
+  // storage: each case is at most one shift of the tail.
+  std::uint64_t End = Start + Flits;
+  bool JoinPrev = Pos > Head && Reserved[Pos - 1].End == Start;
+  bool JoinNext = Pos < N && Reserved[Pos].Start == End;
+  if (JoinPrev && JoinNext) {
     Reserved[Pos - 1].End = Reserved[Pos].End;
     Reserved.erase(Reserved.begin() + static_cast<std::ptrdiff_t>(Pos));
+  } else if (JoinPrev) {
+    Reserved[Pos - 1].End = End;
+  } else if (JoinNext) {
+    Reserved[Pos].Start = Start;
+  } else {
+    Reserved.insert(Reserved.begin() + static_cast<std::ptrdiff_t>(Pos),
+                    {Start, End});
   }
   return Start;
+}
+
+std::uint64_t Network::slowLinkReserves() const {
+  std::uint64_t N = 0;
+  for (const LinkState &L : Links)
+    N += L.SlowReserves;
+  return N;
 }
 
 MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
@@ -138,6 +143,7 @@ MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
     Hops += N;
   }
   LinkBusyCycles += static_cast<std::uint64_t>(Hops) * Flits;
+  LinkReserves += Hops;
 
   // Tail flit trails the head by Flits - 1 cycles once pipelined.
   std::uint64_t Arrival = Cur + (Flits - 1);

@@ -109,6 +109,14 @@ public:
   /// Sum over links of cycles each link was reserved; a congestion proxy.
   std::uint64_t totalLinkBusyCycles() const { return LinkBusyCycles; }
 
+  /// Link reservations made by send(), one per hop.
+  std::uint64_t linkReserves() const { return LinkReserves; }
+
+  /// The share of linkReserves() that took the calendar's out-of-line path
+  /// (LinkState::reserveSlow); the rest were inline appends. Deterministic,
+  /// so tests pin it exactly.
+  std::uint64_t slowLinkReserves() const;
+
   /// Starts accumulating wall-clock time spent inside send() (the phase
   /// timing of SimResult::PhaseTimes). Off by default: measuring reads the
   /// clock twice per message.
@@ -137,32 +145,74 @@ public:
   /// non-null).
   bool checkCalendars(std::string *Why) const;
 
-private:
-  unsigned flitsFor(unsigned Bytes) const {
-    return static_cast<unsigned>(std::max<std::uint64_t>(
-        1, FlitDiv.div(Bytes + Config.LinkBytes - 1)));
-  }
-
-  /// Reservation calendar of one directed link.
+  /// Reservation calendar of one directed link. Public so the calendar's
+  /// unit tests and micro-benchmarks can drive it directly; the simulator
+  /// reaches it only through send().
   struct LinkState {
     struct Interval {
       std::uint64_t Start;
       std::uint64_t End;
     };
+    /// Pruning runs only once this many entries sit past Head: a short
+    /// calendar is cheaper to scan than to compact, and the appends that
+    /// dominate reserve() then never look at the head at all.
+    static constexpr std::size_t PruneMinLive = 8;
+
     /// Future reservations at [Head, end), sorted by start, non-overlapping.
     /// Contiguous storage with a lazily-compacted head: pruning entries that
     /// ended before the injection floor just advances Head, and the dead
-    /// prefix is erased in bulk once it dominates the buffer.
+    /// prefix is erased in bulk once it dominates the buffer. Entries past
+    /// Head may also have ended before the floor until the next prune; no
+    /// reservation at or after the floor can see them.
     std::vector<Interval> Reserved;
     std::size_t Head = 0;
+    /// reserve() calls that went out of line to reserveSlow().
+    std::uint64_t SlowReserves = 0;
 
-    /// Books \p Flits cycles at the earliest time >= \p From and \returns
-    /// the booked start cycle. \p Floor is the engine-guaranteed lower
-    /// bound on all future injection times; earlier reservations are
-    /// reclaimed.
+    /// Books \p Flits cycles at the earliest t >= \p From where
+    /// [t, t + Flits) is idle and \returns t. \p Floor is the
+    /// engine-guaranteed lower bound on all future injection times (and so
+    /// on \p From); earlier reservations are reclaimed.
+    ///
+    /// Inline fast path for a short calendar: an empty link, or a message
+    /// landing at or after the last reservation's start, which queues
+    /// behind everything — an append or a back-merge. Sorted
+    /// non-overlapping intervals have monotone Ends, so the max over all
+    /// Ends with Start <= From is just the last End.
     std::uint64_t reserve(std::uint64_t From, unsigned Flits,
-                          std::uint64_t Floor);
+                          std::uint64_t Floor) {
+      if (Reserved.size() - Head < PruneMinLive) {
+        if (Reserved.size() == Head) {
+          Reserved.push_back({From, From + Flits});
+          return From;
+        }
+        if (From >= Reserved.back().Start)
+          return append(From, Flits);
+      }
+      return reserveSlow(From, Flits, Floor);
+    }
+
+    /// Queues \p Flits behind the last reservation, merging when adjacent.
+    std::uint64_t append(std::uint64_t From, unsigned Flits) {
+      Interval &Back = Reserved.back();
+      std::uint64_t Start = std::max(From, Back.End);
+      if (Start == Back.End)
+        Back.End += Flits;
+      else
+        Reserved.push_back({Start, Start + Flits});
+      return Start;
+    }
+
+    /// Everything else: prune, then append or insert into a gap.
+    std::uint64_t reserveSlow(std::uint64_t From, unsigned Flits,
+                              std::uint64_t Floor);
   };
+
+private:
+  unsigned flitsFor(unsigned Bytes) const {
+    return static_cast<unsigned>(std::max<std::uint64_t>(
+        1, FlitDiv.div(Bytes + Config.LinkBytes - 1)));
+  }
 
   Mesh Topology;
   NocConfig Config;
@@ -174,6 +224,7 @@ private:
   std::uint64_t Floor = 0;
   std::uint64_t Messages = 0;
   std::uint64_t LinkBusyCycles = 0;
+  std::uint64_t LinkReserves = 0;
   std::array<std::uint64_t, NumMsgClasses> ClassCount{};
   bool TimeCalls = false;
   double TimedSeconds = 0.0;

@@ -5,7 +5,9 @@
 #include "check/Invariants.h"
 #include "support/Error.h"
 #include "support/HostClock.h"
+#include "support/Pow2.h"
 #include "support/Random.h"
+#include "support/TournamentTree.h"
 #include "trace/ChromeExport.h"
 #include "trace/TimeSeries.h"
 #include "trace/TraceSink.h"
@@ -13,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <queue>
 
 using namespace offchip;
 
@@ -40,6 +41,8 @@ struct EngineThread {
   unsigned Node;
   unsigned App;
   unsigned GapCycles;
+  /// Reduces a jitter draw into [0, GapCycles].
+  Pow2Divider GapDiv;
   /// Per-thread jitter source: real iterations do variable amounts of
   /// work. Without it, identical streams phase-lock through the shared
   /// queues and every iteration emits one synchronized 64-miss burst.
@@ -49,7 +52,7 @@ struct EngineThread {
   EngineThread(const AddressMap &Map, unsigned Id, unsigned NumThreads,
                unsigned Node, unsigned App, unsigned GapCycles)
       : Stream(Map, Id, NumThreads), Node(Node), App(App),
-        GapCycles(GapCycles),
+        GapCycles(GapCycles), GapDiv(GapCycles + 1ull),
         Jitter(0x5eed0000ull + Id * 1000003ull + App) {}
 
   /// Uniform in [Gap/2, 3*Gap/2]; mean == GapCycles. One draw per access,
@@ -57,16 +60,19 @@ struct EngineThread {
   std::uint64_t nextGap() {
     if (GapCycles == 0)
       return 0;
-    return GapCycles / 2 + Jitter.nextBelow(GapCycles + 1);
+    return GapCycles / 2 + GapDiv.mod(Jitter.next());
   }
 };
 
-/// The event loop: one packed-key heap over all threads, popped in (time,
-/// thread) order. Keys pack (Time << ThreadShift) | ThreadId with ThreadId
-/// below 2^ThreadShift, which orders exactly like (Time, ThreadId)
-/// lexicographic; every thread has at most one outstanding event, so keys
-/// are unique and the pop order is fully determined. The key doubles as the
-/// trace key of the access it pops (see trace/TraceEvent.h).
+/// The event loop: one packed key per thread in a tournament tree, popped in
+/// (time, thread) order. Keys pack (Time << ThreadShift) | ThreadId with
+/// ThreadId below 2^ThreadShift, which orders exactly like (Time, ThreadId)
+/// lexicographic; every thread has exactly one pending event until its
+/// stream ends, so keys are unique and the pop order is fully determined.
+/// Popping a thread and scheduling its next event is one leaf update; a
+/// finished thread's leaf goes Empty, and the loop ends when the root is
+/// Empty. The key doubles as the trace key of the access it pops (see
+/// trace/TraceEvent.h).
 void runEventLoop(Machine &M, const MachineConfig &Config,
                   std::vector<EngineThread> &Threads, unsigned ThreadShift,
                   SimResult &R, std::uint64_t &LastTime,
@@ -76,23 +82,20 @@ void runEventLoop(Machine &M, const MachineConfig &Config,
   auto PackEvent = [ThreadShift](std::uint64_t Time, unsigned Thread) {
     return (Time << ThreadShift) | Thread;
   };
-  // A flat integer heap keeps the ~1 push/pop pair per simulated access off
-  // the struct-compare path.
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<std::uint64_t>>
-      Queue;
+  TournamentTree Events(static_cast<unsigned>(Threads.size()));
   for (unsigned T = 0; T < Threads.size(); ++T)
     // Stagger thread starts (OS scheduling jitter); identical streams
     // otherwise march in lockstep and issue perfectly aligned miss bursts.
-    Queue.push(PackEvent((static_cast<std::uint64_t>(T) * 389) % 1024, T));
+    Events.set(T, PackEvent((static_cast<std::uint64_t>(T) * 389) % 1024, T));
 
   using Clock = std::chrono::steady_clock;
   const bool Timing = Config.CollectPhaseTimes;
 
   AccessRequest Req;
-  while (!Queue.empty()) {
-    std::uint64_t Packed = Queue.top();
-    Queue.pop();
+  while (true) {
+    std::uint64_t Packed = Events.top();
+    if (Packed == TournamentTree::Empty)
+      break;
     std::uint64_t Time = Packed >> ThreadShift;
     unsigned ThreadId = static_cast<unsigned>(Packed & ThreadMask);
     EngineThread &T = Threads[ThreadId];
@@ -108,6 +111,7 @@ void runEventLoop(Machine &M, const MachineConfig &Config,
     if (!Has) {
       T.FinishTime = Time;
       LastTime = std::max(LastTime, Time);
+      Events.set(ThreadId, TournamentTree::Empty);
       continue;
     }
 
@@ -121,7 +125,9 @@ void runEventLoop(Machine &M, const MachineConfig &Config,
     std::uint64_t Next = Done + T.nextGap();
     if (Req.Transformed)
       Next += Config.TransformOverheadCycles;
-    Queue.push(PackEvent(Next, ThreadId));
+    assert(PackEvent(Next, ThreadId) != TournamentTree::Empty &&
+           "event time overflows the packed key");
+    Events.set(ThreadId, PackEvent(Next, ThreadId));
   }
 }
 
@@ -130,7 +136,7 @@ void runEventLoop(Machine &M, const MachineConfig &Config,
 SimResult offchip::runSimulation(const std::vector<AppInstance> &Apps,
                                  const MachineConfig &Config,
                                  const ClusterMapping &Mapping,
-                                 MultiRunOutputs *Multi) {
+                                 RunOutputs *Out) {
   // Reject invalid machines before any derived quantity is computed: the
   // constructors below divide by, take logs of and index with these fields,
   // and an invalid value surfaces as a crash (or a silent wrap) far from
@@ -211,14 +217,16 @@ SimResult offchip::runSimulation(const std::vector<AppInstance> &Apps,
   for (const EngineThread &T : Threads)
     R.ThreadFinishCycles.push_back(T.FinishTime);
 
-  if (Multi) {
-    Multi->AppFinishCycles.assign(Apps.size(), 0);
-    Multi->AppAccesses.assign(Apps.size(), 0);
+  if (Out) {
+    Out->AppFinishCycles.assign(Apps.size(), 0);
+    Out->AppAccesses.assign(Apps.size(), 0);
     for (const EngineThread &T : Threads) {
-      Multi->AppFinishCycles[T.App] =
-          std::max(Multi->AppFinishCycles[T.App], T.FinishTime);
-      Multi->AppAccesses[T.App] += T.Stream.generated();
+      Out->AppFinishCycles[T.App] =
+          std::max(Out->AppFinishCycles[T.App], T.FinishTime);
+      Out->AppAccesses[T.App] += T.Stream.generated();
     }
+    Out->LinkReserves = M.network().linkReserves();
+    Out->SlowLinkReserves = M.network().slowLinkReserves();
   }
 
   M.finalize(R, LastTime == 0 ? 1 : LastTime);

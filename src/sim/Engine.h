@@ -30,13 +30,19 @@ struct AppInstance {
   unsigned ComputeGapCycles = 0;
 };
 
-/// Extra outputs for multiprogrammed runs.
-struct MultiRunOutputs {
+/// Extra outputs of a run that SimResult (and so the wire format) does not
+/// carry: per-app figures for multiprogrammed runs, and host-side work
+/// counts that tests pin exactly.
+struct RunOutputs {
   /// Cycle each app's last thread finished.
   std::vector<std::uint64_t> AppFinishCycles;
   /// Accesses each app issued; AppFinish/Accesses gives the rate used for
   /// weighted speedup.
   std::vector<std::uint64_t> AppAccesses;
+  /// NoC link reservations (one per hop of every message), and how many of
+  /// them left the calendar's inline fast path (Network::slowLinkReserves).
+  std::uint64_t LinkReserves = 0;
+  std::uint64_t SlowLinkReserves = 0;
 };
 
 /// Runs \p Apps to completion on a machine built from \p Config and
@@ -44,7 +50,7 @@ struct MultiRunOutputs {
 SimResult runSimulation(const std::vector<AppInstance> &Apps,
                         const MachineConfig &Config,
                         const ClusterMapping &Mapping,
-                        MultiRunOutputs *Multi = nullptr);
+                        RunOutputs *Out = nullptr);
 
 /// Convenience: runs a single program occupying the whole machine, with
 /// threads bound in cluster order.

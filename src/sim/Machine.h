@@ -97,6 +97,7 @@ public:
 
   const MachineConfig &config() const { return Config; }
   const std::vector<unsigned> &mcNodes() const { return MCNodes; }
+  const Network &network() const { return Net; }
 
 private:
   //===--------------------------------------------------------------------===//

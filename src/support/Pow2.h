@@ -5,9 +5,11 @@
 /// per-access decode (cache set/line extraction, MC interleave selection,
 /// page-number math, bank indexing) divides by a configuration constant that
 /// is almost always a power of two; Pow2Divider precomputes the shift and
-/// mask once at construction and falls back to hardware div/mod for
-/// non-power-of-two configurations, so fast and generic paths are exactly
-/// equivalent by construction.
+/// mask once at construction. For other divisors div is a hardware divide
+/// and mod is Lemire's fastmod: the remainder read off the low bits of a
+/// 128-bit reciprocal product, exact for every 64-bit numerator (Lemire,
+/// Kaser and Kurz, "Faster Remainder by Direct Computation", 2019), and
+/// three multiplies instead of a 64-bit divide.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,11 @@ public:
     if (IsPow2) {
       Shift = log2Floor(Divisor);
       Mask = Divisor - 1;
+    } else {
+      // M = floor((2^128 - 1) / D) + 1, the 128-bit reciprocal.
+      unsigned __int128 M = ~static_cast<unsigned __int128>(0) / Divisor + 1;
+      MagicLo = static_cast<std::uint64_t>(M);
+      MagicHi = static_cast<std::uint64_t>(M >> 64);
     }
   }
 
@@ -55,7 +62,16 @@ public:
 
   /// X % divisor.
   std::uint64_t mod(std::uint64_t X) const {
-    return IsPow2 ? (X & Mask) : X % D;
+    if (IsPow2)
+      return X & Mask;
+    // fastmod: the fractional part of X / D is the low 128 bits of M * X;
+    // scaling it by D and keeping the integer part gives the remainder.
+    using U128 = unsigned __int128;
+    U128 Low = ((static_cast<U128>(MagicHi) << 64) | MagicLo) * X;
+    U128 Mid = (static_cast<U128>(static_cast<std::uint64_t>(Low)) * D) >> 64;
+    return static_cast<std::uint64_t>(
+        (static_cast<U128>(static_cast<std::uint64_t>(Low >> 64)) * D + Mid) >>
+        64);
   }
 
 private:
@@ -63,6 +79,9 @@ private:
 
   std::uint64_t D = 1;
   std::uint64_t Mask = 0;
+  /// fastmod reciprocal, split so the class keeps 8-byte alignment.
+  std::uint64_t MagicLo = 0;
+  std::uint64_t MagicHi = 0;
   unsigned Shift = 0;
   bool IsPow2 = true;
 };

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 using namespace offchip;
 
@@ -128,6 +129,195 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CacheProperty, ::testing::Range(0, 10));
 //===----------------------------------------------------------------------===//
 // Directory
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A naive reference cache: one array of ways per set, the set index
+/// recomputed with Cache's documented XOR fold, an explicit Valid flag, and
+/// the replacement rule written out: a resident line is refreshed wherever
+/// it sits, else the first invalid way is filled, else the least recently
+/// used way is evicted.
+class RefCache {
+public:
+  RefCache(unsigned NumSets, unsigned Ways)
+      : NumSets(NumSets), Sets(NumSets, std::vector<Way>(Ways)) {}
+
+  bool access(std::uint64_t Line, bool IsWrite) {
+    Way *W = find(Line);
+    if (!W)
+      return false;
+    W->LastUse = ++Clock;
+    W->Dirty = W->Dirty || IsWrite;
+    return true;
+  }
+
+  Cache::Eviction insert(std::uint64_t Line, bool IsWrite, LineState State) {
+    if (Way *W = find(Line)) {
+      W->LastUse = ++Clock;
+      W->Dirty = W->Dirty || IsWrite;
+      W->State = State;
+      return Cache::Eviction();
+    }
+    std::vector<Way> &S = Sets[setOf(Line)];
+    Way *Victim = nullptr;
+    for (Way &W : S)
+      if (!W.Valid) {
+        Victim = &W;
+        break;
+      }
+    if (!Victim) {
+      Victim = &S[0];
+      for (Way &W : S)
+        if (W.LastUse < Victim->LastUse)
+          Victim = &W;
+    }
+    Cache::Eviction Out;
+    if (Victim->Valid) {
+      Out.Valid = true;
+      Out.LineAddr = Victim->Line;
+      Out.Dirty = Victim->Dirty;
+      Out.State = Victim->State;
+    }
+    *Victim = Way{true, Line, ++Clock, IsWrite, State};
+    return Out;
+  }
+
+  bool invalidate(std::uint64_t Line) {
+    Way *W = find(Line);
+    if (W)
+      W->Valid = false;
+    return W != nullptr;
+  }
+
+  bool markDirty(std::uint64_t Line) {
+    Way *W = find(Line);
+    if (W)
+      W->Dirty = true;
+    return W != nullptr;
+  }
+
+  bool setState(std::uint64_t Line, LineState State) {
+    Way *W = find(Line);
+    if (W)
+      W->State = State;
+    return W != nullptr;
+  }
+
+  int stateOf(std::uint64_t Line) {
+    Way *W = find(Line);
+    return W ? static_cast<int>(W->State) : -1;
+  }
+
+private:
+  struct Way {
+    bool Valid = false;
+    std::uint64_t Line = 0;
+    std::uint64_t LastUse = 0;
+    bool Dirty = false;
+    LineState State = LineState::Shared;
+  };
+
+  unsigned setOf(std::uint64_t Line) const {
+    std::uint64_t D1 = Line / NumSets;
+    return static_cast<unsigned>((Line ^ D1 ^ (D1 / NumSets)) % NumSets);
+  }
+
+  Way *find(std::uint64_t Line) {
+    for (Way &W : Sets[setOf(Line)])
+      if (W.Valid && W.Line == Line)
+        return &W;
+    return nullptr;
+  }
+
+  unsigned NumSets;
+  std::vector<std::vector<Way>> Sets;
+  std::uint64_t Clock = 0;
+};
+
+} // namespace
+
+TEST(Cache, MatchesReferenceModel) {
+  // Random access/insert/invalidate/markDirty/setState sequences over a
+  // small line universe (so sets fill, evict and develop invalid holes):
+  // same hits, same victims with the same dirty bit and state. Geometries
+  // cover one set, power-of-two and generic set counts, and a set wider
+  // than one 64-way probe chunk.
+  struct Geometry {
+    unsigned Sets, Ways;
+  };
+  const Geometry Gs[] = {{1, 1}, {1, 4}, {8, 2}, {16, 16}, {12, 3}, {2, 70}};
+  for (const Geometry &G : Gs) {
+    Cache C(static_cast<std::uint64_t>(G.Sets) * G.Ways * 64, 64, G.Ways);
+    RefCache Ref(G.Sets, G.Ways);
+    SplitMix64 Rng(G.Sets * 131 + G.Ways);
+    const std::uint64_t Universe = 3ull * G.Sets * G.Ways + 5;
+    for (int Op = 0; Op < 40000; ++Op) {
+      std::uint64_t Line = Rng.nextBelow(Universe) * 977;
+      bool IsWrite = Rng.nextBelow(3) == 0;
+      LineState State = static_cast<LineState>(Rng.nextBelow(3));
+      switch (Rng.nextBelow(8)) {
+      case 0:
+        ASSERT_EQ(C.invalidate(Line), Ref.invalidate(Line)) << Op;
+        break;
+      case 1:
+        ASSERT_EQ(C.markDirty(Line), Ref.markDirty(Line)) << Op;
+        break;
+      case 2:
+        ASSERT_EQ(C.setState(Line, State), Ref.setState(Line, State)) << Op;
+        break;
+      case 3: {
+        // A blind insert, resident or not (the racy double-insert path).
+        Cache::Eviction A = C.insert(Line, IsWrite, State);
+        Cache::Eviction B = Ref.insert(Line, IsWrite, State);
+        ASSERT_EQ(A.Valid, B.Valid) << Op;
+        ASSERT_EQ(A.LineAddr, B.LineAddr) << Op;
+        ASSERT_EQ(A.Dirty, B.Dirty) << Op;
+        ASSERT_EQ(A.State, B.State) << Op;
+        break;
+      }
+      default: {
+        bool Hit = C.access(Line, IsWrite);
+        ASSERT_EQ(Hit, Ref.access(Line, IsWrite)) << Op;
+        if (!Hit) {
+          Cache::Eviction A = C.insert(Line, IsWrite, State);
+          Cache::Eviction B = Ref.insert(Line, IsWrite, State);
+          ASSERT_EQ(A.Valid, B.Valid) << Op;
+          ASSERT_EQ(A.LineAddr, B.LineAddr) << Op;
+          ASSERT_EQ(A.Dirty, B.Dirty) << Op;
+          ASSERT_EQ(A.State, B.State) << Op;
+        }
+        break;
+      }
+      }
+      ASSERT_EQ(C.stateOf(Line), Ref.stateOf(Line)) << Op;
+    }
+  }
+}
+
+TEST(Cache, InsertFindsLineResidentBehindAHole) {
+  // One 4-way set holding A B C D; invalidating A leaves an empty way in
+  // front of B. Re-inserting B must refresh it in place, not fill the hole
+  // with a second copy.
+  Cache C(4 * 64, 64, 4);
+  for (std::uint64_t L : {10, 11, 12, 13})
+    C.insert(L, false);
+  ASSERT_TRUE(C.invalidate(10));
+  Cache::Eviction Ev = C.insert(11, true);
+  EXPECT_FALSE(Ev.Valid);
+  unsigned Copies = 0, Resident = 0;
+  C.forEachLine([&](std::uint64_t L) {
+    ++Resident;
+    Copies += L == 11;
+  });
+  EXPECT_EQ(Copies, 1u);
+  EXPECT_EQ(Resident, 3u);
+  // The hole is still the next victim: no valid line is evicted.
+  EXPECT_FALSE(C.insert(14, false).Valid);
+  // The refresh made 11 most recent, so 12 is now the LRU victim.
+  Ev = C.insert(15, false);
+  ASSERT_TRUE(Ev.Valid);
+  EXPECT_EQ(Ev.LineAddr, 12u);
+}
 
 TEST(Directory, AddFindRemove) {
   Directory D(64);

@@ -1,8 +1,9 @@
 //===- tests/fastpath_equiv_test.cpp --------------------------------------===//
 ///
-/// The fast paths this simulator leans on — shift/mask address decode
-/// (support/Pow2.h), the open-addressing directory map (support/FlatMap.h),
-/// and the strength-reduced access stream (sim/ThreadStream.cpp) — must be
+/// The fast paths this simulator leans on — shift/mask address decode and
+/// the reciprocal remainder (support/Pow2.h), the open-addressing directory
+/// map (support/FlatMap.h), and the strength-reduced access stream
+/// (sim/ThreadStream.cpp) — must be
 /// exactly equivalent to the generic implementations they replaced. Each
 /// test here confronts a fast path with an independent slow-path model and
 /// demands bit-identical answers, including the configurations that defeat
@@ -10,8 +11,9 @@
 /// references). The stream's address cursors step a reference's VA by a
 /// constant delta between the block and run boundaries of its layout, so
 /// the stream cases cover every layout kind at both interleave
-/// granularities, plus a count gate pinning how often the cursors must
-/// fall back to a full recompute.
+/// granularities, plus count gates pinning how often the cursors must
+/// fall back to a full recompute and how often the NoC link calendar
+/// leaves its inline fast path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +63,40 @@ TEST(Pow2DividerTest, MatchesHardwareDivMod) {
       ASSERT_EQ(Div.div(X), X / D) << "X=" << X << " D=" << D;
       ASSERT_EQ(Div.mod(X), X % D) << "X=" << X << " D=" << D;
     }
+  }
+}
+
+TEST(Pow2DividerTest, ReciprocalModIsExact) {
+  // The generic mod is a 128-bit reciprocal product, not a divide. Check it
+  // against % for every divisor up to 2^16 (power-of-two divisors forced
+  // down the same path) on the numerators where a rounding error in the
+  // reciprocal would show first: 0, 2^64 - 1, and multiples of the divisor
+  // plus and minus one, up to the largest multiple below 2^64.
+  const std::uint64_t Max = ~0ull;
+  struct ForceGeneric {
+    ForceGeneric() { Pow2Divider::setForceGenericDivision(true); }
+    ~ForceGeneric() { Pow2Divider::setForceGenericDivision(false); }
+  } Guard;
+  for (std::uint64_t D = 1; D <= (1ull << 16); ++D) {
+    Pow2Divider Div(D);
+    std::uint64_t Top = Max / D; // largest multiplier k with k * D <= Max
+    const std::uint64_t Ks[] = {1, 2, 3, 1000, 1ull << 32, Top / 2,
+                                Top - 1, Top};
+    auto Check = [&](std::uint64_t X) {
+      ASSERT_EQ(Div.mod(X), X % D) << "X=" << X << " D=" << D;
+    };
+    Check(0);
+    Check(Max);
+    for (std::uint64_t K : Ks) {
+      if (K == 0 || K > Top)
+        continue;
+      Check(K * D - 1);
+      Check(K * D);
+      if (K * D != Max)
+        Check(K * D + 1);
+    }
+    if (HasFatalFailure())
+      return;
   }
 }
 
@@ -598,6 +634,55 @@ TEST(ThreadStreamCountTest, RecomputesArePinned) {
     EXPECT_EQ(Affine, K.AffineAccesses) << K.App;
     EXPECT_EQ(N.Recomputes, K.Recomputes) << K.App;
     EXPECT_LT(N.Recomputes * 4, Affine) << K.App;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Link calendar path split
+//===----------------------------------------------------------------------===//
+
+TEST(LinkCalendarCountTest, PathSplitIsPinned) {
+  // The link calendar books most hops on its inline fast path (an empty
+  // link, an append or a back-merge) and leaves the rest to the
+  // out-of-line path that prunes and inserts into gaps. The split is
+  // deterministic, so it is pinned exactly: a change that sends more
+  // reservations out of line, or adds reservations, moves these numbers
+  // even where wall-clock is too noisy to gate. Original and optimized
+  // layouts load the links very differently, so both are pinned.
+  struct Case {
+    const char *App;
+    RunVariant Variant;
+    std::uint64_t Reserves;
+    std::uint64_t Slow;
+  };
+  const Case Cases[] = {
+      {"swim", RunVariant::Original, 477393, 231067},
+      {"swim", RunVariant::Optimized, 336274, 138685},
+      {"wupwise", RunVariant::Original, 511938, 217289},
+      {"wupwise", RunVariant::Optimized, 237840, 63554},
+      {"hpccg", RunVariant::Original, 7005614, 4405060},
+      {"hpccg", RunVariant::Optimized, 6004428, 2940488},
+  };
+  const MachineConfig Base = pageConfig();
+  ClusterMapping Mapping = makeM1Mapping(Base);
+  for (const Case &K : Cases) {
+    AppModel App = buildApp(K.App, 0.25);
+    MachineConfig C = Base;
+    if (K.Variant == RunVariant::Optimized)
+      C.PagePolicy = PageAllocPolicy::CompilerGuided;
+    LayoutPlan Plan = planForVariant(App, C, Mapping, K.Variant);
+    AppInstance Inst;
+    Inst.Program = &App.Program;
+    Inst.Plan = &Plan;
+    Inst.ComputeGapCycles = App.ComputeGapCycles;
+    for (unsigned T = 0; T < C.numNodes(); ++T)
+      Inst.Nodes.push_back(Mapping.threadToNode(T));
+    RunOutputs Out;
+    runSimulation({Inst}, C, Mapping, &Out);
+    const char *Name =
+        K.Variant == RunVariant::Optimized ? "optimized" : "original";
+    EXPECT_EQ(Out.LinkReserves, K.Reserves) << K.App << " " << Name;
+    EXPECT_EQ(Out.SlowLinkReserves, K.Slow) << K.App << " " << Name;
   }
 }
 

@@ -197,4 +197,60 @@ TEST(Network, StatsAccumulate) {
   Net.send(3, 12, 64, 0);
   EXPECT_EQ(Net.messagesSent(), 2u);
   EXPECT_GT(Net.totalLinkBusyCycles(), 0u);
+  // One reservation per hop; the two routes share no link, so every
+  // reservation landed on an empty calendar (the inline path).
+  EXPECT_EQ(Net.linkReserves(), M.manhattan(0, 5) + M.manhattan(3, 12));
+  EXPECT_EQ(Net.slowLinkReserves(), 0u);
+}
+
+TEST(LinkCalendar, MatchesBusyCycleOracle) {
+  // Whichever path reserve() takes (inline append, pruning, gap insert,
+  // merges), it must book the earliest t >= From where [t, t + Flits) is
+  // idle. The oracle is the set of busy cycles itself. Floors are monotone
+  // and every From is at or past its floor, as the engine guarantees.
+  for (std::uint64_t Seed : {1u, 2u, 3u}) {
+    SplitMix64 Rng(Seed);
+    Network::LinkState L;
+    std::vector<bool> Busy;
+    auto Idle = [&](std::uint64_t T, unsigned Flits) {
+      for (std::uint64_t C = T; C < T + Flits; ++C)
+        if (C < Busy.size() && Busy[C])
+          return false;
+      return true;
+    };
+    std::uint64_t Floor = 0;
+    const int Calls = 20000;
+    std::size_t MaxLive = 0;
+    for (int I = 0; I < Calls; ++I) {
+      // ~70% link load: mostly near-floor requests that queue at the back,
+      // plus far-future responses that leave gaps for later ones to fill.
+      Floor += Rng.nextBelow(24);
+      std::uint64_t From = Floor + (Rng.nextBelow(4) == 0 ? Rng.nextBelow(600)
+                                                          : Rng.nextBelow(20));
+      unsigned Flits = 1 + static_cast<unsigned>(Rng.nextBelow(16));
+      std::uint64_t Want = From;
+      while (!Idle(Want, Flits))
+        ++Want;
+      ASSERT_EQ(L.reserve(From, Flits, Floor), Want)
+          << "seed " << Seed << " call " << I << " From=" << From
+          << " Flits=" << Flits << " Floor=" << Floor;
+      if (Busy.size() < Want + Flits)
+        Busy.resize(Want + Flits);
+      for (std::uint64_t C = Want; C < Want + Flits; ++C)
+        Busy[C] = true;
+      MaxLive = std::max(MaxLive, L.Reserved.size() - L.Head);
+    }
+    // Well-formed past Head, both paths taken, and pruning keeps the
+    // calendar short.
+    for (std::size_t I = L.Head; I < L.Reserved.size(); ++I) {
+      ASSERT_LT(L.Reserved[I].Start, L.Reserved[I].End);
+      if (I > L.Head) {
+        ASSERT_LT(L.Reserved[I - 1].End, L.Reserved[I].Start)
+            << "adjacent intervals must merge";
+      }
+    }
+    EXPECT_GT(L.SlowReserves, 0u);
+    EXPECT_LT(L.SlowReserves, static_cast<std::uint64_t>(Calls));
+    EXPECT_LT(MaxLive, 64u);
+  }
 }

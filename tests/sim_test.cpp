@@ -328,7 +328,7 @@ TEST(Engine, MultiprogramOutputsPerApp) {
   std::vector<std::vector<unsigned>> Nodes = partitionNodesForApps(M, 2);
   AppInstance A1{&P1, &Plan1, Nodes[0], 0};
   AppInstance A2{&P2, &Plan2, Nodes[1], 0};
-  MultiRunOutputs Multi;
+  RunOutputs Multi;
   SimResult R = runSimulation({A1, A2}, C, M, &Multi);
   ASSERT_EQ(Multi.AppAccesses.size(), 2u);
   EXPECT_EQ(Multi.AppAccesses[0], 32u * 32 * 2);
@@ -413,10 +413,10 @@ TEST(Engine, BurstCoalescePerThreadWorkIdentical) {
   AppInstance A1{&P1, &Plan1, Nodes[0], 0};
   AppInstance A2{&P2, &Plan2, Nodes[1], 0};
 
-  MultiRunOutputs Off;
+  RunOutputs Off;
   runSimulation({A1, A2}, C, M, &Off);
   C.Burst.Enabled = true;
-  MultiRunOutputs On;
+  RunOutputs On;
   runSimulation({A1, A2}, C, M, &On);
   EXPECT_EQ(On.AppAccesses, Off.AppAccesses);
 }

@@ -4,8 +4,13 @@
 #include "support/MathUtil.h"
 #include "support/Random.h"
 #include "support/Stats.h"
+#include "support/TournamentTree.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <queue>
+#include <vector>
 
 using namespace offchip;
 
@@ -144,4 +149,45 @@ TEST(Format, PercentAndPadding) {
   EXPECT_EQ(padRight("ab", 4), "ab  ");
   EXPECT_EQ(padLeft("ab", 4), "  ab");
   EXPECT_EQ(formatString("%d-%s", 7, "x"), "7-x");
+}
+
+TEST(TournamentTree, PopsLikePriorityQueue) {
+  // The engine's use: one packed (time << shift | slot) key per slot, the
+  // popped slot rescheduled at a later (or equal) time or retired. The tree
+  // must pop exactly the sequence a min-heap of the same keys pops.
+  for (unsigned Slots : {1u, 2u, 3u, 5u, 16u, 64u, 100u}) {
+    unsigned Shift = 0;
+    while ((1u << Shift) < Slots)
+      ++Shift;
+    const std::uint64_t Mask = (1ull << Shift) - 1;
+    SplitMix64 Rng(Slots);
+    TournamentTree Tree(Slots);
+    std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                        std::greater<std::uint64_t>>
+        Queue;
+    std::vector<unsigned> Left(Slots);
+    for (unsigned S = 0; S < Slots; ++S) {
+      std::uint64_t Key = (Rng.nextBelow(1000) << Shift) | S;
+      Tree.set(S, Key);
+      Queue.push(Key);
+      Left[S] = 1 + static_cast<unsigned>(Rng.nextBelow(200));
+    }
+    std::uint64_t Pops = 0;
+    while (!Queue.empty()) {
+      std::uint64_t Key = Queue.top();
+      Queue.pop();
+      ASSERT_EQ(Tree.top(), Key) << Slots << " slots, pop " << Pops;
+      ++Pops;
+      unsigned S = static_cast<unsigned>(Key & Mask);
+      if (--Left[S] == 0) {
+        Tree.set(S, TournamentTree::Empty);
+        continue;
+      }
+      std::uint64_t Next = (((Key >> Shift) + Rng.nextBelow(300)) << Shift) | S;
+      Tree.set(S, Next);
+      Queue.push(Next);
+    }
+    EXPECT_EQ(Tree.top(), TournamentTree::Empty) << Slots << " slots";
+    EXPECT_GT(Pops, Slots);
+  }
 }

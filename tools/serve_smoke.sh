@@ -41,19 +41,46 @@ if ! "$STORM" --port "$PORT" --levels 1,2 --requests 6 \
   exit 1
 fi
 
-# With 75% duplicated content and two concurrent clients sending the same
-# bytes, at least one latecomer must have attached to an in-flight leader.
-# Zero merges across the whole run means single-flight is broken (or the
-# daemon ran single-worker, which the --jobs 2 above rules out).
-if ! python3 - <<'EOF'
-import json, sys
-doc = json.load(open("BENCH_serve.json"))
-sf = sum(int(l.get("singleflight_hits", 0)) for l in doc["levels"])
-print(f"singleflight_hits total: {sf}")
-sys.exit(0 if sf > 0 else 1)
+# Single-flight merging, made certain by construction rather than left to
+# the storm's timing: two identical heavy simulate requests (hundreds of ms
+# of simulation each) leave two connections at the same instant. The
+# second worker dequeues its copy while the first is still simulating, so
+# it must attach to that in-flight leader: the daemon's singleflight_hits
+# must rise by at least one across the pair, and one reply must say so.
+# No merge means single-flight is broken (or the daemon ran single-worker,
+# which the --jobs 2 above rules out).
+if ! python3 - "$PORT" <<'EOF'
+import json, socket, sys, threading
+port = int(sys.argv[1])
+def stats():
+    with socket.create_connection(("127.0.0.1", port)) as s:
+        s.sendall(b'{"method": "stats"}\n')
+        return json.loads(s.makefile().readline())["singleflight_hits"]
+line = json.dumps({"id": "sf", "method": "simulate", "app": "swim",
+                   "scale": 0.5}) + "\n"
+before = stats()
+conns = [socket.create_connection(("127.0.0.1", port)) for _ in range(2)]
+start = threading.Barrier(2)
+replies = [None, None]
+def pair(i):
+    start.wait()
+    conns[i].sendall(line.encode())
+    replies[i] = json.loads(conns[i].makefile().readline())
+threads = [threading.Thread(target=pair, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+for r in replies:
+    if r is None or r.get("status") != "ok":
+        sys.exit("heavy simulate failed: %r" % (r,))
+merged = sum(1 for r in replies if r.get("singleflight"))
+after = stats()
+print(f"singleflight_hits {before} -> {after}, merged replies {merged}")
+sys.exit(0 if after - before >= 1 and merged == 1 else 1)
 EOF
 then
-  echo "FAIL: no single-flight merges despite --duplicate-ratio 0.75" >&2
+  echo "FAIL: two simultaneous identical requests were not merged" >&2
   exit 1
 fi
 
