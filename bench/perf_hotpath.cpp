@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <string>
@@ -153,20 +152,11 @@ int main(int Argc, char **Argv) {
                "untimed repetitions per row; best/median/p95 (default 3)");
   Parser.value("--out", &OutPath,
                "write the JSON report to this file instead of stdout");
-  Parser.custom(
-      "--scale", "<S>",
-      [&](const std::string &V) {
-        char *End = nullptr;
-        Scale = std::strtod(V.c_str(), &End);
-        return End != nullptr && *End == '\0' && Scale > 0.0;
-      },
-      "app size scale factor (default 1.0; the ctest smoke uses 0.25)");
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Parser.parse(Argc, Argv, &Err, &WantedHelp)) {
-    std::fprintf(WantedHelp ? stdout : stderr, "%s\n", Err.c_str());
-    return WantedHelp ? 0 : 2;
-  }
+  Parser.value("--scale", &Scale, DoubleRange::Positive,
+               "app size scale factor (default 1.0; the ctest smoke uses "
+               "0.25)");
+  if (std::optional<int> Ec = Parser.parseArgs(Argc, Argv))
+    return *Ec;
   if (Repeats == 0)
     Repeats = 1;
   // Run the one-time clock calibration now so it is not charged to the

@@ -235,6 +235,49 @@ std::unique_ptr<OutputSink> offchip::makeJsonSink(std::string *Capture) {
 // BenchSuite
 //===----------------------------------------------------------------------===//
 
+void offchip::addAppListFlag(OptionsParser &P, const std::string &Flag,
+                             std::vector<std::string> *Out,
+                             const std::string &Help) {
+  P.custom(Flag, "<a,b,c>",
+           [Flag, Out](const std::string &V, std::string *Message) {
+             const std::vector<std::string> &Known = appNames();
+             std::vector<std::string> Parsed;
+             for (std::string &Name : splitList(V)) {
+               if (Name.empty())
+                 continue;
+               if (std::find(Known.begin(), Known.end(), Name) ==
+                   Known.end()) {
+                 *Message = "error: unknown app '" + Name + "' in " + Flag;
+                 return false;
+               }
+               Parsed.push_back(std::move(Name));
+             }
+             if (Parsed.empty()) {
+               *Message = "error: " + Flag + " selected no apps";
+               return false;
+             }
+             *Out = std::move(Parsed);
+             return true;
+           },
+           Help);
+}
+
+void ReportFormat::addFlags(OptionsParser &P) {
+  P.flag("--csv", &Csv, "emit CSV instead of aligned tables");
+  P.flag("--json", &Json, "emit a JSON report");
+}
+
+std::optional<int> ReportFormat::check() const {
+  if (!(Csv && Json))
+    return std::nullopt;
+  std::fprintf(stderr, "error: --csv and --json are mutually exclusive\n");
+  return 2;
+}
+
+std::unique_ptr<OutputSink> ReportFormat::makeSink() const {
+  return Csv ? makeCsvSink() : Json ? makeJsonSink() : makeTableSink();
+}
+
 BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
                        MachineConfig MachineCfg)
     : Id(std::move(IdText)), Claim(std::move(ClaimText)),
@@ -243,139 +286,31 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
       AppFilter(appNames()) {
   Parser.value("--jobs", &JobsSetting,
                "parallel simulation jobs (default: one per hardware thread)");
-  Parser.flag("--burst-coalesce", &BurstRequested,
-              "coalesce runs of adjacent off-chip lines into wide DRAM "
-              "transactions (default off)");
-  Parser.custom("--coherence", "<msi|mesi>",
-                [this](const std::string &V) {
-                  return parseCoherenceOption(V, &Config.Coherence.Protocol);
-                },
-                "model an invalidation-based coherence protocol over the "
-                "private-L2 machine (default off)");
-  Parser.value("--sparse-dir", &SparseDirSetting,
-               "bound the coherence directory to N tracked lines, evicting "
-               "by broadcast-invalidate (default 0 = unbounded; needs "
-               "--coherence)");
-  Parser.custom("--placement", "<kind>",
-                [this](const std::string &V) {
-                  if (std::optional<ConfigDiagnostic> D =
-                          parsePlacementOption(V, &Config.Placement)) {
-                    FlagDiags.push_back(std::move(*D));
-                    return false;
-                  }
-                  return true;
-                },
-                "MC placement kind: " + enumNameList<MCPlacementKind>());
-  Parser.custom("--mc-nodes", "<n0,n1,...>",
-                [this](const std::string &V) {
-                  if (std::optional<ConfigDiagnostic> D =
-                          parseMCNodeListOption(V, &Config.MCNodes)) {
-                    FlagDiags.push_back(std::move(*D));
-                    return false;
-                  }
-                  Config.Placement = MCPlacementKind::Explicit;
-                  return true;
-                },
-                "explicit MC node ids, one per MC in interleave order "
-                "(implies --placement explicit)");
-  Parser.flag("--trace", &TraceRequested,
-              "record a per-request trace for every simulation (writes "
-              "<prefix>.run<K>.trace.json and .series.csv; see --trace-out)");
-  Parser.value("--trace-out", &TraceOutPrefix,
-               "output path prefix for --trace files (default \"trace\")");
-  Parser.value("--trace-sample-cycles", &TraceSampleCycles,
-               "bucket width of the traced link/MC time series, in cycles");
+  addMemoryFlags(Parser, Config);
+  addTraceFlags(Parser, Config, &TraceOutPrefix,
+                "record a per-request trace for every simulation (writes "
+                "<prefix>.run<K>.trace.json and .series.csv; see "
+                "--trace-out)");
   Parser.value("--trace-max-events", &TraceMaxEvents,
                "per-node trace event ring capacity (oldest dropped)");
-  Parser.flag("--csv", &CsvRequested, "emit CSV instead of aligned tables");
-  Parser.flag("--json", &JsonRequested, "emit a JSON report");
-  Parser.custom("--apps", "<a,b,c>",
-                [this](const std::string &V) {
-                  AppsArg = V;
-                  AppsGiven = true;
-                  return true;
-                },
-                "comma-separated subset of apps to sweep (registered: " +
-                    WorkloadFactory::instance().namesHelp() + ")");
+  Format.addFlags(Parser);
+  addAppListFlag(Parser, "--apps", &AppFilter,
+                 "comma-separated subset of apps to sweep (registered: " +
+                     WorkloadFactory::instance().namesHelp() + ")");
 }
 
 BenchSuite::~BenchSuite() { finish(); }
 
 std::optional<int> BenchSuite::parseArgs(int Argc, char **Argv) {
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Parser.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    // A structured flag diagnostic (bad --placement/--mc-nodes) beats the
-    // generic bad-value message.
-    if (!FlagDiags.empty()) {
-      std::fprintf(stderr, "%s\n", renderDiagnostics(FlagDiags).c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Parser.helpText().c_str());
-    return 2;
-  }
-  if (AppsGiven) {
-    const std::vector<std::string> &Known = appNames();
-    std::vector<std::string> Filter;
-    std::string Cur;
-    for (std::size_t I = 0; I <= AppsArg.size(); ++I) {
-      if (I == AppsArg.size() || AppsArg[I] == ',') {
-        if (!Cur.empty()) {
-          if (std::find(Known.begin(), Known.end(), Cur) == Known.end()) {
-            std::fprintf(stderr, "error: unknown app '%s' in --apps\n",
-                         Cur.c_str());
-            return 2;
-          }
-          Filter.push_back(Cur);
-          Cur.clear();
-        }
-      } else {
-        Cur += AppsArg[I];
-      }
-    }
-    if (Filter.empty()) {
-      std::fprintf(stderr, "error: --apps selected no apps\n");
-      return 2;
-    }
-    AppFilter = std::move(Filter);
-  }
-  if (CsvRequested && JsonRequested) {
-    std::fprintf(stderr, "error: --csv and --json are mutually exclusive\n");
-    return 2;
-  }
-  if (BurstRequested)
-    Config.Burst.Enabled = true;
-  if (SparseDirSetting != 0) {
-    if (!Config.Coherence.enabled()) {
-      std::fprintf(stderr, "error: --sparse-dir requires --coherence\n");
-      return 2;
-    }
-    Config.Coherence.SparseDirectory = true;
-    Config.Coherence.SparseEntries = SparseDirSetting;
-  }
-  if (TraceRequested) {
-    Config.Trace.Enabled = true;
-    if (TraceSampleCycles != 0)
-      Config.Trace.SampleCycles = TraceSampleCycles;
-    if (TraceMaxEvents != 0)
-      Config.Trace.MaxEventsPerNode = TraceMaxEvents;
-  }
-  // All overrides are applied; reject impossible machines here so a bad
-  // --mesh/--mcs fails with diagnostics instead of crashing mid-suite.
-  if (std::vector<ConfigDiagnostic> Diags = Config.validate();
-      !Diags.empty()) {
-    std::fprintf(stderr, "%s\n", renderDiagnostics(Diags).c_str());
-    return 2;
-  }
-  if (CsvRequested)
-    Sink = makeCsvSink();
-  else if (JsonRequested)
-    Sink = makeJsonSink();
+  if (std::optional<int> Ec = Parser.parseArgs(Argc, Argv))
+    return Ec;
+  if (std::optional<int> Ec = Format.check())
+    return Ec;
+  if (TraceMaxEvents != 0)
+    Config.Trace.MaxEventsPerNode = TraceMaxEvents;
+  if (std::optional<int> Ec = checkMachineFlags(Config))
+    return Ec;
+  Sink = Format.makeSink();
   return std::nullopt;
 }
 

@@ -93,6 +93,30 @@ std::unique_ptr<OutputSink> makeCsvSink(std::string *Capture = nullptr);
 std::unique_ptr<OutputSink> makeJsonSink(std::string *Capture = nullptr);
 
 //===----------------------------------------------------------------------===//
+// Shared report and app-list flags
+//===----------------------------------------------------------------------===//
+
+/// The --csv/--json pair every report-writing binary takes.
+struct ReportFormat {
+  bool Csv = false;
+  bool Json = false;
+
+  void addFlags(OptionsParser &P);
+  /// The two are mutually exclusive: prints the error and \returns 2 when
+  /// both were given.
+  std::optional<int> check() const;
+  /// The chosen sink on stdout (aligned tables by default).
+  std::unique_ptr<OutputSink> makeSink() const;
+};
+
+/// Registers \p Flag as a comma-separated app list ("wupwise,swim") into
+/// \p Out, checked against the workload registry; empty items are skipped.
+/// An unknown app or an empty selection fails with an error line naming
+/// the flag.
+void addAppListFlag(OptionsParser &P, const std::string &Flag,
+                    std::vector<std::string> *Out, const std::string &Help);
+
+//===----------------------------------------------------------------------===//
 // BenchSuite
 //===----------------------------------------------------------------------===//
 
@@ -115,11 +139,12 @@ public:
   /// Registry for extra per-bench flags; register before parseArgs().
   OptionsParser &options() { return Parser; }
 
-  /// Parses the common bench flag set: --jobs N, --burst-coalesce, --csv,
-  /// --json, --apps a,b,c, the tracing flags (--trace, --trace-out,
-  /// --trace-sample-cycles, --trace-max-events) and --help. \returns an
-  /// exit code when the process should stop (bad flags: 2, --help: 0),
-  /// std::nullopt to continue.
+  /// Parses the common bench flag set: --jobs N, the memory-system flags
+  /// (sim/MachineConfig.h addMemoryFlags), the tracing flags plus
+  /// --trace-max-events, --csv/--json, --apps a,b,c and --help, then
+  /// checks the resulting machine. \returns an exit code when the process
+  /// should stop (bad flags or machine: 2, --help: 0), std::nullopt to
+  /// continue.
   ///
   /// With --trace, every submitted simulation writes a Chrome trace and a
   /// time-series CSV to "<prefix>.run<K>.trace.json" / ".series.csv",
@@ -217,20 +242,10 @@ private:
   OptionsParser Parser;
 
   unsigned JobsSetting = 0; // 0 = hardware threads
-  bool BurstRequested = false;
-  unsigned SparseDirSetting = 0;  // 0 = full directory (no sparse bound)
-  bool TraceRequested = false;
   std::string TraceOutPrefix = "trace";
-  unsigned TraceSampleCycles = 0;   // 0 = TraceConfig default
-  unsigned TraceMaxEvents = 0;      // 0 = TraceConfig default
+  unsigned TraceMaxEvents = 0; // 0 = TraceConfig default
   unsigned TraceRunCounter = 0;
-  bool CsvRequested = false;
-  bool JsonRequested = false;
-  /// Structured diagnostics recorded by the --placement/--mc-nodes parse
-  /// lambdas; parseArgs prefers them over the generic bad-value error.
-  std::vector<ConfigDiagnostic> FlagDiags;
-  std::string AppsArg;
-  bool AppsGiven = false;
+  ReportFormat Format;
   std::vector<std::string> AppFilter;
 
   std::unique_ptr<OutputSink> Sink;

@@ -4,8 +4,10 @@
 
 #include "support/Format.h"
 #include "support/MathUtil.h"
+#include "support/Options.h"
 
 #include <algorithm>
+#include <cstdio>
 
 using namespace offchip;
 
@@ -386,36 +388,110 @@ offchip::parseMCNodeListOption(const std::string &Value,
   };
   if (Value.empty())
     return Malformed("must list at least one node id");
-  std::vector<unsigned> Parsed;
-  std::size_t Pos = 0;
-  while (true) {
-    std::size_t Comma = Value.find(',', Pos);
-    std::string Item =
-        Value.substr(Pos, Comma == std::string::npos ? std::string::npos
-                                                     : Comma - Pos);
-    if (Item.empty())
-      return Malformed("empty list item (stray comma)");
-    // Digits-only on purpose (same contract as support/Options): strtoul
-    // would wrap "-1", saturate overflow, and skip whitespace — silently
-    // turning typos into off-mesh node ids.
-    unsigned long long N = 0;
-    for (char C : Item) {
-      if (C < '0' || C > '9')
-        return Malformed(formatString(
-            "'%s' is not a node id: decimal digits only (no signs, hex or "
-            "whitespace)",
-            Item.c_str()));
-      N = N * 10 + static_cast<unsigned>(C - '0');
-      if (N > 0xFFFFFFFFull)
-        return Malformed(
-            formatString("'%s' overflows a 32-bit node id", Item.c_str()));
-    }
-    Parsed.push_back(static_cast<unsigned>(N));
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
+  std::string Item;
+  switch (parseUnsignedList(Value, Nodes, &Item)) {
+  case DigitsError::Ok:
+    return std::nullopt;
+  case DigitsError::Empty:
+    return Malformed("empty list item (stray comma)");
+  case DigitsError::NotDigits:
+    return Malformed(formatString(
+        "'%s' is not a node id: decimal digits only (no signs, hex or "
+        "whitespace)",
+        Item.c_str()));
+  case DigitsError::Overflow:
+    break;
   }
-  *Nodes = std::move(Parsed);
+  return Malformed(
+      formatString("'%s' overflows a 32-bit node id", Item.c_str()));
+}
+
+/// A flag parse that failed with a structured diagnostic: the diagnostic
+/// becomes the parser's own message, so the user sees field/value/
+/// constraint/fix instead of the generic bad-value line.
+static bool rejectWith(const ConfigDiagnostic &D, std::string *Message) {
+  *Message = renderDiagnostics({D});
+  return false;
+}
+
+void offchip::addMeshFlags(OptionsParser &P, MachineConfig &C) {
+  P.custom("--mesh", "<X>x<Y>",
+           [&C](const std::string &V, std::string *) {
+             std::size_t Sep = V.find('x');
+             unsigned X = 0, Y = 0;
+             if (Sep == std::string::npos ||
+                 !parseUnsigned(V.substr(0, Sep), &X, 1) ||
+                 !parseUnsigned(V.substr(Sep + 1), &Y, 1))
+               return false;
+             C.MeshX = X;
+             C.MeshY = Y;
+             return true;
+           },
+           "mesh size (default 8x8)");
+  P.value("--mcs", &C.NumMCs, "memory controllers (default 4)");
+}
+
+void offchip::addMemoryFlags(OptionsParser &P, MachineConfig &C) {
+  P.custom("--placement", "<kind>",
+           [&C](const std::string &V, std::string *Message) {
+             if (std::optional<ConfigDiagnostic> D =
+                     parsePlacementOption(V, &C.Placement))
+               return rejectWith(*D, Message);
+             return true;
+           },
+           "MC placement kind: " + enumNameList<MCPlacementKind>() +
+               " (default corners)");
+  P.custom("--mc-nodes", "<n0,n1,...>",
+           [&C](const std::string &V, std::string *Message) {
+             if (std::optional<ConfigDiagnostic> D =
+                     parseMCNodeListOption(V, &C.MCNodes))
+               return rejectWith(*D, Message);
+             C.Placement = MCPlacementKind::Explicit;
+             return true;
+           },
+           "explicit MC node ids, one per MC in interleave order "
+           "(implies --placement explicit)");
+  P.custom("--coherence", "<msi|mesi>",
+           [&C](const std::string &V, std::string *) {
+             return parseCoherenceOption(V, &C.Coherence.Protocol);
+           },
+           "model an invalidation-based coherence protocol over the "
+           "private-L2 machine (default off)");
+  P.custom("--sparse-dir", "<N>",
+           [&C](const std::string &V, std::string *) {
+             if (!parseUnsigned(V, &C.Coherence.SparseEntries, 1))
+               return false;
+             C.Coherence.SparseDirectory = true;
+             return true;
+           },
+           "bound the coherence directory to N >= 1 tracked lines, evicting "
+           "by broadcast-invalidate (default unbounded; needs --coherence)");
+  P.flag("--burst-coalesce", &C.Burst.Enabled,
+         "coalesce runs of adjacent off-chip lines into wide DRAM "
+         "transactions (default off)");
+}
+
+void offchip::addTraceFlags(OptionsParser &P, MachineConfig &C,
+                            std::string *OutPrefix,
+                            const std::string &TraceHelp) {
+  P.flag("--trace", &C.Trace.Enabled, TraceHelp);
+  P.value("--trace-out", OutPrefix,
+          "output path prefix for --trace files (default \"trace\")");
+  P.value("--trace-sample-cycles", &C.Trace.SampleCycles,
+          "bucket width of the traced link/MC time series, in cycles "
+          "(>= 1)",
+          /*Min=*/1);
+}
+
+std::optional<int> offchip::checkMachineFlags(const MachineConfig &C) {
+  if (C.Coherence.SparseDirectory && !C.Coherence.enabled()) {
+    std::fprintf(stderr, "error: --sparse-dir requires --coherence\n");
+    return 2;
+  }
+  if (std::vector<ConfigDiagnostic> Diags = C.validate(); !Diags.empty()) {
+    std::fprintf(stderr, "%s\n", renderDiagnostics(Diags).c_str());
+    return 2;
+  }
   return std::nullopt;
 }
 

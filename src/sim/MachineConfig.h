@@ -26,6 +26,8 @@
 
 namespace offchip {
 
+class OptionsParser;
+
 /// One violated configuration precondition: the offending field, the value
 /// it had, the constraint it broke, and a concrete way out. Returned by
 /// MachineConfig::validate() so callers can report every problem at once
@@ -311,11 +313,35 @@ bool parseCoherenceOption(const std::string &Value,
                           MachineConfig::CoherenceProtocol *Protocol);
 
 /// Parses a --mc-nodes list like "0,7,56,63" into \p Nodes: comma-separated
-/// digits-only node ids (no signs, no whitespace — the same contract as
-/// support/Options' unsigned parsing). \returns a structured diagnostic on
-/// malformed input; bounds/distinctness/count are validate()'s job.
+/// digits-only node ids (support/Options' parseUnsignedList). \returns a
+/// structured diagnostic on malformed input; bounds/distinctness/count are
+/// validate()'s job.
 std::optional<ConfigDiagnostic>
 parseMCNodeListOption(const std::string &Value, std::vector<unsigned> *Nodes);
+
+// Machine flags, each registered once with one parse rule. Register before
+// OptionsParser::parseArgs(); call checkMachineFlags() once every flag and
+// binary-local override is applied.
+
+/// --mesh <X>x<Y> (digits only, both >= 1) and --mcs <N>.
+void addMeshFlags(OptionsParser &P, MachineConfig &C);
+
+/// The memory-system flags: --placement, --mc-nodes (implies explicit
+/// placement), --coherence, --sparse-dir <N> (N >= 1) and
+/// --burst-coalesce. A bad placement or node list fails with its
+/// structured diagnostic.
+void addMemoryFlags(OptionsParser &P, MachineConfig &C);
+
+/// --trace (sets C.Trace.Enabled; \p TraceHelp says which files it
+/// writes), --trace-out <prefix> into \p OutPrefix and
+/// --trace-sample-cycles <N> (N >= 1).
+void addTraceFlags(OptionsParser &P, MachineConfig &C, std::string *OutPrefix,
+                   const std::string &TraceHelp);
+
+/// The post-parse step: the cross-flag rules (--sparse-dir needs
+/// --coherence), then validate(). Prints the diagnostics on stderr.
+/// \returns 2 when the machine is rejected, std::nullopt otherwise.
+std::optional<int> checkMachineFlags(const MachineConfig &C);
 
 } // namespace offchip
 

@@ -107,6 +107,38 @@ TEST(BenchSuiteTest, ParseArgsRejectsBadPlacementWithDiagnostic) {
             std::optional<int>(2));
 }
 
+TEST(BenchSuiteTest, AppListNamesTheFlagInItsErrors) {
+  std::vector<std::string> Apps = {"keep"};
+  OptionsParser P("tool", "overview");
+  addAppListFlag(P, "--search-apps", &Apps, "apps");
+  const char *Ok[] = {"tool", "--search-apps", ",swim,,mgrid,"};
+  std::string Err;
+  EXPECT_TRUE(P.parse(3, const_cast<char **>(Ok), &Err));
+  EXPECT_EQ(Apps, (std::vector<std::string>{"swim", "mgrid"}));
+
+  Apps = {"keep"};
+  const char *Unknown[] = {"tool", "--search-apps", "swim,nosuchapp"};
+  EXPECT_FALSE(P.parse(3, const_cast<char **>(Unknown), &Err));
+  EXPECT_EQ(Err, "error: unknown app 'nosuchapp' in --search-apps");
+  const char *Empty[] = {"tool", "--search-apps", ","};
+  EXPECT_FALSE(P.parse(3, const_cast<char **>(Empty), &Err));
+  EXPECT_EQ(Err, "error: --search-apps selected no apps");
+  EXPECT_EQ(Apps, (std::vector<std::string>{"keep"}));
+}
+
+TEST(BenchSuiteTest, ParseArgsRejectsZeroSparseDir) {
+  // 0 used to mean "unbounded" here while offchip-opt rejected it; one rule
+  // now: N >= 1 everywhere.
+  BenchSuite Suite("t", "c", MachineConfig::scaledDefault());
+  const char *Argv[] = {"bench", "--coherence", "msi", "--sparse-dir", "0"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(Suite.parseArgs(5, const_cast<char **>(Argv)),
+            std::optional<int>(2));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "invalid value '0' for option '--sparse-dir'"),
+            std::string::npos);
+}
+
 TEST(BenchSuiteTest, ParseArgsRejectsCsvPlusJson) {
   BenchSuite Suite("t", "c", MachineConfig::scaledDefault());
   const char *Argv[] = {"bench", "--csv", "--json"};

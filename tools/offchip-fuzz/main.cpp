@@ -604,17 +604,8 @@ int main(int Argc, char **Argv) {
                "draw a coherence protocol (MSI or MESI) on every trial, "
                "dropping the incompatible shared-L2/burst/optimal axes");
 
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Options.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Options.helpText().c_str());
-    return 2;
-  }
+  if (std::optional<int> Ec = Options.parseArgs(Argc, Argv))
+    return *Ec;
   if (!Options.positional().empty()) {
     std::fprintf(stderr, "error: offchip-fuzz takes no positional args\n");
     return 2;

@@ -23,7 +23,6 @@
 #include "support/Options.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -51,51 +50,13 @@ int main(int Argc, char **Argv) {
   MachineConfig &Config = Request.Config;
   unsigned Jobs = 1;
   bool EmitCode = false, Simulate = false, Csv = false, Demo = false;
-  bool Trace = false;
   std::string TraceOut = "trace";
 
   OptionsParser Options("offchip-opt",
                         "layout pass driver for textual affine programs");
   Options.positionalHelp("<program.txt>");
-  Options.custom("--mesh", "<X>x<Y>",
-                 [&](const std::string &V) {
-                   unsigned X = 0, Y = 0;
-                   if (std::sscanf(V.c_str(), "%ux%u", &X, &Y) != 2 ||
-                       X == 0 || Y == 0)
-                     return false;
-                   Config.MeshX = X;
-                   Config.MeshY = Y;
-                   return true;
-                 },
-                 "mesh size (default 8x8)");
-  Options.value("--mcs", &Config.NumMCs, "memory controllers (default 4)");
-  // Flag-level mistakes get the same structured field/value/constraint/fix
-  // diagnostics validate() produces: the lambdas record one and fail the
-  // parse, and the error path below prefers it over the generic message.
-  std::vector<ConfigDiagnostic> FlagDiags;
-  Options.custom("--placement", "<kind>",
-                 [&](const std::string &V) {
-                   if (std::optional<ConfigDiagnostic> D =
-                           parsePlacementOption(V, &Config.Placement)) {
-                     FlagDiags.push_back(std::move(*D));
-                     return false;
-                   }
-                   return true;
-                 },
-                 "MC placement kind: " + enumNameList<MCPlacementKind>() +
-                     " (default corners)");
-  Options.custom("--mc-nodes", "<n0,n1,...>",
-                 [&](const std::string &V) {
-                   if (std::optional<ConfigDiagnostic> D =
-                           parseMCNodeListOption(V, &Config.MCNodes)) {
-                     FlagDiags.push_back(std::move(*D));
-                     return false;
-                   }
-                   Config.Placement = MCPlacementKind::Explicit;
-                   return true;
-                 },
-                 "explicit MC node ids, one per MC in interleave order "
-                 "(implies --placement explicit)");
+  addMeshFlags(Options, Config);
+  addMemoryFlags(Options, Config);
   Options.value("--mcs-per-cluster", &Request.MCsPerCluster,
                 "MCs per cluster, mapping M2 style (default 1)");
   Options.flag("--shared-l2", &Config.SharedL2,
@@ -108,70 +69,25 @@ int main(int Argc, char **Argv) {
                "run original vs optimized on the scaled machine");
   Options.value("--jobs", &Jobs,
                 "worker threads for --simulate (0 = all cores)");
-  Options.flag("--burst-coalesce", &Config.Burst.Enabled,
-               "coalesce runs of adjacent off-chip lines into wide DRAM "
-               "transactions (default off)");
-  Options.custom("--coherence", "<msi|mesi>",
-                 [&](const std::string &V) {
-                   return parseCoherenceOption(V, &Config.Coherence.Protocol);
-                 },
-                 "model an invalidation-based coherence protocol "
-                 "(default off)");
-  Options.custom("--sparse-dir", "<N>",
-                 [&](const std::string &V) {
-                   unsigned N = 0;
-                   if (std::sscanf(V.c_str(), "%u", &N) != 1 || N == 0)
-                     return false;
-                   Config.Coherence.SparseDirectory = true;
-                   Config.Coherence.SparseEntries = N;
-                   return true;
-                 },
-                 "bound the coherence directory to N tracked lines "
-                 "(default unbounded; needs --coherence)");
   Options.flag("--csv", &Csv, "print simulation results as CSV");
-  Options.flag("--trace", &Trace,
-               "with --simulate, write per-request traces "
-               "(<prefix>-original/-optimized .trace.json/.series.csv)");
-  Options.value("--trace-out", &TraceOut,
-                "output path prefix for --trace files (default \"trace\")");
-  Options.value("--trace-sample-cycles", &Config.Trace.SampleCycles,
-                "bucket width of the traced link/MC time series, in cycles");
+  addTraceFlags(Options, Config, &TraceOut,
+                "with --simulate, write per-request traces "
+                "(<prefix>-original/-optimized .trace.json/.series.csv)");
   Options.flag("--demo", &Demo, "run the built-in Figure 9 demo");
 
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Options.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    if (!FlagDiags.empty()) {
-      std::fprintf(stderr, "%s\n", renderDiagnostics(FlagDiags).c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Options.helpText().c_str());
-    return 2;
-  }
+  if (std::optional<int> Ec = Options.parseArgs(Argc, Argv))
+    return *Ec;
   if (Page)
     Config.Granularity = InterleaveGranularity::Page;
-  if (Config.Coherence.SparseDirectory && !Config.Coherence.enabled()) {
-    std::fprintf(stderr, "error: --sparse-dir requires --coherence\n");
-    return 2;
-  }
+  // Reject impossible machines with structured diagnostics while the
+  // mistake is still a command-line matter — before touching the program
+  // file.
+  if (std::optional<int> Ec = checkMachineFlags(Config))
+    return *Ec;
   if (Options.positional().size() > 1 ||
       (!Demo && Options.positional().empty())) {
     std::fprintf(stderr, "error: expected one <program.txt>\n%s",
                  Options.helpText().c_str());
-    return 2;
-  }
-
-  // Reject impossible machines with structured diagnostics while the
-  // mistake is still a command-line matter — before touching the program
-  // file, exactly as this tool always has.
-  if (std::vector<ConfigDiagnostic> Diags = Config.validate();
-      !Diags.empty()) {
-    std::fprintf(stderr, "%s\n", renderDiagnostics(Diags).c_str());
     return 2;
   }
 
@@ -191,7 +107,7 @@ int main(int Argc, char **Argv) {
 
   if (Simulate) {
     Request.Kind = RequestKind::Simulate;
-    if (Trace)
+    if (Config.Trace.Enabled)
       Request.TracePrefix = TraceOut;
   }
 

@@ -63,17 +63,8 @@ int main(int Argc, char **Argv) {
                 "result cache capacity in entries; 0 disables caching "
                 "(default 256)");
 
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Options.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Options.helpText().c_str());
-    return 2;
-  }
+  if (std::optional<int> Ec = Options.parseArgs(Argc, Argv))
+    return *Ec;
   if (!Options.positional().empty()) {
     std::fprintf(stderr, "error: unexpected positional argument\n%s",
                  Options.helpText().c_str());
@@ -84,6 +75,7 @@ int main(int Argc, char **Argv) {
   Svc.QueueDepth = static_cast<std::size_t>(QueueDepth);
   Svc.CacheCapacity = static_cast<std::size_t>(CacheEntries);
 
+  std::string Err;
   SimService Service(Svc);
   SocketServer Server(Service, Net);
   if (!Server.start(&Err)) {

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -228,7 +227,7 @@ double percentile(std::vector<double> Sorted, double P) {
 int main(int Argc, char **Argv) {
   std::string Host = "127.0.0.1";
   unsigned Port = 7411;
-  std::string LevelsArg = "1,2,4,8";
+  std::vector<unsigned> Levels = {1, 2, 4, 8};
   unsigned Requests = 32;
   std::string OutPath = "BENCH_serve.json";
   double DuplicateRatio = 0.0;
@@ -238,57 +237,32 @@ int main(int Argc, char **Argv) {
                         "client storm benchmark for offchip-serve");
   Options.value("--host", &Host, "server address (default 127.0.0.1)");
   Options.value("--port", &Port, "server port (default 7411)");
-  Options.value("--levels", &LevelsArg,
-                "comma-separated concurrent client counts (default 1,2,4,8)");
+  Options.custom("--levels", "<n,n,...>",
+                 [&](const std::string &V, std::string *) {
+                   std::vector<unsigned> Parsed;
+                   if (parseUnsignedList(V, &Parsed) != DigitsError::Ok ||
+                       std::count(Parsed.begin(), Parsed.end(), 0u) != 0)
+                     return false;
+                   Levels = std::move(Parsed);
+                   return true;
+                 },
+                 "comma-separated concurrent client counts, each >= 1 "
+                 "(default 1,2,4,8)");
   Options.value("--requests", &Requests,
                 "requests per client per level (default 32)");
   Options.value("--out", &OutPath,
                 "measurement output path (default BENCH_serve.json)");
-  Options.custom("--duplicate-ratio", "<0..1>",
-                 [&](const std::string &V) {
-                   char *End = nullptr;
-                   double D = std::strtod(V.c_str(), &End);
-                   if (End == V.c_str() || *End != '\0' || D < 0.0 || D > 1.0)
-                     return false;
-                   DuplicateRatio = D;
-                   return true;
-                 },
-                 "fraction of each client's requests that are identical "
-                 "across clients (default 0; the server merges concurrent "
-                 "copies in flight — see singleflight_hits)");
+  Options.value("--duplicate-ratio", &DuplicateRatio,
+                DoubleRange::UnitInterval,
+                "fraction of each client's requests that are identical "
+                "across clients (default 0; the server merges concurrent "
+                "copies in flight — see singleflight_hits)");
   Options.flag("--verify", &Verify,
                "bit-compare every served response against a local "
                "executeRequest() run");
 
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Options.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Options.helpText().c_str());
-    return 2;
-  }
-
-  std::vector<unsigned> Levels;
-  {
-    std::string Tok;
-    for (char C : LevelsArg + ",") {
-      if (C == ',') {
-        if (!Tok.empty())
-          Levels.push_back(static_cast<unsigned>(std::stoul(Tok)));
-        Tok.clear();
-      } else {
-        Tok += C;
-      }
-    }
-  }
-  if (Levels.empty()) {
-    std::fprintf(stderr, "error: --levels is empty\n");
-    return 2;
-  }
+  if (std::optional<int> Ec = Options.parseArgs(Argc, Argv))
+    return *Ec;
   if (WorkloadFactory::instance().names().empty()) {
     std::fprintf(stderr, "error: no workloads registered in this binary\n");
     return 1;
@@ -299,6 +273,7 @@ int main(int Argc, char **Argv) {
   // latency ratio is the headline number of the result cache.
   double ColdMs = 0.0, HitMs = 0.0;
   bool ProbeHit = false;
+  std::string Err;
   {
     int Fd = connectTcp(Host, Port, &Err);
     if (Fd < 0) {

@@ -130,8 +130,8 @@ struct ToolOptions {
   unsigned AnnealBatch = 8;
   double SizeScale = 1.0;
   double SearchScale = 0.25;
-  std::vector<std::string> TableApps;  // default: all registered apps
-  std::vector<std::string> SearchApps; // default: mgrid, art
+  std::vector<std::string> TableApps = appNames();
+  std::vector<std::string> SearchApps = {"mgrid", "art"};
 };
 
 /// The machine a candidate describes: the base config with an Explicit
@@ -218,32 +218,6 @@ void markPareto(std::vector<TableRow> &Rows) {
   }
 }
 
-bool parseAppList(const std::string &Arg, std::vector<std::string> *Out) {
-  const std::vector<std::string> &Known = appNames();
-  std::vector<std::string> Parsed;
-  std::string Cur;
-  for (std::size_t I = 0; I <= Arg.size(); ++I) {
-    if (I == Arg.size() || Arg[I] == ',') {
-      if (!Cur.empty()) {
-        if (std::find(Known.begin(), Known.end(), Cur) == Known.end()) {
-          std::fprintf(stderr, "error: unknown app '%s'\n", Cur.c_str());
-          return false;
-        }
-        Parsed.push_back(Cur);
-        Cur.clear();
-      }
-    } else {
-      Cur += Arg[I];
-    }
-  }
-  if (Parsed.empty()) {
-    std::fprintf(stderr, "error: app list selected no apps\n");
-    return false;
-  }
-  *Out = std::move(Parsed);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -253,24 +227,13 @@ int main(int Argc, char **Argv) {
   // the paper's layout+allocation co-design targets); keep that default.
   Opt.Base.Granularity = InterleaveGranularity::Page;
 
-  bool Csv = false, Json = false, Line = false;
-  std::string AppsArg, SearchAppsArg;
+  bool Line = false;
+  ReportFormat Format;
 
   OptionsParser Options("placement-opt",
                         "joint MC-placement x layout search over the "
                         "paper's application models");
-  Options.custom("--mesh", "<X>x<Y>",
-                 [&](const std::string &V) {
-                   unsigned X = 0, Y = 0;
-                   if (std::sscanf(V.c_str(), "%ux%u", &X, &Y) != 2 ||
-                       X == 0 || Y == 0)
-                     return false;
-                   Opt.Base.MeshX = X;
-                   Opt.Base.MeshY = Y;
-                   return true;
-                 },
-                 "mesh size (default 8x8)");
-  Options.value("--mcs", &Opt.Base.NumMCs, "memory controllers (default 4)");
+  addMeshFlags(Options, Opt.Base);
   Options.value("--mcs-per-cluster", &Opt.MCsPerCluster,
                 "MCs per cluster, mapping M2 style; > 1 adds the "
                 "contiguous-group tightness check to the feasibility "
@@ -280,20 +243,7 @@ int main(int Argc, char **Argv) {
   Options.value("--jobs", &Opt.Jobs,
                 "worker threads (0 = all cores; output is byte-identical "
                 "for any value)");
-  Options.custom("--seed", "<N>",
-                 [&](const std::string &V) {
-                   if (V.empty())
-                     return false;
-                   std::uint64_t N = 0;
-                   for (char C : V) {
-                     if (C < '0' || C > '9')
-                       return false;
-                     N = N * 10 + static_cast<unsigned>(C - '0');
-                   }
-                   Opt.Seed = N;
-                   return true;
-                 },
-                 "annealing RNG seed (default 1)");
+  Options.value("--seed", &Opt.Seed, "annealing RNG seed (default 1)");
   Options.value("--exhaustive-threshold", &Opt.ExhaustiveThreshold,
                 "enumerate every candidate when the space has at most this "
                 "many node sets; anneal above it (default 256)");
@@ -301,51 +251,22 @@ int main(int Argc, char **Argv) {
                 "annealing rounds (default 12)");
   Options.value("--anneal-batch", &Opt.AnnealBatch,
                 "proposals evaluated in parallel per round (default 8)");
-  Options.custom("--size-scale", "<S>",
-                 [&](const std::string &V) {
-                   return std::sscanf(V.c_str(), "%lf", &Opt.SizeScale) ==
-                              1 &&
-                          Opt.SizeScale > 0;
-                 },
-                 "workload scale of the final Pareto table (default 1.0)");
-  Options.custom("--search-scale", "<S>",
-                 [&](const std::string &V) {
-                   return std::sscanf(V.c_str(), "%lf",
-                                      &Opt.SearchScale) == 1 &&
-                          Opt.SearchScale > 0;
-                 },
-                 "workload scale of the search-energy runs (default 0.25)");
-  Options.value("--apps", &AppsArg,
-                "apps of the final Pareto table (default: all 13)");
-  Options.value("--search-apps", &SearchAppsArg,
-                "apps the search energy averages over (default mgrid,art)");
-  Options.flag("--csv", &Csv, "emit CSV instead of aligned tables");
-  Options.flag("--json", &Json, "emit a JSON report");
+  Options.value("--size-scale", &Opt.SizeScale, DoubleRange::Positive,
+                "workload scale of the final Pareto table (default 1.0)");
+  Options.value("--search-scale", &Opt.SearchScale, DoubleRange::Positive,
+                "workload scale of the search-energy runs (default 0.25)");
+  addAppListFlag(Options, "--apps", &Opt.TableApps,
+                 "apps of the final Pareto table (default: all 13)");
+  addAppListFlag(Options, "--search-apps", &Opt.SearchApps,
+                 "apps the search energy averages over (default mgrid,art)");
+  Format.addFlags(Options);
 
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Options.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Options.helpText().c_str());
-    return 2;
-  }
+  if (std::optional<int> Ec = Options.parseArgs(Argc, Argv))
+    return *Ec;
   if (Line)
     Opt.Base.Granularity = InterleaveGranularity::CacheLine;
-  if (Csv && Json) {
-    std::fprintf(stderr, "error: --csv and --json are mutually exclusive\n");
-    return 2;
-  }
-  Opt.TableApps = appNames();
-  if (!AppsArg.empty() && !parseAppList(AppsArg, &Opt.TableApps))
-    return 2;
-  Opt.SearchApps = {"mgrid", "art"};
-  if (!SearchAppsArg.empty() &&
-      !parseAppList(SearchAppsArg, &Opt.SearchApps))
-    return 2;
+  if (std::optional<int> Ec = Format.check())
+    return *Ec;
   if (Opt.AnnealRounds < 1 || Opt.AnnealBatch < 1) {
     std::fprintf(stderr,
                  "error: --anneal-rounds and --anneal-batch must be >= 1\n");
@@ -356,11 +277,8 @@ int main(int Argc, char **Argv) {
   // oracle can only distinguish placements if mesh/MC geometry itself is
   // feasible. Validate under the Corners default so placement-independent
   // problems (bad mesh, no cluster grid) surface as diagnostics here.
-  if (std::vector<ConfigDiagnostic> Diags = Opt.Base.validate();
-      !Diags.empty()) {
-    std::fprintf(stderr, "%s\n", renderDiagnostics(Diags).c_str());
-    return 2;
-  }
+  if (std::optional<int> Ec = checkMachineFlags(Opt.Base))
+    return *Ec;
   unsigned Nodes = Opt.Base.numNodes();
   if (Opt.Base.NumMCs > Nodes) {
     std::fprintf(stderr,
@@ -632,8 +550,7 @@ int main(int Argc, char **Argv) {
   // Report
   //===--------------------------------------------------------------------===//
 
-  std::unique_ptr<OutputSink> Sink =
-      Csv ? makeCsvSink() : Json ? makeJsonSink() : makeTableSink();
+  std::unique_ptr<OutputSink> Sink = Format.makeSink();
   Sink->begin("placement-opt: joint MC-placement x layout search",
               "MC placement is a first-order lever next to the paper's "
               "layout transformation (EXPERIMENTS.md, Placement "

@@ -26,17 +26,8 @@ int main(int Argc, char **Argv) {
                         "utilization, MC queue depth, request distances)");
   Options.positionalHelp("<run.series.csv>...");
 
-  std::string Err;
-  bool WantedHelp = false;
-  if (!Options.parse(Argc, Argv, &Err, &WantedHelp)) {
-    if (WantedHelp) {
-      std::fputs(Err.c_str(), stdout);
-      return 0;
-    }
-    std::fprintf(stderr, "error: %s\n%s", Err.c_str(),
-                 Options.helpText().c_str());
-    return 2;
-  }
+  if (std::optional<int> Ec = Options.parseArgs(Argc, Argv))
+    return *Ec;
   if (Options.positional().empty()) {
     std::fprintf(stderr, "error: expected at least one <run.series.csv>\n%s",
                  Options.helpText().c_str());
@@ -53,6 +44,7 @@ int main(int Argc, char **Argv) {
     SS << In.rdbuf();
 
     TraceData D;
+    std::string Err;
     if (!parseTimeSeriesCsv(SS.str(), D, &Err)) {
       std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Err.c_str());
       return 1;
