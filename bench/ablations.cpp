@@ -26,9 +26,7 @@ double execSaving(const SimResult &Base, const SimResult &Opt) {
 SimFuture runWith(BenchSuite &Suite, std::shared_ptr<const AppModel> App,
                   const MachineConfig &Config,
                   const ClusterMapping &Mapping, LayoutOptions Options) {
-  MachineConfig C = Config;
-  if (C.Granularity == InterleaveGranularity::Page)
-    C.PagePolicy = PageAllocPolicy::CompilerGuided;
+  MachineConfig C = optimizedConfig(Config);
   ClusterMapping M = Mapping;
   return Suite.runCustom(
       [App = std::move(App), C, M = std::move(M), Options]() -> SimResult {

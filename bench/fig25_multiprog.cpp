@@ -28,9 +28,7 @@ SimFuture scheduleMix(BenchSuite &Suite, AppList Apps,
                       const MachineConfig &Config,
                       const ClusterMapping &Mapping, bool Optimized,
                       std::shared_ptr<RunOutputs> Multi) {
-  MachineConfig C = Config;
-  if (Optimized && C.Granularity == InterleaveGranularity::Page)
-    C.PagePolicy = PageAllocPolicy::CompilerGuided;
+  MachineConfig C = Optimized ? optimizedConfig(Config) : Config;
   ClusterMapping M = Mapping;
   return Suite.runCustom([Apps = std::move(Apps), C, M = std::move(M),
                           Optimized, Multi]() -> SimResult {

@@ -49,13 +49,3 @@ bool AffineProgram::isAffinelyAccessed(ArrayId Id) const {
         return true;
   return false;
 }
-
-std::uint64_t AffineProgram::totalDynamicRefs() const {
-  std::uint64_t Total = 0;
-  for (const LoopNest &Nest : Nests) {
-    std::uint64_t RefsPerIter =
-        Nest.refs().size() + 2 * Nest.indexedRefs().size();
-    Total += Nest.dynamicWeight() * RefsPerIter;
-  }
-  return Total;
-}

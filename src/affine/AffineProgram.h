@@ -56,10 +56,6 @@ public:
   /// True if any nest has a plain affine reference to array \p Id.
   bool isAffinelyAccessed(ArrayId Id) const;
 
-  /// Sum of dynamicWeight() over all nests: total modeled accesses per
-  /// reference-slot, used for coverage statistics.
-  std::uint64_t totalDynamicRefs() const;
-
 private:
   std::string Name;
   std::vector<ArrayDecl> Arrays;

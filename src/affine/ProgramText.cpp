@@ -6,12 +6,29 @@
 #include "support/Format.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <map>
 #include <sstream>
 
 using namespace offchip;
 
 namespace {
+
+/// Reads all of \p Tok as one decimal integer that is at least \p Min.
+/// A leading '-' is the only sign, and only for signed types; letters,
+/// whitespace, trailing junk and values out of T's range all fail.
+template <typename T>
+bool readInt(const std::string &Tok, T &Out,
+             T Min = std::numeric_limits<T>::min()) {
+  T V{};
+  const char *End = Tok.data() + Tok.size();
+  auto [Ptr, Ec] = std::from_chars(Tok.data(), End, V);
+  if (Ec != std::errc() || Ptr != End || V < Min)
+    return false;
+  Out = V;
+  return true;
+}
 
 /// Tokenizes one line into whitespace-separated words, honoring '#'
 /// comments and treating '[', ']' and ',' as separate tokens.
@@ -71,7 +88,8 @@ bool parseAffineExpr(const std::string &Text, unsigned Depth,
       while (End < Text.size() &&
              std::isdigit(static_cast<unsigned char>(Text[End])))
         ++End;
-      K = std::stoll(Text.substr(Pos, End - Pos));
+      if (!readInt(Text.substr(Pos, End - Pos), K))
+        return false;
       Pos = End;
       HaveNumber = true;
       if (Pos < Text.size() && Text[Pos] == '*')
@@ -92,8 +110,8 @@ bool parseAffineExpr(const std::string &Text, unsigned Depth,
       ++End;
     if (End == Pos)
       return false;
-    unsigned Dim = static_cast<unsigned>(std::stoul(Text.substr(Pos, End - Pos)));
-    if (Dim >= Depth)
+    unsigned Dim = 0;
+    if (!readInt(Text.substr(Pos, End - Pos), Dim) || Dim >= Depth)
       return false;
     Pos = End;
     Coeffs[Dim] += Sign * K;
@@ -162,6 +180,11 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
       *Error = formatString("line %u: %s", LineNo, Msg.c_str());
     return std::nullopt;
   };
+  // Every number is one whole token (readInt); a bad one fails its line.
+  unsigned LineNo = 0;
+  auto BadNumber = [&](const char *Rule, const std::string &Tok) {
+    return Fail(LineNo, formatString("%s, got '%s'", Rule, Tok.c_str()));
+  };
 
   std::optional<AffineProgram> Program;
   std::map<std::string, ArrayId> Arrays;
@@ -180,7 +203,6 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
 
   std::istringstream In(Text);
   std::string Line;
-  unsigned LineNo = 0;
   std::vector<LoopNest> Nests; // staged; appended to the program on "end"
 
   while (std::getline(In, Line)) {
@@ -207,11 +229,18 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
         return Fail(LineNo, "expected: array <name> dims <d...> elem <n>");
       std::size_t I = 3;
       IntVector Dims;
-      while (I < Tok.size() && Tok[I] != "elem")
-        Dims.push_back(std::stoll(Tok[I++]));
+      for (; I < Tok.size() && Tok[I] != "elem"; ++I) {
+        std::int64_t D = 0;
+        if (!readInt(Tok[I], D, std::int64_t{1}))
+          return BadNumber("array dimensions must be integers >= 1", Tok[I]);
+        Dims.push_back(D);
+      }
       if (Dims.empty() || I + 1 >= Tok.size() || Tok[I] != "elem")
         return Fail(LineNo, "expected: array <name> dims <d...> elem <n>");
-      unsigned Elem = static_cast<unsigned>(std::stoul(Tok[I + 1]));
+      unsigned Elem = 0;
+      if (!readInt(Tok[I + 1], Elem, 1u))
+        return BadNumber("the element size must be an integer >= 1",
+                         Tok[I + 1]);
       if (Arrays.count(Tok[1]))
         return Fail(LineNo, "duplicate array '" + Tok[1] + "'");
       Arrays[Tok[1]] = Program->addArray({Tok[1], Dims, Elem});
@@ -232,17 +261,24 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
         if (Tok.size() != 7 || Tok[5] != "for")
           return Fail(LineNo,
                       "expected: index <a> nearby <window> <seed> for <d>");
-        P.Window = std::stoll(Tok[3]);
-        P.Seed = std::stoull(Tok[4]);
+        if (!readInt(Tok[3], P.Window, std::int64_t{0}))
+          return BadNumber("the window must be an integer >= 0", Tok[3]);
+        if (!readInt(Tok[4], P.Seed))
+          return BadNumber("the seed must be an unsigned integer", Tok[4]);
         P.DataArray = Tok[6];
       } else if (P.Kind == "random") {
         if (Tok.size() != 6 || Tok[4] != "for")
           return Fail(LineNo, "expected: index <a> random <seed> for <d>");
-        P.Seed = std::stoull(Tok[3]);
+        if (!readInt(Tok[3], P.Seed))
+          return BadNumber("the seed must be an unsigned integer", Tok[3]);
         P.DataArray = Tok[5];
       } else if (P.Kind == "values") {
-        for (std::size_t I = 3; I < Tok.size(); ++I)
-          P.Values.push_back(std::stoll(Tok[I]));
+        for (std::size_t I = 3; I < Tok.size(); ++I) {
+          std::int64_t V = 0;
+          if (!readInt(Tok[I], V))
+            return BadNumber("index values must be integers", Tok[I]);
+          P.Values.push_back(V);
+        }
       } else {
         return Fail(LineNo, "unknown index generator '" + P.Kind + "'");
       }
@@ -264,18 +300,27 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
         std::size_t Colon = Tok[I].find(':');
         if (Colon == std::string::npos)
           return Fail(LineNo, "bound must be <lo>:<hi>");
-        Lo.push_back(std::stoll(Tok[I].substr(0, Colon)));
-        Hi.push_back(std::stoll(Tok[I].substr(Colon + 1)));
+        std::int64_t L = 0, H = 0;
+        if (!readInt(Tok[I].substr(0, Colon), L) ||
+            !readInt(Tok[I].substr(Colon + 1), H))
+          return BadNumber("bound ends must be integers", Tok[I]);
+        Lo.push_back(L);
+        Hi.push_back(H);
         ++I;
       }
       if (Lo.empty() || I + 1 >= Tok.size())
         return Fail(LineNo, "missing parallel dimension");
-      unsigned U = static_cast<unsigned>(std::stoul(Tok[I + 1]));
+      unsigned U = 0;
+      if (!readInt(Tok[I + 1], U))
+        return BadNumber("the parallel dimension must be an unsigned integer",
+                         Tok[I + 1]);
       if (U >= Lo.size())
         return Fail(LineNo, "parallel dimension out of range");
       unsigned Repeat = 1;
-      if (I + 3 < Tok.size() && Tok[I + 2] == "repeat")
-        Repeat = static_cast<unsigned>(std::stoul(Tok[I + 3]));
+      if (I + 3 < Tok.size() && Tok[I + 2] == "repeat" &&
+          !readInt(Tok[I + 3], Repeat, 1u))
+        return BadNumber("the repeat count must be an integer >= 1",
+                         Tok[I + 3]);
       Nests.emplace_back(Tok[1], IterationSpace(Lo, Hi), U);
       Nests.back().setRepeatCount(Repeat);
       CurNest = &Nests.back();

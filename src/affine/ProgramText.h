@@ -20,7 +20,9 @@
 ///   end
 ///
 /// Subscript expressions are affine in the iterators i0, i1, ...:
-/// "i0", "i1+1", "2*i0-3", "32*i1". Bounds are half-open [lo, hi).
+/// "i0", "i1+1", "2*i0-3", "32*i1". Bounds are half-open [lo, hi). Every
+/// number is one whole decimal integer token; dims, elem and repeat are
+/// at least 1.
 ///
 //===----------------------------------------------------------------------===//
 

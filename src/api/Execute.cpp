@@ -6,7 +6,7 @@
 #include "core/CodeGen.h"
 #include "harness/Runner.h"
 #include "support/Format.h"
-#include "workloads/WorkloadFactory.h"
+#include "workloads/AppModel.h"
 
 #include <chrono>
 #include <utility>
@@ -68,29 +68,23 @@ SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs) {
     return Resp;
   }
 
-  // Resolve the workload. Registry apps carry their modeled compute gap;
+  // Resolve the workload. Table apps carry their modeled compute gap;
   // inline programs use the machine default (gap 0 = fall back to
   // MachineConfig::ComputeGapCycles), matching the historical CLI path.
   std::optional<AffineProgram> Program;
   unsigned GapCycles = 0;
   if (R.Workload.isApp()) {
-    // appNames() (not the factory directly) both names the alternatives
-    // and anchors workloads/Apps.cpp into every binary linking this
-    // library — static registrars in an archive member nothing references
-    // would otherwise be dropped, leaving the registry empty.
-    (void)appNames();
-    std::optional<AppModel> M = WorkloadFactory::instance().tryBuild(
-        R.Workload.App, R.Workload.SizeScale);
-    if (!M) {
+    const AppInfo *App = findApp(R.Workload.App);
+    if (!App) {
       Resp.Status = ResponseStatus::Error;
-      Resp.ErrorText = formatString(
-          "unknown application '%s' (registered: %s)",
-          R.Workload.App.c_str(),
-          WorkloadFactory::instance().namesHelp().c_str());
+      Resp.ErrorText =
+          formatString("unknown application '%s' (registered: %s)",
+                       R.Workload.App.c_str(), appNameList().c_str());
       return Resp;
     }
-    GapCycles = M->ComputeGapCycles;
-    Program = std::move(M->Program);
+    AppModel M = App->Build(R.Workload.SizeScale);
+    GapCycles = M.ComputeGapCycles;
+    Program = std::move(M.Program);
   } else {
     std::string Err;
     Program = parseProgramText(R.Workload.ProgramText, &Err);
@@ -102,9 +96,7 @@ SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs) {
   }
 
   const MachineConfig &Config = R.Config;
-  ClusterMapping Mapping = R.MCsPerCluster == 1
-                               ? makeM1Mapping(Config)
-                               : makeM2Mapping(Config, R.MCsPerCluster);
+  ClusterMapping Mapping = makeM2Mapping(Config, R.MCsPerCluster);
 
   LayoutTransformer Pass(Mapping, Config.layoutOptions());
   LayoutPlan Plan = Pass.run(*Program);
@@ -112,9 +104,7 @@ SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs) {
 
   if (R.Kind == RequestKind::Simulate) {
     MachineConfig BaseConfig = Config;
-    MachineConfig OptConfig = Config;
-    if (Config.Granularity == InterleaveGranularity::Page)
-      OptConfig.PagePolicy = PageAllocPolicy::CompilerGuided;
+    MachineConfig OptConfig = optimizedConfig(Config);
     if (!R.TracePrefix.empty()) {
       BaseConfig.Trace.Enabled = true;
       BaseConfig.Trace.ChromeOutPath = R.TracePrefix + "-original.trace.json";

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The single execution path behind every client: validate the machine,
-/// resolve the workload (registry app or inline program text), run the
+/// resolve the workload (table app or inline program text), run the
 /// layout pass, and — for simulate requests — run the original and
 /// optimized variants. The offchip-opt CLI renders its output from the
 /// response this produces; the daemon serializes the same response onto

@@ -49,7 +49,6 @@ public:
   static JsonValue object();
 
   Kind kind() const { return K; }
-  bool isNull() const { return K == Kind::Null; }
   bool isBool() const { return K == Kind::Bool; }
   bool isNumber() const { return K == Kind::Number; }
   bool isString() const { return K == Kind::String; }

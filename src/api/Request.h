@@ -9,8 +9,8 @@
 /// MachineConfig::validate() diagnostics either way, and a simulation
 /// served over the socket is bit-identical to one run in-process.
 ///
-/// A request names its workload either as a registered application
-/// (workloads/WorkloadFactory.h) plus a size scale, or as inline program
+/// A request names its workload either as one of the application table's
+/// apps (workloads/AppModel.h) plus a size scale, or as inline program
 /// text in the affine/ProgramText.h format. Requests are value types:
 /// copyable, hashable (api/ContentHash.h) and JSON-serializable
 /// (api/Serialize.h).
@@ -40,10 +40,10 @@ enum class RequestKind {
 
 /// The workload a request operates on.
 struct WorkloadSpec {
-  /// Registered application name (workload registry); empty selects
+  /// Application name (workloads/AppModel.h findApp); empty selects
   /// \ref ProgramText instead.
   std::string App;
-  /// Array-extent scale for registry apps (1.0 = default sizing).
+  /// Array-extent scale for table apps (1.0 = default sizing).
   double SizeScale = 1.0;
   /// Inline textual affine program (affine/ProgramText.h format); used only
   /// when \ref App is empty.

@@ -5,7 +5,7 @@
 #include "api/Serialize.h"
 #include "api/Socket.h"
 #include "support/Format.h"
-#include "workloads/WorkloadFactory.h"
+#include "workloads/AppModel.h"
 
 #include <cerrno>
 #include <condition_variable>
@@ -266,11 +266,10 @@ void SocketServer::handleLine(const std::shared_ptr<Connection> &Conn,
       O.set("workers", JsonValue::number(Service.workers()));
     } else if (Method == "apps") {
       JsonValue Apps = JsonValue::array();
-      for (const std::string &Name : WorkloadFactory::instance().names()) {
+      for (const std::string &Name : appNames()) {
         JsonValue A = JsonValue::object();
         A.set("name", JsonValue::string(Name));
-        A.set("summary", JsonValue::string(
-                             WorkloadFactory::instance().summaryOf(Name)));
+        A.set("summary", JsonValue::string(findApp(Name)->Summary));
         Apps.push(std::move(A));
       }
       O.set("apps", std::move(Apps));

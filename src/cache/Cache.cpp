@@ -12,7 +12,7 @@
 using namespace offchip;
 
 Cache::Cache(std::uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
-    : LineBytes(LineBytes), Ways(Ways) {
+    : Ways(Ways) {
   if (LineBytes == 0 || Ways == 0 ||
       SizeBytes % (static_cast<std::uint64_t>(LineBytes) * Ways) != 0)
     reportFatalError("cache geometry must divide evenly");

@@ -33,8 +33,6 @@ public:
   /// \param SizeBytes total capacity; must be divisible by LineBytes * Ways.
   Cache(std::uint64_t SizeBytes, unsigned LineBytes, unsigned Ways);
 
-  unsigned lineBytes() const { return LineBytes; }
-
   /// Line address (address / line size) of \p Addr.
   std::uint64_t lineOf(std::uint64_t Addr) const { return LineDiv.div(Addr); }
 
@@ -89,14 +87,6 @@ public:
         Fn(Tag);
   }
 
-  /// Invokes \p Fn(LineAddr, LineState) for every resident line; the
-  /// protocol-state cross-check of the coherence invariants (src/check).
-  template <typename FnT> void forEachLineState(FnT Fn) const {
-    for (std::size_t I = 0; I < Tags.size(); ++I)
-      if (Tags[I] != InvalidTag)
-        Fn(Tags[I], States[I]);
-  }
-
 private:
   /// Tag of an empty way. Line addresses are byte addresses divided by the
   /// line size, so no resident line can carry it.
@@ -124,7 +114,6 @@ private:
   std::size_t find(std::size_t Base, std::uint64_t Tag) const;
   static constexpr std::size_t NoWay = ~static_cast<std::size_t>(0);
 
-  unsigned LineBytes;
   unsigned Ways;
   unsigned NumSets;
   /// Shift/mask decode of the geometry constants (generic div/mod when the

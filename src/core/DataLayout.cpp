@@ -204,16 +204,13 @@ PrivateL2Layout::PrivateL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
   // k*p-element runs. This keeps the whole per-thread region contiguous in
   // run space (the per-cluster regions of Figure 11), pays padding only
   // once per block, and leaves only the cluster coordinates above the run
-  // cycle. FoldInBlock is kept for the degenerate rank-1 view (the in-block
-  // offset *is* the fast axis there).
-  FoldInBlock = Rank > 1;
-  LastExtent = Rank > 1 ? Box.extent(Rank - 1) : 1;
+  // cycle.
   // The partition coordinate relative to the phase spans up to three block
   // lengths after edge clamping, so the fast axis budgets 3b per block.
   std::int64_t BlockElems = 3 * Block.BlockSize;
   for (unsigned D = 1; D < Rank; ++D)
     BlockElems *= Box.extent(D);
-  FastExtent = static_cast<std::int64_t>(
+  std::int64_t FastExtent = static_cast<std::int64_t>(
       alignTo(static_cast<std::uint64_t>(BlockElems),
               static_cast<std::uint64_t>(RunElems)));
   PreExtents = {static_cast<std::int64_t>(Mapping.coresPerClusterX()),
@@ -295,11 +292,10 @@ SharedL2Layout::SharedL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
   std::int64_t BlockElems = 3 * Block.BlockSize;
   for (unsigned D = 1; D < Rank; ++D)
     BlockElems *= Box.extent(D);
-  FastExtent = static_cast<std::int64_t>(
+  std::int64_t FastExtent = static_cast<std::int64_t>(
       alignTo(static_cast<std::uint64_t>(BlockElems),
               static_cast<std::uint64_t>(P)));
-  NumLp = FastExtent / static_cast<std::int64_t>(P);
-  TotalElements = static_cast<std::uint64_t>(NumLp) * N * P;
+  TotalElements = static_cast<std::uint64_t>(FastExtent) * N;
 
   // Desired MC per node: the nearest MC of the node's cluster.
   const Mesh &M = Mapping.mesh();

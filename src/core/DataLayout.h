@@ -171,14 +171,6 @@ public:
   std::int64_t runElems() const { return RunElems; }
   std::int64_t numL() const { return NumL; }
   const IntVector &preExtents() const { return PreExtents; }
-  /// True when the in-block offset is folded into the fast axis (required
-  /// when the last dimension is smaller than one interleave run, e.g. page
-  /// granularity over a narrow matrix - unfolded strip-mining would pad the
-  /// last dimension up to a whole run).
-  bool foldsInBlock() const { return FoldInBlock; }
-  /// Extent of the last transformed dimension (codegen needs it when the
-  /// in-block offset is folded).
-  std::int64_t lastExtent() const { return LastExtent; }
   /// Effective phase in [0, blockSize()) applied to the partition
   /// coordinate before block decomposition.
   std::int64_t partitionPhase() const { return Phase; }
@@ -188,13 +180,10 @@ private:
   unsigned P;                // elements per interleave unit
   unsigned K;                // MCs per cluster
   unsigned C;                // number of clusters
-  bool FoldInBlock = false;
-  std::int64_t LastExtent = 1;
   std::int64_t Phase = 0;
   BlockDecomposition Block;  // along transformed dim 0
   std::int64_t RunElems;     // k * p
-  std::int64_t FastExtent;   // padded fast-dim extent (multiple of RunElems)
-  std::int64_t NumL;         // FastExtent / RunElems
+  std::int64_t NumL;         // runs per padded fast axis
   IntVector PreExtents;      // extents of the slow "Pre" dimensions in order
   std::uint64_t TotalElements;
 };
@@ -243,7 +232,6 @@ public:
   std::int64_t blockSize() const { return Block.BlockSize; }
   const ClusterMapping &mapping() const { return *Mapping; }
   unsigned elementsPerUnit() const { return P; }
-  std::int64_t numLp() const { return NumLp; }
   const std::vector<unsigned> &hostOfOwner() const { return HostOfOwner; }
   /// Effective phase in [0, blockSize()).
   std::int64_t partitionPhase() const { return Phase; }
@@ -258,8 +246,6 @@ private:
   unsigned N; // number of cores / home banks
   std::int64_t Phase = 0;
   BlockDecomposition Block;
-  std::int64_t FastExtent; // padded fast-dim extent (multiple of P)
-  std::int64_t NumLp;      // FastExtent / P
   /// HostOfOwner[node] = bank hosting that owner's data (a permutation).
   std::vector<unsigned> HostOfOwner;
   /// Desired MC per hosting bank (indexed by bank id).

@@ -101,7 +101,6 @@ DramAccessResult MemoryController::accessBurst(const std::uint64_t *Addrs,
   if (Hit)
     ++RowHits;
   TotalQueueCycles += R.QueueCycles;
-  TotalServiceCycles += Service;
   if (Sink) {
     Sink->emit(TraceKind::MCEnqueue, Time,
                static_cast<std::uint32_t>(R.QueueCycles), Addrs[0], Id);

@@ -101,7 +101,6 @@ public:
   /// (matching SimResult::NodeToMCTraffic, which counts requests only).
   std::uint64_t linesTransferred() const { return LinesTransferred; }
   std::uint64_t totalQueueCycles() const { return TotalQueueCycles; }
-  std::uint64_t totalServiceCycles() const { return TotalServiceCycles; }
 
   /// Starts accumulating wall-clock time spent in access()/accessBurst()/
   /// writeback() (SimResult::PhaseTimes). Off by default: measuring reads
@@ -165,7 +164,6 @@ private:
   std::uint64_t RowHits = 0;
   std::uint64_t LinesTransferred = 0;
   std::uint64_t TotalQueueCycles = 0;
-  std::uint64_t TotalServiceCycles = 0;
   bool TimeCalls = false;
   double TimedSeconds = 0.0;
   std::uint64_t TimedCalls = 0;

@@ -4,7 +4,6 @@
 
 #include "support/Error.h"
 #include "support/Format.h"
-#include "workloads/WorkloadFactory.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -296,7 +295,7 @@ BenchSuite::BenchSuite(std::string IdText, std::string ClaimText,
   Format.addFlags(Parser);
   addAppListFlag(Parser, "--apps", &AppFilter,
                  "comma-separated subset of apps to sweep (registered: " +
-                     WorkloadFactory::instance().namesHelp() + ")");
+                     appNameList() + ")");
 }
 
 BenchSuite::~BenchSuite() { finish(); }

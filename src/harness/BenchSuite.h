@@ -110,7 +110,7 @@ struct ReportFormat {
 };
 
 /// Registers \p Flag as a comma-separated app list ("wupwise,swim") into
-/// \p Out, checked against the workload registry; empty items are skipped.
+/// \p Out, checked against appNames(); empty items are skipped.
 /// An unknown app or an empty selection fails with an error line naming
 /// the flag.
 void addAppListFlag(OptionsParser &P, const std::string &Flag,

@@ -32,12 +32,7 @@ void offchip::defaultClusterGrid(unsigned MeshX, unsigned MeshY,
 }
 
 ClusterMapping offchip::makeM1Mapping(const MachineConfig &Config) {
-  Mesh M(Config.MeshX, Config.MeshY);
-  std::vector<unsigned> MCNodes = Config.placedMCNodes();
-  unsigned CX, CY;
-  defaultClusterGrid(Config.MeshX, Config.MeshY, Config.NumMCs, CX, CY);
-  return ClusterMapping::makeLocalityMapping(M, std::move(MCNodes), CX, CY,
-                                             /*MCsPerCluster=*/1);
+  return makeM2Mapping(Config, /*MCsPerCluster=*/1);
 }
 
 ClusterMapping offchip::makeM2Mapping(const MachineConfig &Config,
@@ -63,6 +58,13 @@ LayoutPlan offchip::planForVariant(const AppModel &App,
   return LayoutTransformer::originalPlan(App.Program);
 }
 
+MachineConfig offchip::optimizedConfig(const MachineConfig &Config) {
+  MachineConfig C = Config;
+  if (C.Granularity == InterleaveGranularity::Page)
+    C.PagePolicy = PageAllocPolicy::CompilerGuided;
+  return C;
+}
+
 SimResult offchip::runVariant(const AppModel &App,
                               const MachineConfig &Config,
                               const ClusterMapping &Mapping,
@@ -72,8 +74,7 @@ SimResult offchip::runVariant(const AppModel &App,
   case RunVariant::Original:
     break;
   case RunVariant::Optimized:
-    if (C.Granularity == InterleaveGranularity::Page)
-      C.PagePolicy = PageAllocPolicy::CompilerGuided;
+    C = optimizedConfig(C);
     break;
   case RunVariant::Optimal:
     C.OptimalScheme = true;

@@ -47,6 +47,10 @@ ClusterMapping makeM1Mapping(const MachineConfig &Config);
 ClusterMapping makeM2Mapping(const MachineConfig &Config,
                              unsigned MCsPerCluster = 2);
 
+/// \p Config as the Optimized variant runs it: under page interleaving the
+/// pages follow the compiler's desired MCs (Section 5.3's OS assist).
+MachineConfig optimizedConfig(const MachineConfig &Config);
+
 /// Runs \p App under \p Variant on the machine \p Config with \p Mapping.
 SimResult runVariant(const AppModel &App, const MachineConfig &Config,
                      const ClusterMapping &Mapping, RunVariant Variant);

@@ -165,12 +165,6 @@ void IntMatrix::negateRow(unsigned R) {
     at(R, C) = -at(R, C);
 }
 
-void IntMatrix::negateColumn(unsigned C) {
-  assert(C < Cols && "negateColumn out of range");
-  for (unsigned R = 0; R < Rows; ++R)
-    at(R, C) = -at(R, C);
-}
-
 std::string IntMatrix::toString() const {
   std::string Out = "[";
   for (unsigned R = 0; R < Rows; ++R) {

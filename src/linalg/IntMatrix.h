@@ -94,7 +94,6 @@ public:
   void addColumnMultiple(unsigned Dst, unsigned Src, std::int64_t Factor);
 
   void negateRow(unsigned R);
-  void negateColumn(unsigned C);
 
   bool operator==(const IntMatrix &Other) const {
     return Rows == Other.Rows && Cols == Other.Cols && Data == Other.Data;

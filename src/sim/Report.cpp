@@ -55,26 +55,3 @@ std::string offchip::renderCsv(const std::vector<NamedResult> &Runs) {
   }
   return Out;
 }
-
-std::string offchip::renderHopCdfCsv(const SimResult &R, unsigned MaxLinks) {
-  std::string Out = "links,onchip_cdf,offchip_cdf\n";
-  for (unsigned H = 0; H <= MaxLinks; ++H)
-    Out += formatString("%u,%.6f,%.6f\n", H, R.OnChipMsgHops.cdfAt(H),
-                        R.OffChipMsgHops.cdfAt(H));
-  return Out;
-}
-
-std::string offchip::renderTrafficCsv(const SimResult &R, unsigned MeshX) {
-  std::string Out = "node,x,y";
-  for (unsigned MC = 0; MC < R.NumMCs; ++MC)
-    Out += formatString(",mc%u", MC + 1);
-  Out += "\n";
-  for (unsigned Node = 0; Node < R.NumNodes; ++Node) {
-    Out += formatString("%u,%u,%u", Node, Node % MeshX, Node / MeshX);
-    for (unsigned MC = 0; MC < R.NumMCs; ++MC)
-      Out += formatString(
-          ",%llu", static_cast<unsigned long long>(R.trafficAt(Node, MC)));
-    Out += "\n";
-  }
-  return Out;
-}

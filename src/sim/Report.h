@@ -2,9 +2,8 @@
 ///
 /// \file
 /// Renders SimResults for humans (aligned text summaries) and machines
-/// (CSV): per-run metric rows, link-traversal CDFs (Figure 15), and the
-/// node-to-MC traffic maps (Figure 13). Benches print; this module formats,
-/// so results can also be piped into plotting scripts.
+/// (CSV, one metric row per run). Benches print; this module formats, so
+/// results can also be piped into plotting scripts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,14 +30,6 @@ std::string renderSummary(const SimResult &R);
 /// mean latencies, off-chip fraction, bank statistics. Includes a header
 /// row.
 std::string renderCsv(const std::vector<NamedResult> &Runs);
-
-/// CSV of the hop-count CDFs of one run: columns links, onchip_cdf,
-/// offchip_cdf (Figure 15's series).
-std::string renderHopCdfCsv(const SimResult &R, unsigned MaxLinks = 14);
-
-/// CSV of the node-to-MC traffic map: node, x, y, one column per MC
-/// (Figure 13's surface).
-std::string renderTrafficCsv(const SimResult &R, unsigned MeshX);
 
 } // namespace offchip
 

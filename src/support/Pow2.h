@@ -51,7 +51,6 @@ public:
   static void setForceGenericDivision(bool Force) {
     ForceGenericDivision = Force;
   }
-  static bool forceGenericDivision() { return ForceGenericDivision; }
 
   std::uint64_t divisor() const { return D; }
 

@@ -17,9 +17,3 @@ AffineRef offchip::pointRef(ArrayId Id, IntVector Off, bool Write,
     A.at(D, D) = 1;
   return AffineRef(Id, std::move(A), std::move(Off), Write);
 }
-
-AffineRef offchip::transposedRef2D(ArrayId Id, std::int64_t O0,
-                                   std::int64_t O1, bool Write) {
-  IntMatrix A = IntMatrix::fromRows({{0, 1}, {1, 0}});
-  return AffineRef(Id, std::move(A), {O0, O1}, Write);
-}

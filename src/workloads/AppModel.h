@@ -42,16 +42,30 @@ struct AppModel {
   explicit AppModel(std::string Name) : Program(std::move(Name)) {}
 };
 
-/// Names of all registered applications, in registration order (the
-/// paper's presentation order for the 13 built-ins). Thin wrapper over
-/// WorkloadFactory::instance().names().
+/// One row of the application table (workloads/Apps.cpp).
+struct AppInfo {
+  const char *Name;
+  /// One-line description; listings print it without building the model,
+  /// which would materialize its index arrays.
+  const char *Summary;
+  /// Builds the model at a size scale (see buildApp).
+  AppModel (*Build)(double SizeScale);
+};
+
+/// The table row named \p Name, or nullptr: the recoverable lookup.
+const AppInfo *findApp(const std::string &Name);
+
+/// Names of all applications, in the paper's presentation order.
 const std::vector<std::string> &appNames();
 
-/// Builds the named application model through the workload registry
-/// (workloads/WorkloadFactory.h); aborts on unknown names — use
-/// WorkloadFactory::tryBuild for a recoverable lookup. \p SizeScale scales
-/// array extents (1.0 = the default scaled-machine sizing); values below
-/// ~0.25 are clamped per dimension to keep programs non-degenerate.
+/// appNames() joined by ", ", for --apps help and unknown-app errors.
+const std::string &appNameList();
+
+/// Builds the named application model, stamping its table summary into
+/// AppModel::Summary; aborts on unknown names (findApp is the recoverable
+/// lookup). \p SizeScale scales array extents (1.0 = the default
+/// scaled-machine sizing); values below ~0.25 are clamped per dimension to
+/// keep programs non-degenerate.
 AppModel buildApp(const std::string &Name, double SizeScale = 1.0);
 
 /// The multiprogrammed workload mixes of Figure 25 (lists of app names).
@@ -65,10 +79,6 @@ const std::vector<std::vector<std::string>> &multiprogramMixes();
 /// A[i+o0][j+o1] in a nest as deep as the array rank.
 AffineRef pointRef(ArrayId Id, IntVector Off, bool Write,
                    unsigned LoopDepth);
-
-/// A transposed 2D reference A[j + o0][i + o1].
-AffineRef transposedRef2D(ArrayId Id, std::int64_t O0, std::int64_t O1,
-                          bool Write);
 
 } // namespace offchip
 

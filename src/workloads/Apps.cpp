@@ -21,7 +21,6 @@
 #include "workloads/AppModel.h"
 
 #include "support/Error.h"
-#include "workloads/WorkloadFactory.h"
 
 #include <algorithm>
 #include <cmath>
@@ -620,50 +619,67 @@ AppModel makeMinimd(double S) {
   return M;
 }
 
-//===----------------------------------------------------------------------===//
-// Registrations — in the paper's presentation order, which registration
-// order preserves (all registrars live in this one translation unit).
-//===----------------------------------------------------------------------===//
-
-OFFCHIP_REGISTER_WORKLOAD(
-    wupwise, "lattice-QCD dense 2D sweeps; stable partitioning", makeWupwise);
-OFFCHIP_REGISTER_WORKLOAD(
-    swim, "shallow-water 5-point stencils + transposed boundary pass",
-    makeSwim);
-OFFCHIP_REGISTER_WORKLOAD(
-    mgrid, "3D multigrid 7-point stencil with strided coarse level",
-    makeMgrid);
-OFFCHIP_REGISTER_WORKLOAD(
-    applu, "SSOR sweeps with alternating partition dimensions", makeApplu);
-OFFCHIP_REGISTER_WORKLOAD(galgel, "dense matvec + transposed adjoint pass",
-                          makeGalgel);
-OFFCHIP_REGISTER_WORKLOAD(apsi, "3D meteorology advection sweeps", makeApsi);
-OFFCHIP_REGISTER_WORKLOAD(
-    gafort, "GA population sweep with window-local shuffle", makeGafort);
-OFFCHIP_REGISTER_WORKLOAD(
-    fma3d, "FEM gather/scatter; highest sharing and bank demand", makeFma3d);
-OFFCHIP_REGISTER_WORKLOAD(
-    art, "neural-net weight sweeps, forward + transposed resonance", makeArt);
-OFFCHIP_REGISTER_WORKLOAD(
-    ammp, "MD with local neighbor list + random long-range pairs", makeAmmp);
-OFFCHIP_REGISTER_WORKLOAD(hpccg, "CG with banded CRS SpMV", makeHpccg);
-OFFCHIP_REGISTER_WORKLOAD(
-    minighost, "27-point halo stencil; high sharing and bank demand",
-    makeMinighost);
-OFFCHIP_REGISTER_WORKLOAD(minimd, "MD force loop over sorted neighbor bins",
-                          makeMinimd);
-
 } // namespace
 
+/// The application table, in the paper's presentation order. Adding an app
+/// is one row here.
+static const AppInfo Apps[] = {
+    {"wupwise", "lattice-QCD dense 2D sweeps; stable partitioning",
+     makeWupwise},
+    {"swim", "shallow-water 5-point stencils + transposed boundary pass",
+     makeSwim},
+    {"mgrid", "3D multigrid 7-point stencil with strided coarse level",
+     makeMgrid},
+    {"applu", "SSOR sweeps with alternating partition dimensions", makeApplu},
+    {"galgel", "dense matvec + transposed adjoint pass", makeGalgel},
+    {"apsi", "3D meteorology advection sweeps", makeApsi},
+    {"gafort", "GA population sweep with window-local shuffle", makeGafort},
+    {"fma3d", "FEM gather/scatter; highest sharing and bank demand",
+     makeFma3d},
+    {"art", "neural-net weight sweeps, forward + transposed resonance",
+     makeArt},
+    {"ammp", "MD with local neighbor list + random long-range pairs",
+     makeAmmp},
+    {"hpccg", "CG with banded CRS SpMV", makeHpccg},
+    {"minighost", "27-point halo stencil; high sharing and bank demand",
+     makeMinighost},
+    {"minimd", "MD force loop over sorted neighbor bins", makeMinimd},
+};
+
+const AppInfo *offchip::findApp(const std::string &Name) {
+  for (const AppInfo &A : Apps)
+    if (Name == A.Name)
+      return &A;
+  return nullptr;
+}
+
 const std::vector<std::string> &offchip::appNames() {
-  return WorkloadFactory::instance().names();
+  static const std::vector<std::string> Names = [] {
+    std::vector<std::string> Out;
+    for (const AppInfo &A : Apps)
+      Out.push_back(A.Name);
+    return Out;
+  }();
+  return Names;
+}
+
+const std::string &offchip::appNameList() {
+  static const std::string List = [] {
+    std::string Out;
+    for (const AppInfo &A : Apps)
+      Out += std::string(Out.empty() ? "" : ", ") + A.Name;
+    return Out;
+  }();
+  return List;
 }
 
 AppModel offchip::buildApp(const std::string &Name, double SizeScale) {
-  if (std::optional<AppModel> M =
-          WorkloadFactory::instance().tryBuild(Name, SizeScale))
-    return std::move(*M);
-  reportFatalError("unknown application model name");
+  const AppInfo *A = findApp(Name);
+  if (!A)
+    reportFatalError("unknown application model name");
+  AppModel M = A->Build(SizeScale);
+  M.Summary = A->Summary;
+  return M;
 }
 
 const std::vector<std::vector<std::string>> &offchip::multiprogramMixes() {

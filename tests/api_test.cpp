@@ -1052,6 +1052,27 @@ TEST(Execute, ParseErrorYieldsErrorText) {
   EXPECT_TRUE(Resp.Diagnostics.empty());
 }
 
+TEST(Execute, MalformedProgramNumberAnswersError) {
+  SimRequest R;
+  R.Kind = RequestKind::Optimize;
+  R.Workload.ProgramText = "program p\narray a dims abc elem 8\n";
+  SimResponse Resp = executeRequest(R);
+  EXPECT_EQ(Resp.Status, ResponseStatus::Error);
+  EXPECT_EQ(Resp.ErrorText.rfind("line 2: ", 0), 0u) << Resp.ErrorText;
+}
+
+TEST(Execute, UnknownAppNamesEveryApp) {
+  SimRequest R;
+  R.Kind = RequestKind::Optimize;
+  R.Workload.App = "nope";
+  SimResponse Resp = executeRequest(R);
+  EXPECT_EQ(Resp.Status, ResponseStatus::Error);
+  EXPECT_EQ(Resp.ErrorText,
+            "unknown application 'nope' (registered: wupwise, swim, mgrid, "
+            "applu, galgel, apsi, gafort, fma3d, art, ammp, hpccg, "
+            "minighost, minimd)");
+}
+
 TEST(Execute, OptimizeCarriesPlanButNoResults) {
   SimRequest R;
   R.Kind = RequestKind::Optimize;

@@ -177,6 +177,62 @@ TEST(ProgramText, ErrorsCarryLineNumbers) {
   EXPECT_NE(Err.find("malformed expression"), std::string::npos);
 }
 
+TEST(ProgramText, NumbersAreWholeTokensInRange) {
+  // Each bad number fails its own line with the parser's message; none
+  // throws, and none is wrapped or truncated into an accepted value.
+  const std::pair<const char *, const char *> Bad[] = {
+      {"array a dims abc elem 8",
+       "line 2: array dimensions must be integers >= 1, got 'abc'"},
+      {"array a dims 99999999999999999999 elem 8",
+       "line 2: array dimensions must be integers >= 1, got "
+       "'99999999999999999999'"},
+      {"array a dims 0 elem 8",
+       "line 2: array dimensions must be integers >= 1, got '0'"},
+      {"array a dims 64 elem -8",
+       "line 2: the element size must be an integer >= 1, got '-8'"},
+      {"array a dims 64 elem 0",
+       "line 2: the element size must be an integer >= 1, got '0'"},
+      {"array a dims 64 elem 8x",
+       "line 2: the element size must be an integer >= 1, got '8x'"},
+      {"nest n bounds 0:64x parallel 0",
+       "line 2: bound ends must be integers, got '0:64x'"},
+      {"nest n bounds 0:64 parallel -1",
+       "line 2: the parallel dimension must be an unsigned integer, got "
+       "'-1'"},
+      {"nest n bounds 0:64 parallel 0 repeat 0",
+       "line 2: the repeat count must be an integer >= 1, got '0'"},
+      {"index x random -1 for a",
+       "line 2: the seed must be an unsigned integer, got '-1'"},
+      {"index x nearby -4 1 for a",
+       "line 2: the window must be an integer >= 0, got '-4'"},
+      {"index x values 1 two 3",
+       "line 2: index values must be integers, got 'two'"},
+  };
+  for (const auto &[Line, Message] : Bad) {
+    std::string Err;
+    EXPECT_FALSE(parseProgramText(std::string("program p\n") + Line + "\n",
+                                  &Err)
+                     .has_value())
+        << Line;
+    EXPECT_EQ(Err, Message) << Line;
+  }
+
+  // A subscript constant too large for 64 bits is a malformed expression.
+  std::string Err;
+  EXPECT_FALSE(parseProgramText("program p\narray a dims 4 elem 8\n"
+                                "nest n bounds 0:4 parallel 0\n"
+                                "  read a [ i0+99999999999999999999 ]\nend\n",
+                                &Err)
+                   .has_value());
+  EXPECT_EQ(Err.rfind("line 4: malformed expression", 0), 0u) << Err;
+
+  // Negative bounds and offsets stay legal.
+  EXPECT_TRUE(parseProgramText("program p\narray a dims 8 elem 4\n"
+                               "nest n bounds -2:6 parallel 0 repeat 2\n"
+                               "  read a [ i0+2 ]\nend\n")
+                  .has_value());
+}
+
 TEST(ProgramText, ParsesNegativeAndScaledCoefficients) {
   const char *Text = R"(
 program coeffs

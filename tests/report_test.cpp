@@ -23,12 +23,6 @@ SimResult sample() {
   R.OnChipNetLatency.addSample(40);
   R.OffChipNetLatency.addSample(80);
   R.MemLatency.addSample(60);
-  R.NumNodes = 4;
-  R.NumMCs = 2;
-  R.NodeToMCTraffic = {1, 2, 3, 4, 5, 6, 7, 8};
-  R.OnChipMsgHops.addSample(1);
-  R.OnChipMsgHops.addSample(3);
-  R.OffChipMsgHops.addSample(5);
   return R;
 }
 
@@ -63,35 +57,6 @@ TEST(Report, CsvShapeAndValues) {
   EXPECT_NE(Row.find("0.100000"), std::string::npos); // off-chip fraction
 }
 
-TEST(Report, HopCdfCsvIsMonotone) {
-  SimResult R = sample();
-  std::string Csv = renderHopCdfCsv(R, 6);
-  EXPECT_EQ(countLines(Csv), 8u); // header + 7 rows
-  std::istringstream In(Csv);
-  std::string Line;
-  std::getline(In, Line); // header
-  double PrevOn = -1, PrevOff = -1;
-  while (std::getline(In, Line)) {
-    unsigned Links;
-    double On, Off;
-    ASSERT_EQ(std::sscanf(Line.c_str(), "%u,%lf,%lf", &Links, &On, &Off), 3);
-    EXPECT_GE(On, PrevOn);
-    EXPECT_GE(Off, PrevOff);
-    PrevOn = On;
-    PrevOff = Off;
-  }
-  EXPECT_DOUBLE_EQ(PrevOn, 1.0);
-  EXPECT_DOUBLE_EQ(PrevOff, 1.0);
-}
-
-TEST(Report, TrafficCsvMatchesMap) {
-  SimResult R = sample();
-  std::string Csv = renderTrafficCsv(R, /*MeshX=*/2);
-  EXPECT_EQ(countLines(Csv), 5u); // header + 4 nodes
-  EXPECT_NE(Csv.find("node,x,y,mc1,mc2"), std::string::npos);
-  EXPECT_NE(Csv.find("3,1,1,7,8"), std::string::npos);
-}
-
 TEST(Report, EndToEndWithARealRun) {
   MachineConfig C = MachineConfig::scaledDefault();
   C.MeshX = 4;
@@ -103,6 +68,4 @@ TEST(Report, EndToEndWithARealRun) {
   EXPECT_NE(Summary.find("execution cycles"), std::string::npos);
   std::string Csv = renderCsv({{"wupwise", &R}});
   EXPECT_EQ(countLines(Csv), 2u);
-  std::string Traffic = renderTrafficCsv(R, C.MeshX);
-  EXPECT_EQ(countLines(Traffic), 1u + C.numNodes());
 }

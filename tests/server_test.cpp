@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 
 #include <chrono>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <sys/socket.h>
@@ -99,7 +100,27 @@ TEST_F(ServerTest, PingAppsStats) {
   const JsonValue *List = Apps.find("apps");
   ASSERT_NE(List, nullptr);
   ASSERT_TRUE(List->isArray());
-  EXPECT_GT(List->size(), 0u) << "workload registry must not be empty";
+  // The 13 apps with their summaries, in the paper's order.
+  const std::pair<const char *, const char *> Expected[] = {
+      {"wupwise", "lattice-QCD dense 2D sweeps; stable partitioning"},
+      {"swim", "shallow-water 5-point stencils + transposed boundary pass"},
+      {"mgrid", "3D multigrid 7-point stencil with strided coarse level"},
+      {"applu", "SSOR sweeps with alternating partition dimensions"},
+      {"galgel", "dense matvec + transposed adjoint pass"},
+      {"apsi", "3D meteorology advection sweeps"},
+      {"gafort", "GA population sweep with window-local shuffle"},
+      {"fma3d", "FEM gather/scatter; highest sharing and bank demand"},
+      {"art", "neural-net weight sweeps, forward + transposed resonance"},
+      {"ammp", "MD with local neighbor list + random long-range pairs"},
+      {"hpccg", "CG with banded CRS SpMV"},
+      {"minighost", "27-point halo stencil; high sharing and bank demand"},
+      {"minimd", "MD force loop over sorted neighbor bins"},
+  };
+  ASSERT_EQ(List->size(), std::size(Expected));
+  for (std::size_t I = 0; I < std::size(Expected); ++I) {
+    EXPECT_EQ(field(List->at(I), "name"), Expected[I].first) << I;
+    EXPECT_EQ(field(List->at(I), "summary"), Expected[I].second) << I;
+  }
 
   JsonValue Stats = roundtrip("{\"method\":\"stats\"}");
   EXPECT_EQ(field(Stats, "status"), "ok");

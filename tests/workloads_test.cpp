@@ -19,6 +19,14 @@ TEST(Workloads, ThirteenApplications) {
     EXPECT_EQ(Unique.count(Name), 1u) << Name;
 }
 
+TEST(Workloads, AppNamesInThePapersOrder) {
+  EXPECT_EQ(appNames(),
+            (std::vector<std::string>{"wupwise", "swim", "mgrid", "applu",
+                                      "galgel", "apsi", "gafort", "fma3d",
+                                      "art", "ammp", "hpccg", "minighost",
+                                      "minimd"}));
+}
+
 TEST(Workloads, EveryAppBuildsConsistently) {
   for (const std::string &Name : appNames()) {
     AppModel App = buildApp(Name, 0.25);

@@ -20,7 +20,7 @@
 #include "api/Socket.h"
 #include "support/Format.h"
 #include "support/Options.h"
-#include "workloads/WorkloadFactory.h"
+#include "workloads/AppModel.h"
 
 #include <algorithm>
 #include <atomic>
@@ -57,7 +57,7 @@ end
 )";
 
 /// The deterministic request mix: a hot set of optimize requests over the
-/// registered apps (exercises the cache) plus a per-client unique scale
+/// table's apps (exercises the cache) plus a per-client unique scale
 /// every fourth request (forces cold misses throughout the run).
 ///
 /// With \p DuplicateRatio > 0, that fraction of each client's iterations
@@ -68,7 +68,7 @@ end
 /// onto one execution (stragglers land as cache hits instead).
 SimRequest mixRequest(unsigned Level, unsigned Client, unsigned Iter,
                       double DuplicateRatio, int RunTag) {
-  const std::vector<std::string> &Apps = WorkloadFactory::instance().names();
+  const std::vector<std::string> &Apps = appNames();
   SimRequest R;
   R.Id = formatString("l%u-c%u-i%u", Level, Client, Iter);
   if (DuplicateRatio > 0.0 &&
@@ -263,10 +263,6 @@ int main(int Argc, char **Argv) {
 
   if (std::optional<int> Ec = Options.parseArgs(Argc, Argv))
     return *Ec;
-  if (WorkloadFactory::instance().names().empty()) {
-    std::fprintf(stderr, "error: no workloads registered in this binary\n");
-    return 1;
-  }
 
   // Cold-vs-hit probe: the same simulate request twice on one connection.
   // The first answer is computed, the second must come from the cache; the
