@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <utility>
 
 using namespace offchip;
 
@@ -60,7 +61,8 @@ std::vector<std::string> tokenize(const std::string &Line) {
 }
 
 /// Parses an affine subscript expression over iterators i0..i<Depth-1>,
-/// e.g. "2*i0-3" or "i1+1". \returns false on malformed input.
+/// e.g. "2*i0-3" or "i1+1". \returns false on malformed input, including
+/// a coefficient or constant whose sum overflows 64 bits.
 bool parseAffineExpr(const std::string &Text, unsigned Depth,
                      IntVector &Coeffs, std::int64_t &Const) {
   Coeffs.assign(Depth, 0);
@@ -95,7 +97,8 @@ bool parseAffineExpr(const std::string &Text, unsigned Depth,
       if (Pos < Text.size() && Text[Pos] == '*')
         ++Pos;
       else {
-        Const += Sign * K;
+        if (__builtin_add_overflow(Const, Sign * K, &Const))
+          return false;
         Sign = 1;
         First = false;
         continue;
@@ -114,7 +117,8 @@ bool parseAffineExpr(const std::string &Text, unsigned Depth,
     if (!readInt(Text.substr(Pos, End - Pos), Dim) || Dim >= Depth)
       return false;
     Pos = End;
-    Coeffs[Dim] += Sign * K;
+    if (__builtin_add_overflow(Coeffs[Dim], Sign * K, &Coeffs[Dim]))
+      return false;
     Sign = 1;
     First = false;
     (void)HaveNumber;
@@ -146,6 +150,27 @@ bool collectSubscripts(const std::vector<std::string> &Tok, std::size_t &I,
     Cur += Tok[I];
   }
   return false;
+}
+
+/// The least and greatest value of Coeffs . i + Const over the box of
+/// \p Space, taken at its corners. \returns false when either overflows
+/// 64 bits.
+bool subscriptRange(const IntVector &Coeffs, std::int64_t Const,
+                    const IterationSpace &Space, std::int64_t &Min,
+                    std::int64_t &Max) {
+  Min = Max = Const;
+  for (unsigned J = 0; J < Space.depth(); ++J) {
+    std::int64_t AtLo = 0, AtHi = 0;
+    if (__builtin_mul_overflow(Coeffs[J], Space.lower(J), &AtLo) ||
+        __builtin_mul_overflow(Coeffs[J], Space.upper(J) - 1, &AtHi))
+      return false;
+    if (AtLo > AtHi)
+      std::swap(AtLo, AtHi);
+    if (__builtin_add_overflow(Min, AtLo, &Min) ||
+        __builtin_add_overflow(Max, AtHi, &Max))
+      return false;
+  }
+  return true;
 }
 
 std::string affineToText(const IntVector &Coeffs, std::int64_t Const) {
@@ -243,6 +268,11 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
                          Tok[I + 1]);
       if (Arrays.count(Tok[1]))
         return Fail(LineNo, "duplicate array '" + Tok[1] + "'");
+      std::uint64_t Bytes = Elem;
+      for (std::int64_t D : Dims)
+        if (__builtin_mul_overflow(Bytes, static_cast<std::uint64_t>(D),
+                                   &Bytes))
+          return Fail(LineNo, "array '" + Tok[1] + "' overflows 64 bits");
       Arrays[Tok[1]] = Program->addArray({Tok[1], Dims, Elem});
       continue;
     }
@@ -304,6 +334,8 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
         if (!readInt(Tok[I].substr(0, Colon), L) ||
             !readInt(Tok[I].substr(Colon + 1), H))
           return BadNumber("bound ends must be integers", Tok[I]);
+        if (H <= L)
+          return BadNumber("a bound <lo>:<hi> needs hi > lo", Tok[I]);
         Lo.push_back(L);
         Hi.push_back(H);
         ++I;
@@ -317,8 +349,11 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
       if (U >= Lo.size())
         return Fail(LineNo, "parallel dimension out of range");
       unsigned Repeat = 1;
-      if (I + 3 < Tok.size() && Tok[I + 2] == "repeat" &&
-          !readInt(Tok[I + 3], Repeat, 1u))
+      std::size_t Rest = Tok.size() - (I + 2);
+      if (Rest != 0 && (Rest != 2 || Tok[I + 2] != "repeat"))
+        return Fail(LineNo, "expected at most 'repeat <n>' after 'parallel "
+                            "<dim>'");
+      if (Rest == 2 && !readInt(Tok[I + 3], Repeat, 1u))
         return BadNumber("the repeat count must be an integer >= 1",
                          Tok[I + 3]);
       Nests.emplace_back(Tok[1], IterationSpace(Lo, Hi), U);
@@ -369,6 +404,18 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
         std::int64_t Const;
         if (!parseAffineExpr(Exprs[D], Depth, Coeffs, Const))
           return Fail(LineNo, "malformed expression '" + Exprs[D] + "'");
+        std::int64_t Min = 0, Max = 0;
+        if (!subscriptRange(Coeffs, Const, CurNest->space(), Min, Max))
+          return Fail(LineNo, "subscript '" + Exprs[D] +
+                                  "' overflows 64 bits over the nest's bounds");
+        if (Min < 0 || Max >= Decl.Dims[D])
+          return Fail(LineNo,
+                      formatString("subscript '%s' spans %lld..%lld over the "
+                                   "nest's bounds, outside '%s' (0..%lld)",
+                                   Exprs[D].c_str(), static_cast<long long>(Min),
+                                   static_cast<long long>(Max),
+                                   Decl.Name.c_str(),
+                                   static_cast<long long>(Decl.Dims[D] - 1)));
         for (unsigned J = 0; J < Depth; ++J)
           A.at(D, J) = Coeffs[J];
         O[D] = Const;

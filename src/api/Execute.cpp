@@ -43,7 +43,8 @@ PlanSummary summarizePlan(const AffineProgram &Program,
 
 } // namespace
 
-SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs) {
+SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs,
+                                    const std::string &TracePrefix) {
   auto Start = std::chrono::steady_clock::now();
   SimResponse Resp;
   Resp.Id = R.Id;
@@ -105,13 +106,13 @@ SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs) {
   if (R.Kind == RequestKind::Simulate) {
     MachineConfig BaseConfig = Config;
     MachineConfig OptConfig = optimizedConfig(Config);
-    if (!R.TracePrefix.empty()) {
+    if (!TracePrefix.empty()) {
       BaseConfig.Trace.Enabled = true;
-      BaseConfig.Trace.ChromeOutPath = R.TracePrefix + "-original.trace.json";
-      BaseConfig.Trace.SeriesOutPath = R.TracePrefix + "-original.series.csv";
+      BaseConfig.Trace.ChromeOutPath = TracePrefix + "-original.trace.json";
+      BaseConfig.Trace.SeriesOutPath = TracePrefix + "-original.series.csv";
       OptConfig.Trace.Enabled = true;
-      OptConfig.Trace.ChromeOutPath = R.TracePrefix + "-optimized.trace.json";
-      OptConfig.Trace.SeriesOutPath = R.TracePrefix + "-optimized.series.csv";
+      OptConfig.Trace.ChromeOutPath = TracePrefix + "-optimized.trace.json";
+      OptConfig.Trace.SeriesOutPath = TracePrefix + "-optimized.series.csv";
     }
     // The two variants are independent; fan them across the runner and join
     // before returning, identical to the CLI's --jobs behaviour.

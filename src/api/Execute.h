@@ -28,8 +28,12 @@ namespace offchip {
 /// service layer — a direct call never consults a cache.
 ///
 /// \p Jobs is ExperimentRunner parallelism for the two-variant simulate
-/// fan-out (1 = inline serial execution, 0 = all cores).
-SimResponse executeRequest(const SimRequest &R, unsigned Jobs = 1);
+/// fan-out (1 = inline serial execution, 0 = all cores). A non-empty
+/// \p TracePrefix makes a simulate request write
+/// "<prefix>-original" / "<prefix>-optimized" .trace.json/.series.csv
+/// files.
+SimResponse executeRequest(const SimRequest &R, unsigned Jobs = 1,
+                           const std::string &TracePrefix = "");
 
 } // namespace offchip
 

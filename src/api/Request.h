@@ -22,6 +22,7 @@
 
 #include "sim/MachineConfig.h"
 #include "sim/Metrics.h"
+#include "support/EnumNames.h"
 
 #include <optional>
 #include <string>
@@ -37,6 +38,13 @@ enum class RequestKind {
   /// Layout pass plus original-vs-optimized simulation.
   Simulate,
 };
+
+/// Wire spellings of a request's "method" (support/EnumNames.h).
+inline const auto &enumNames(RequestKind) {
+  static constexpr EnumName<RequestKind> Names[] = {
+      {RequestKind::Optimize, "optimize"}, {RequestKind::Simulate, "simulate"}};
+  return Names;
+}
 
 /// The workload a request operates on.
 struct WorkloadSpec {
@@ -70,12 +78,6 @@ struct SimRequest {
   /// 1 selects the M1 mapping (one MC per cluster, Figure 8a); >1 the
   /// M2-style mapping with that many MCs per shared interleave group.
   unsigned MCsPerCluster = 1;
-
-  /// In-process only (not serialized, not hashed): when non-empty, the
-  /// simulation writes "<prefix>-original" / "<prefix>-optimized"
-  /// .trace.json/.series.csv files. Requests with tracing skip the result
-  /// cache lookup so the files are always produced.
-  std::string TracePrefix;
 };
 
 /// One per-array row of the layout plan, pre-rendered for display (the
@@ -113,6 +115,14 @@ enum class ResponseStatus {
   /// later; nothing was computed.
   Overloaded,
 };
+
+/// Wire spellings of a response's "status" (support/EnumNames.h).
+inline const auto &enumNames(ResponseStatus) {
+  using S = ResponseStatus;
+  static constexpr EnumName<S> Names[] = {
+      {S::Ok, "ok"}, {S::Error, "error"}, {S::Overloaded, "overloaded"}};
+  return Names;
+}
 
 /// The answer to one SimRequest.
 struct SimResponse {

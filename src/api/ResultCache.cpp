@@ -4,43 +4,56 @@
 
 using namespace offchip;
 
-std::optional<SimResponse> ResultCache::lookup(const CacheKey &K) {
+ResultCache::Claim ResultCache::claim(const CacheKey &K, const std::string &Id,
+                                      const DoneFn &Done) {
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(K);
-  if (It == Index.end()) {
-    ++Misses;
-    return std::nullopt;
+  auto [It, Inserted] = Table.try_emplace(K);
+  Claim C;
+  if (Inserted) {
+    ++Counts.Misses;
+    C.Lead = true;
+  } else if (Slot &S = It->second; S.Result) {
+    ++Counts.Hits;
+    Order.splice(Order.begin(), Order, S.Pos);
+    C.Hit = S.Result;
+  } else {
+    ++Counts.SingleflightHits;
+    S.Waiters.push_back({Id, Done});
   }
-  ++Hits;
-  Order.splice(Order.begin(), Order, It->second);
-  return It->second->second;
+  return C;
 }
 
-void ResultCache::insert(const CacheKey &K, const SimResponse &Resp) {
-  if (Capacity == 0)
-    return;
+std::vector<ResultCache::Waiter> ResultCache::finish(const CacheKey &K,
+                                                     const SimResponse &Resp) {
+  std::shared_ptr<SimResponse> Done;
+  if (Resp.ok() && Capacity > 0) {
+    Done = std::make_shared<SimResponse>(Resp);
+    Done->Id.clear();
+    Done->CacheHit = false;
+    Done->Singleflight = false;
+    Done->Key.clear();
+  }
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(K);
-  if (It != Index.end()) {
-    It->second->second = Resp;
-    Order.splice(Order.begin(), Order, It->second);
-    return;
+  auto It = Table.find(K);
+  std::vector<Waiter> Waiters = std::move(It->second.Waiters);
+  if (!Done) {
+    Table.erase(It);
+    return Waiters;
   }
   if (Order.size() >= Capacity) {
-    Index.erase(Order.back().first);
+    Table.erase(Order.back());
     Order.pop_back();
-    ++Evictions;
+    ++Counts.Evictions;
   }
-  Order.emplace_front(K, Resp);
-  Index.emplace(K, Order.begin());
+  Order.push_front(K);
+  It->second.Result = std::move(Done);
+  It->second.Pos = Order.begin();
+  return Waiters;
 }
 
 ResultCache::Stats ResultCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  Stats S;
-  S.Hits = Hits;
-  S.Misses = Misses;
-  S.Evictions = Evictions;
+  Stats S = Counts;
   S.Entries = Order.size();
   S.Capacity = Capacity;
   return S;

@@ -171,18 +171,6 @@ const std::unordered_map<std::string_view, std::size_t> &configRows() {
   return Rows;
 }
 
-const char *statusName(ResponseStatus S) {
-  switch (S) {
-  case ResponseStatus::Ok:
-    return "ok";
-  case ResponseStatus::Error:
-    return "error";
-  case ResponseStatus::Overloaded:
-    return "overloaded";
-  }
-  return "error";
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -326,9 +314,7 @@ JsonValue offchip::toJson(const SimRequest &R) {
   JsonValue O = JsonValue::object();
   if (!R.Id.empty())
     O.set("id", JsonValue::string(R.Id));
-  O.set("method", JsonValue::string(R.Kind == RequestKind::Optimize
-                                        ? "optimize"
-                                        : "simulate"));
+  O.set("method", encode(R.Kind));
   if (R.Workload.isApp()) {
     O.set("app", JsonValue::string(R.Workload.App));
     O.set("scale", JsonValue::number(R.Workload.SizeScale));
@@ -352,18 +338,9 @@ bool offchip::requestFromJson(const JsonValue &V, SimRequest *R,
     bool Ok = true;
     if (Key == "id")
       Ok = read(V, Key, &R->Id, Err);
-    else if (Key == "method") {
-      std::string S;
-      Ok = read(V, Key, &S, Err);
-      if (Ok) {
-        if (S == "optimize")
-          R->Kind = RequestKind::Optimize;
-        else if (S == "simulate")
-          R->Kind = RequestKind::Simulate;
-        else
-          return keyError(Err, Key, "expected optimize or simulate");
-      }
-    } else if (Key == "app") {
+    else if (Key == "method")
+      Ok = read(V, Key, &R->Kind, Err);
+    else if (Key == "app") {
       Ok = read(V, Key, &R->Workload.App, Err);
       SawApp = true;
     } else if (Key == "scale") {
@@ -403,7 +380,7 @@ JsonValue offchip::toJson(const SimResponse &R) {
   JsonValue O = JsonValue::object();
   if (!R.Id.empty())
     O.set("id", JsonValue::string(R.Id));
-  O.set("status", JsonValue::string(statusName(R.Status)));
+  O.set("status", encode(R.Status));
   switch (R.Status) {
   case ResponseStatus::Overloaded:
     break;
@@ -453,15 +430,11 @@ bool offchip::responseFromJson(const JsonValue &V, SimResponse *R,
       return keyError(Err, "id", "expected a string");
     R->Id = Id->asString();
   }
-  std::string Status;
-  if (!read(V, "status", &Status, Err))
+  if (!read(V, "status", &R->Status, Err))
     return false;
-  if (Status == "overloaded") {
-    R->Status = ResponseStatus::Overloaded;
+  if (R->Status == ResponseStatus::Overloaded)
     return true;
-  }
-  if (Status == "error") {
-    R->Status = ResponseStatus::Error;
+  if (R->Status == ResponseStatus::Error) {
     if (const JsonValue *E = V.find("error")) {
       if (!E->isString())
         return keyError(Err, "error", "expected a string");
@@ -483,9 +456,6 @@ bool offchip::responseFromJson(const JsonValue &V, SimResponse *R,
     }
     return true;
   }
-  if (Status != "ok")
-    return keyError(Err, "status", "expected ok, error or overloaded");
-  R->Status = ResponseStatus::Ok;
   std::string Cache;
   if (!read(V, "cache", &Cache, Err))
     return false;

@@ -73,60 +73,23 @@ SimResponse SimService::execute(const SimRequest &R) const {
 
 void SimService::process(const SimRequest &R, const DoneFn &Done) {
   CacheKey Key = requestKey(R);
-  std::string KeyStr = Key.str();
-  // Tracing requests must actually run (the trace files are the point), so
-  // they bypass the cache lookup and single-flight merging; their computed
-  // result still refreshes the cache for everyone else.
-  bool Merge = R.TracePrefix.empty();
-  if (Merge) {
-    // One atomic decision under Mu: attach to an in-flight leader, answer
-    // from the cache, or become the leader for this key. The nesting
-    // Mu -> ResultCache's internal lock is one-directional (the cache
-    // never calls back into the service), and no callback ever runs under
-    // Mu.
-    std::unique_lock<std::mutex> Lock(Mu);
-    auto It = InFlight.find(KeyStr);
-    if (It != InFlight.end()) {
-      It->second.push_back({R.Id, Done});
-      ++SingleflightHits;
-      // The leader invokes this waiter's Done when it finishes; this
-      // worker slot frees up, but the leader's Pending keeps drain()
-      // waiting until every attached callback has fired.
-      return;
-    }
-    if (std::optional<SimResponse> Hit = Cache.lookup(Key)) {
-      Lock.unlock();
-      Hit->Id = R.Id;
-      Hit->CacheHit = true;
-      Hit->Key = KeyStr;
-      Done(std::move(*Hit));
-      return;
-    }
-    InFlight.emplace(KeyStr, std::vector<Waiter>());
+  ResultCache::Claim C = Cache.claim(Key, R.Id, Done);
+  if (C.Hit) {
+    SimResponse Resp = *C.Hit;
+    Resp.Id = R.Id;
+    Resp.CacheHit = true;
+    Resp.Key = Key.str();
+    Done(std::move(Resp));
+    return;
   }
+  // A joined request is answered by its leader; the leader's Pending keeps
+  // drain() waiting until every waiter's callback has fired.
+  if (!C.Lead)
+    return;
   SimResponse Resp = execute(R);
-  std::vector<Waiter> Waiters;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Resp.ok()) {
-      // Store a client-neutral copy; lookup() re-stamps per-request
-      // fields. Insert before retiring the key so no request can miss
-      // both the registry and the cache.
-      SimResponse Entry = Resp;
-      Entry.Id.clear();
-      Entry.CacheHit = false;
-      Entry.Key.clear();
-      Cache.insert(Key, Entry);
-    }
-    if (Merge) {
-      auto It = InFlight.find(KeyStr);
-      Waiters = std::move(It->second);
-      InFlight.erase(It);
-    }
-  }
   Resp.CacheHit = false;
-  Resp.Key = KeyStr;
-  for (Waiter &W : Waiters) {
+  Resp.Key = Key.str();
+  for (ResultCache::Waiter &W : Cache.finish(Key, Resp)) {
     SimResponse Copy = Resp;
     Copy.Id = W.Id;
     Copy.Singleflight = true;
@@ -155,7 +118,6 @@ SimService::Stats SimService::stats() const {
     S.Admitted = Admitted;
     S.Rejected = Rejected;
     S.Completed = Completed;
-    S.SingleflightHits = SingleflightHits;
   }
   S.Cache = Cache.stats();
   return S;

@@ -2,18 +2,19 @@
 ///
 /// \file
 /// The long-running heart of offchip-serve, usable without any socket: a
-/// bounded admission queue in front of a worker pool, answering from the
-/// content-addressed result cache on a hit and running executeRequest() on
-/// a miss. Identical concurrent misses are merged (single-flight): the
-/// first becomes the leader and executes, later ones attach as waiters and
-/// receive the leader's result, so a stampede of equal requests costs one
-/// simulation. Admission is explicit backpressure — when QueueDepth requests
-/// are already admitted but unanswered, submit() answers Overloaded
-/// immediately instead of queueing unboundedly; nothing admitted is ever
-/// dropped, not even when the executor throws (the request and its
-/// single-flight waiters are answered with an error, and nothing is
-/// cached). The completion callback is invoked exactly once per submit(),
-/// on a worker thread (or on the caller's thread for Overloaded answers).
+/// bounded admission queue in front of a worker pool and the
+/// content-addressed result table (api/ResultCache.h). Each request is a
+/// hit (answered from the table), a join (an identical request is running:
+/// it waits for that leader's result — single-flight, so a stampede of
+/// equal requests costs one simulation) or a lead (it runs
+/// executeRequest() and answers its waiters). Admission is explicit
+/// backpressure — when QueueDepth requests are already admitted but
+/// unanswered, submit() answers Overloaded immediately instead of queueing
+/// unboundedly; nothing admitted is ever dropped, not even when the
+/// executor throws (the request and its single-flight waiters are answered
+/// with an error, and nothing is cached). The completion callback is
+/// invoked exactly once per submit(), on a worker thread (or on the
+/// caller's thread for Overloaded answers).
 ///
 /// The executor is injectable so tests can hold requests open and observe
 /// backpressure/drain behaviour deterministically; production uses
@@ -30,7 +31,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 
 namespace offchip {
@@ -48,7 +48,7 @@ struct ServiceOptions {
 class SimService {
 public:
   /// Invoked exactly once with the answer to a submitted request.
-  using DoneFn = std::function<void(SimResponse)>;
+  using DoneFn = ResultCache::DoneFn;
   /// Computes the answer for one cache-missing request.
   using Executor = std::function<SimResponse(const SimRequest &)>;
 
@@ -77,9 +77,6 @@ public:
     std::uint64_t Admitted = 0;
     std::uint64_t Rejected = 0;
     std::uint64_t Completed = 0;
-    /// Requests answered by attaching to an identical in-flight request
-    /// instead of executing (single-flight merging).
-    std::uint64_t SingleflightHits = 0;
     ResultCache::Stats Cache;
   };
   Stats stats() const;
@@ -89,28 +86,17 @@ public:
 private:
   void process(const SimRequest &R, const DoneFn &Done);
   /// Exec, with an exception turned into an Error answer, so that every
-  /// admitted request is answered and its single-flight key retired.
+  /// admitted request is answered and its running entry retired.
   SimResponse execute(const SimRequest &R) const;
 
   const ServiceOptions Opts;
   Executor Exec;
   ResultCache Cache;
 
-  mutable std::mutex Mu;
+  mutable std::mutex Mu; // admission state; never held across a Cache call
   std::condition_variable Idle;
   std::size_t Pending = 0; // admitted, not yet answered
   std::uint64_t Admitted = 0, Rejected = 0, Completed = 0;
-  std::uint64_t SingleflightHits = 0;
-  /// Single-flight registry: content key -> waiters for the in-flight
-  /// execution of that key. An entry exists exactly while one worker (the
-  /// leader) is executing the key; attachers park their (Id, Done) here and
-  /// the leader answers them when it finishes. Guarded by Mu; the callbacks
-  /// are always invoked outside it.
-  struct Waiter {
-    std::string Id;
-    DoneFn Done;
-  };
-  std::map<std::string, std::vector<Waiter>> InFlight;
 
   ThreadPool Pool; // last member: workers must die before the state above
 };

@@ -260,7 +260,7 @@ void SocketServer::handleLine(const std::shared_ptr<Connection> &Conn,
     JsonValue O = JsonValue::object();
     if (!Id.empty())
       O.set("id", JsonValue::string(Id));
-    O.set("status", JsonValue::string("ok"));
+    O.set("status", JsonValue::string(enumName(ResponseStatus::Ok)));
     if (Method == "ping") {
       O.set("pong", JsonValue::boolean(true));
       O.set("workers", JsonValue::number(Service.workers()));
@@ -278,7 +278,7 @@ void SocketServer::handleLine(const std::shared_ptr<Connection> &Conn,
       O.set("admitted", JsonValue::number(S.Admitted));
       O.set("completed", JsonValue::number(S.Completed));
       O.set("rejected", JsonValue::number(S.Rejected));
-      O.set("singleflight_hits", JsonValue::number(S.SingleflightHits));
+      O.set("singleflight_hits", JsonValue::number(S.Cache.SingleflightHits));
       O.set("cache_hits", JsonValue::number(S.Cache.Hits));
       O.set("cache_misses", JsonValue::number(S.Cache.Misses));
       O.set("cache_evictions", JsonValue::number(S.Cache.Evictions));

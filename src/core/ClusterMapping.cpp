@@ -181,6 +181,16 @@ unsigned ClusterMapping::clusterOfNode(unsigned Node) const {
   return CYPos * CX + CXPos;
 }
 
+unsigned ClusterMapping::preferredMC(unsigned Node) const {
+  const std::vector<unsigned> &MCs = MCsOf[clusterOfNode(Node)];
+  unsigned Best = MCs.front();
+  for (unsigned MC : MCs)
+    if (Topology.manhattan(Node, MCNodes[MC]) <
+        Topology.manhattan(Node, MCNodes[Best]))
+      Best = MC;
+  return Best;
+}
+
 double ClusterMapping::averageDistanceToAssignedMCs() const {
   double Sum = 0.0;
   unsigned N = Topology.numNodes();

@@ -82,6 +82,11 @@ public:
     return MCsOf[C];
   }
 
+  /// The MC of \p Node's cluster nearest to it (the lowest-positioned one
+  /// on a tie): first-touch allocates the node's pages there (Section 6.3),
+  /// and the shared-L2 layout wants the node's data behind it.
+  unsigned preferredMC(unsigned Node) const;
+
   /// Interleave group index of cluster \p C.
   unsigned groupOfCluster(unsigned C) const { return MCsOf[C].front() / K; }
 

@@ -297,19 +297,10 @@ SharedL2Layout::SharedL2Layout(const ArrayDecl &Decl, const IntMatrix &U,
               static_cast<std::uint64_t>(P)));
   TotalElements = static_cast<std::uint64_t>(FastExtent) * N;
 
-  // Desired MC per node: the nearest MC of the node's cluster.
   const Mesh &M = Mapping.mesh();
   std::vector<unsigned> DesiredOfNode(N);
-  for (unsigned Node = 0; Node < N; ++Node) {
-    const std::vector<unsigned> &MCs =
-        Mapping.clusterMCs(Mapping.clusterOfNode(Node));
-    unsigned Best = MCs.front();
-    for (unsigned MC : MCs)
-      if (M.manhattan(Node, Mapping.mcNode(MC)) <
-          M.manhattan(Node, Mapping.mcNode(Best)))
-        Best = MC;
-    DesiredOfNode[Node] = Best;
-  }
+  for (unsigned Node = 0; Node < N; ++Node)
+    DesiredOfNode[Node] = Mapping.preferredMC(Node);
 
   // Off-chip relocation: a bijection owner-node -> hosting bank such that
   // each host's line residue modulo the MC count maps to an MC acceptable

@@ -43,16 +43,7 @@ Machine::Machine(const MachineConfig &Config, const ClusterMapping &Mapping,
   FirstTouchMCOfNode.resize(N);
   for (unsigned Node = 0; Node < N; ++Node) {
     NearestMCOfNode[Node] = nearestMC(Topology, MCNodes, Node);
-    // First-touch (Section 6.3) adopts the cluster concept: allocate from
-    // the cluster's MC; with several MCs per cluster pick the nearest.
-    const std::vector<unsigned> &ClusterMCs =
-        Mapping.clusterMCs(Mapping.clusterOfNode(Node));
-    unsigned Best = ClusterMCs.front();
-    for (unsigned MC : ClusterMCs)
-      if (Topology.manhattan(Node, MCNodes[MC]) <
-          Topology.manhattan(Node, MCNodes[Best]))
-        Best = MC;
-    FirstTouchMCOfNode[Node] = Best;
+    FirstTouchMCOfNode[Node] = Mapping.preferredMC(Node);
   }
 }
 

@@ -10,42 +10,6 @@ using namespace offchip;
 
 namespace {
 
-const char *kindName(TraceKind K) {
-  switch (K) {
-  case TraceKind::L1Hit:
-    return "l1-hit";
-  case TraceKind::L1Miss:
-    return "l1-miss";
-  case TraceKind::L2Hit:
-    return "l2-hit";
-  case TraceKind::L2Miss:
-    return "l2-miss";
-  case TraceKind::DirLookup:
-    return "dir-lookup";
-  case TraceKind::RemoteL2Hit:
-    return "remote-l2";
-  case TraceKind::NocHop:
-    return "hop";
-  case TraceKind::MCEnqueue:
-    return "mc-queue";
-  case TraceKind::BankService:
-    return "bank";
-  case TraceKind::L1Fill:
-    return "l1-fill";
-  case TraceKind::Complete:
-    return "access";
-  case TraceKind::BurstCoalesce:
-    return "burst";
-  case TraceKind::Invalidate:
-    return "invalidate";
-  case TraceKind::Downgrade:
-    return "downgrade";
-  case TraceKind::InvAck:
-    return "inv-ack";
-  }
-  return "?";
-}
-
 /// Direction suffix of a directed link id (Network's node * 4 + dir).
 const char *dirName(unsigned Dir) {
   static const char *Names[4] = {"E", "W", "S", "N"};
@@ -125,7 +89,7 @@ std::string offchip::renderChromeTrace(const TraceData &D) {
         "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,"
         "\"pid\":%u,\"tid\":%llu,\"args\":{\"thread\":%llu,\"node\":%u,"
         "\"addr\":%llu,\"aux\":%llu}}",
-        kindName(E.Kind), (unsigned long long)E.Start,
+        enumName(E.Kind), (unsigned long long)E.Start,
         (unsigned long long)E.Dur, Pid, Tid, Thread, E.Node,
         (unsigned long long)E.Addr, (unsigned long long)E.Aux);
     Out += I + 1 < D.Events.size() ? ",\n" : "\n";

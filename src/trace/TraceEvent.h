@@ -18,6 +18,8 @@
 #ifndef OFFCHIP_TRACE_TRACEEVENT_H
 #define OFFCHIP_TRACE_TRACEEVENT_H
 
+#include "support/EnumNames.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -54,6 +56,21 @@ enum class TraceKind : std::uint8_t {
   InvAck,         ///< Invalidation ack received at the directory; Aux =
                   ///< acking node, Addr = line PA.
 };
+
+/// Event names in trace.json (support/EnumNames.h).
+inline const auto &enumNames(TraceKind) {
+  using K = TraceKind;
+  static constexpr EnumName<K> Names[] = {
+      {K::L1Hit, "l1-hit"},         {K::L1Miss, "l1-miss"},
+      {K::L2Hit, "l2-hit"},         {K::L2Miss, "l2-miss"},
+      {K::DirLookup, "dir-lookup"}, {K::RemoteL2Hit, "remote-l2"},
+      {K::NocHop, "hop"},           {K::MCEnqueue, "mc-queue"},
+      {K::BankService, "bank"},     {K::L1Fill, "l1-fill"},
+      {K::Complete, "access"},      {K::BurstCoalesce, "burst"},
+      {K::Invalidate, "invalidate"}, {K::Downgrade, "downgrade"},
+      {K::InvAck, "inv-ack"}};
+  return Names;
+}
 
 /// Fixed-size binary event record (see the file comment for the ordering
 /// contract).

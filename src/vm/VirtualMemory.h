@@ -78,9 +78,10 @@ public:
   std::uint64_t translate(std::uint64_t VA, unsigned TouchingMC);
 
   /// Non-mutating translation: the PA if the page containing \p VA is
-  /// already mapped, or false without allocating anything. The burst
-  /// coalescer uses this on peeked future accesses — a speculative peek
-  /// must never change first-touch allocation order.
+  /// already mapped, or false without allocating anything. Its one caller
+  /// is the L1-inclusion check in Machine::checkInvariants, which maps
+  /// L1-resident lines to their L2 lines after the run — a check must never
+  /// allocate a page or change first-touch allocation order.
   bool peekTranslate(std::uint64_t VA, std::uint64_t *PA) const {
     std::uint64_t VPN = VA >> PageShift;
     if (VPN >= PageTable.size() || PageTable[VPN] < 0)

@@ -137,7 +137,6 @@ TEST(ContentHash, IdAndExecutionKnobsExcluded) {
   B.Config.CheckInvariants = !A.Config.CheckInvariants;
   B.Config.Trace.Enabled = true;
   B.Config.Trace.SampleCycles += 100;
-  B.TracePrefix = "some-prefix";
   EXPECT_EQ(requestKey(A), requestKey(B));
 }
 
@@ -615,51 +614,106 @@ SimResponse okResponse(const std::string &Tag) {
 
 CacheKey keyOf(std::uint64_t N) { return CacheKey{N, ~N}; }
 
+/// Runs \p K through the table as a leader that computed \p Resp.
+void fill(ResultCache &Cache, const CacheKey &K, const SimResponse &Resp) {
+  ASSERT_TRUE(Cache.claim(K, "", nullptr).Lead);
+  EXPECT_TRUE(Cache.finish(K, Resp).empty());
+}
+
+/// Claims \p K; a miss is retired with an error so the table is unchanged.
+bool hits(ResultCache &Cache, const CacheKey &K) {
+  ResultCache::Claim C = Cache.claim(K, "", nullptr);
+  if (C.Lead) {
+    SimResponse Failed;
+    Failed.Status = ResponseStatus::Error;
+    Cache.finish(K, Failed);
+  }
+  return C.Hit != nullptr;
+}
+
 TEST(ResultCache, LruEvictionOrder) {
   ResultCache Cache(2);
-  Cache.insert(keyOf(1), okResponse("one"));
-  Cache.insert(keyOf(2), okResponse("two"));
+  fill(Cache, keyOf(1), okResponse("one"));
+  fill(Cache, keyOf(2), okResponse("two"));
   // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_TRUE(Cache.lookup(keyOf(1)).has_value());
-  Cache.insert(keyOf(3), okResponse("three"));
-  EXPECT_TRUE(Cache.lookup(keyOf(1)).has_value());
-  EXPECT_FALSE(Cache.lookup(keyOf(2)).has_value());
-  EXPECT_TRUE(Cache.lookup(keyOf(3)).has_value());
+  EXPECT_TRUE(hits(Cache, keyOf(1)));
+  fill(Cache, keyOf(3), okResponse("three"));
+  EXPECT_TRUE(hits(Cache, keyOf(1)));
+  EXPECT_FALSE(hits(Cache, keyOf(2)));
+  EXPECT_TRUE(hits(Cache, keyOf(3)));
 
   ResultCache::Stats S = Cache.stats();
   EXPECT_EQ(S.Evictions, 1u);
   EXPECT_EQ(S.Entries, 2u);
   EXPECT_EQ(S.Hits, 3u);
-  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Misses, 4u); // three fills and the evicted key
+  EXPECT_EQ(S.SingleflightHits, 0u);
+  EXPECT_EQ(S.Capacity, 2u);
 }
 
 TEST(ResultCache, ZeroCapacityDisables) {
   ResultCache Cache(0);
-  Cache.insert(keyOf(1), okResponse("one"));
-  EXPECT_FALSE(Cache.lookup(keyOf(1)).has_value());
+  fill(Cache, keyOf(1), okResponse("one"));
+  EXPECT_FALSE(hits(Cache, keyOf(1)));
   EXPECT_EQ(Cache.stats().Entries, 0u);
+
+  // A running entry still merges identical claims; finishing erases it.
+  ASSERT_TRUE(Cache.claim(keyOf(1), "leader", nullptr).Lead);
+  ResultCache::Claim Joined = Cache.claim(keyOf(1), "waiter", nullptr);
+  EXPECT_FALSE(Joined.Lead);
+  EXPECT_EQ(Joined.Hit, nullptr);
+  std::vector<ResultCache::Waiter> Waiters =
+      Cache.finish(keyOf(1), okResponse("one"));
+  ASSERT_EQ(Waiters.size(), 1u);
+  EXPECT_EQ(Waiters[0].Id, "waiter");
+  EXPECT_TRUE(Cache.claim(keyOf(1), "", nullptr).Lead);
+  EXPECT_EQ(Cache.stats().Entries, 0u);
+}
+
+TEST(ResultCache, DoneEntriesDropPerRequestFields) {
+  ResultCache Cache(4);
+  SimResponse Resp = okResponse("one");
+  Resp.Id = "client";
+  Resp.CacheHit = true;
+  Resp.Singleflight = true;
+  Resp.Key = "k";
+  fill(Cache, keyOf(1), Resp);
+  ResultCache::Claim C = Cache.claim(keyOf(1), "", nullptr);
+  ASSERT_NE(C.Hit, nullptr);
+  EXPECT_EQ(C.Hit->Id, "");
+  EXPECT_FALSE(C.Hit->CacheHit);
+  EXPECT_FALSE(C.Hit->Singleflight);
+  EXPECT_EQ(C.Hit->Key, "");
+  EXPECT_EQ(C.Hit->Plan.ProgramName, "one");
+  EXPECT_EQ(C.Hit->ServerSeconds, 1.0);
 }
 
 TEST(ResultCache, ConcurrentHitsAndMisses) {
   ResultCache Cache(64);
   constexpr unsigned NumThreads = 8, OpsPerThread = 2000;
   std::vector<std::thread> Threads;
-  std::atomic<std::uint64_t> ObservedHits{0};
+  std::atomic<std::uint64_t> ObservedHits{0}, AnsweredWaiters{0};
   for (unsigned T = 0; T < NumThreads; ++T) {
-    Threads.emplace_back([&Cache, &ObservedHits, T] {
+    Threads.emplace_back([&Cache, &ObservedHits, &AnsweredWaiters, T] {
       for (unsigned I = 0; I < OpsPerThread; ++I) {
         // 32 hot keys shared by all threads plus per-thread cold keys, so
-        // lookups, inserts and evictions all race with each other.
+        // claims, joins, finishes and evictions all race with each other.
         std::uint64_t N = (I % 3 == 0) ? 1000 + T * OpsPerThread + I
                                        : I % 32;
-        if (std::optional<SimResponse> Hit = Cache.lookup(keyOf(N))) {
+        std::string Want = "p" + std::to_string(N);
+        ResultCache::Claim C = Cache.claim(
+            keyOf(N), "", [&AnsweredWaiters, Want](SimResponse Resp) {
+              EXPECT_EQ(Resp.Plan.ProgramName, Want);
+              AnsweredWaiters.fetch_add(1);
+            });
+        if (C.Hit) {
           ObservedHits.fetch_add(1);
           // A hit must be internally consistent, never a torn value.
-          ASSERT_EQ(Hit->Plan.ProgramName,
-                    "p" + std::to_string(N));
-        } else {
-          SimResponse R = okResponse("p" + std::to_string(N));
-          Cache.insert(keyOf(N), R);
+          ASSERT_EQ(C.Hit->Plan.ProgramName, Want);
+        } else if (C.Lead) {
+          SimResponse R = okResponse(Want);
+          for (ResultCache::Waiter &W : Cache.finish(keyOf(N), R))
+            W.Done(R);
         }
       }
     });
@@ -668,7 +722,8 @@ TEST(ResultCache, ConcurrentHitsAndMisses) {
     T.join();
   ResultCache::Stats S = Cache.stats();
   EXPECT_EQ(S.Hits, ObservedHits.load());
-  EXPECT_EQ(S.Hits + S.Misses, NumThreads * OpsPerThread);
+  EXPECT_EQ(S.SingleflightHits, AnsweredWaiters.load());
+  EXPECT_EQ(S.Hits + S.Misses + S.SingleflightHits, NumThreads * OpsPerThread);
   EXPECT_LE(S.Entries, 64u);
   EXPECT_GT(S.Hits, 0u);
   EXPECT_GT(S.Evictions, 0u);
@@ -763,7 +818,7 @@ TEST(Service, ExecutorExceptionAnswersEveryoneAndRetiresKey) {
     R.Id = Id;
     Service.submit(R, Done);
   }
-  while (Service.stats().SingleflightHits < 1)
+  while (Service.stats().Cache.SingleflightHits < 1)
     std::this_thread::yield();
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -893,7 +948,7 @@ TEST(Service, SingleflightMergesIdenticalConcurrentRequests) {
   // would be a cache hit instead, which is correct but not what this test
   // pins). Followers can attach before the leader, which registers the key
   // first, has entered the executor, so wait for that too.
-  while (Service.stats().SingleflightHits < N - 1 || Executions.load() == 0)
+  while (Service.stats().Cache.SingleflightHits < N - 1 || Executions.load() == 0)
     std::this_thread::yield();
   EXPECT_EQ(Executions.load(), 1u);
   {
@@ -926,10 +981,75 @@ TEST(Service, SingleflightMergesIdenticalConcurrentRequests) {
   }
   EXPECT_EQ(Merged, N - 1);
   SimService::Stats S = Service.stats();
-  EXPECT_EQ(S.SingleflightHits, N - 1);
+  EXPECT_EQ(S.Cache.SingleflightHits, N - 1);
   EXPECT_EQ(S.Admitted, N);
   EXPECT_EQ(S.Completed, N);
   EXPECT_EQ(S.Cache.Misses, 1u); // one lookup miss: the leader's
+}
+
+TEST(Service, SingleflightWithCacheDisabled) {
+  // With no result cache, identical concurrent requests still execute once:
+  // every one is answered and no entry outlives the run.
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Open = false;
+  std::atomic<unsigned> Executions{0};
+  auto GateExec = [&](const SimRequest &R) {
+    Executions.fetch_add(1);
+    std::unique_lock<std::mutex> Lock(Mu);
+    Cv.wait(Lock, [&] { return Open; });
+    SimResponse Resp;
+    Resp.Id = R.Id;
+    Resp.Status = ResponseStatus::Ok;
+    Resp.Plan.ProgramName = "computed-once";
+    return Resp;
+  };
+  constexpr unsigned N = 4;
+  SimService Service({/*Workers=*/N, /*QueueDepth=*/8, /*CacheCapacity=*/0},
+                     GateExec);
+
+  std::mutex DoneMu;
+  std::vector<SimResponse> Answers;
+  auto Done = [&](SimResponse Resp) {
+    std::lock_guard<std::mutex> Lock(DoneMu);
+    Answers.push_back(std::move(Resp));
+  };
+  for (unsigned I = 0; I < N; ++I) {
+    SimRequest R = tinySimulate();
+    R.Id = "client" + std::to_string(I);
+    Service.submit(R, Done);
+  }
+  // A joined request's worker completes at once while the gated leader
+  // runs, so N - 1 completions with one execution means N - 1 joins.
+  while (Service.stats().Completed < N - 1 || Executions.load() == 0)
+    std::this_thread::yield();
+  EXPECT_EQ(Executions.load(), 1u);
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Open = true;
+  }
+  Cv.notify_all();
+  Service.drain();
+
+  std::lock_guard<std::mutex> Lock(DoneMu);
+  ASSERT_EQ(Answers.size(), N);
+  EXPECT_EQ(Executions.load(), 1u);
+  std::set<std::string> Ids;
+  unsigned Merged = 0;
+  for (const SimResponse &A : Answers) {
+    ASSERT_TRUE(A.ok());
+    EXPECT_FALSE(A.CacheHit);
+    EXPECT_EQ(A.Plan.ProgramName, "computed-once");
+    Merged += A.Singleflight;
+    Ids.insert(A.Id);
+  }
+  EXPECT_EQ(Merged, N - 1);
+  EXPECT_EQ(Ids.size(), N);
+  SimService::Stats S = Service.stats();
+  EXPECT_EQ(S.Completed, N);
+  EXPECT_EQ(S.Cache.Entries, 0u);
+  EXPECT_EQ(S.Cache.Hits, 0u);
+  EXPECT_EQ(S.Cache.Misses, 1u);
 }
 
 TEST(Service, SingleflightUnderOverloadStillAnswersEverySubmit) {
@@ -1002,7 +1122,7 @@ TEST(Service, SingleflightUnderOverloadStillAnswersEverySubmit) {
     OpenB = true;
   }
   Cv.notify_all();
-  while (Service.stats().SingleflightHits < 2)
+  while (Service.stats().Cache.SingleflightHits < 2)
     std::this_thread::yield();
   EXPECT_EQ(ExecA.load(), 1u);
 
@@ -1027,7 +1147,7 @@ TEST(Service, SingleflightUnderOverloadStillAnswersEverySubmit) {
   SimService::Stats S = Service.stats();
   EXPECT_EQ(S.Admitted, 4u);
   EXPECT_EQ(S.Rejected, 1u);
-  EXPECT_EQ(S.SingleflightHits, 2u);
+  EXPECT_EQ(S.Cache.SingleflightHits, 2u);
 }
 
 //===----------------------------------------------------------------------===//

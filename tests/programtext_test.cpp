@@ -178,8 +178,9 @@ TEST(ProgramText, ErrorsCarryLineNumbers) {
 }
 
 TEST(ProgramText, NumbersAreWholeTokensInRange) {
-  // Each bad number fails its own line with the parser's message; none
-  // throws, and none is wrapped or truncated into an accepted value.
+  // Each bad number, oversized array or malformed nest tail fails its own
+  // line with the parser's message; none throws, and none is wrapped,
+  // truncated or ignored into an accepted value.
   const std::pair<const char *, const char *> Bad[] = {
       {"array a dims abc elem 8",
        "line 2: array dimensions must be integers >= 1, got 'abc'"},
@@ -207,6 +208,20 @@ TEST(ProgramText, NumbersAreWholeTokensInRange) {
        "line 2: the window must be an integer >= 0, got '-4'"},
       {"index x values 1 two 3",
        "line 2: index values must be integers, got 'two'"},
+      {"array a dims 4294967296 4294967296 elem 8",
+       "line 2: array 'a' overflows 64 bits"},
+      {"array a dims 4294967296 4294967295 elem 8",
+       "line 2: array 'a' overflows 64 bits"},
+      {"nest n bounds 10:2 parallel 0",
+       "line 2: a bound <lo>:<hi> needs hi > lo, got '10:2'"},
+      {"nest n bounds 0:8 4:4 parallel 0",
+       "line 2: a bound <lo>:<hi> needs hi > lo, got '4:4'"},
+      {"nest n bounds 0:64 parallel 0 bogus 7",
+       "line 2: expected at most 'repeat <n>' after 'parallel <dim>'"},
+      {"nest n bounds 0:64 parallel 0 repeat",
+       "line 2: expected at most 'repeat <n>' after 'parallel <dim>'"},
+      {"nest n bounds 0:64 parallel 0 repeat 2 repeat 3",
+       "line 2: expected at most 'repeat <n>' after 'parallel <dim>'"},
   };
   for (const auto &[Line, Message] : Bad) {
     std::string Err;
@@ -226,18 +241,80 @@ TEST(ProgramText, NumbersAreWholeTokensInRange) {
                    .has_value());
   EXPECT_EQ(Err.rfind("line 4: malformed expression", 0), 0u) << Err;
 
-  // Negative bounds and offsets stay legal.
-  EXPECT_TRUE(parseProgramText("program p\narray a dims 8 elem 4\n"
-                               "nest n bounds -2:6 parallel 0 repeat 2\n"
-                               "  read a [ i0+2 ]\nend\n")
+  // Negative bounds and offsets, a trailing repeat, and the largest arrays
+  // that fit stay legal.
+  auto P = parseProgramText("program p\narray a dims 8 elem 4\n"
+                            "nest n bounds -2:6 parallel 0 repeat 2\n"
+                            "  read a [ i0+2 ]\nend\n");
+  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(P->nests()[0].repeatCount(), 2u);
+  EXPECT_TRUE(parseProgramText("program p\n"
+                               "array a dims 4294967296 4294967295 elem 1\n"
+                               "array b dims 2305843009213693951 elem 8\n")
                   .has_value());
+}
+
+TEST(ProgramText, SubscriptsStayInsideTheirArrays) {
+  // Every subscript is checked at the corners of its nest's bounds box;
+  // gathers check the index array they read.
+  auto Parse = [](const char *Nest, const char *Ref, std::string *Err) {
+    return parseProgramText(
+        std::string("program p\narray a dims 64 8 elem 8\n"
+                    "array idx dims 4 elem 8\nnest n bounds ") +
+            Nest + " parallel 0\n  " + Ref + "\nend\n",
+        Err);
+  };
+  std::string Err;
+  for (const auto &[Nest, Ref] :
+       std::initializer_list<std::pair<const char *, const char *>>{
+           {"0:64 0:8", "read a [ i0, i1 ]"},
+           {"0:64 0:8", "write a [ 63-i0, 7-i1 ]"},
+           {"1:64 0:8", "read a [ i0-1, i1 ]"},
+           {"0:32 0:4", "read a [ 2*i0+1, 2*i1 ]"},
+           {"0:4", "gather-read a via idx [ i0 ]"}})
+    EXPECT_TRUE(Parse(Nest, Ref, &Err).has_value()) << Ref << ": " << Err;
+
+  struct {
+    const char *Nest, *Ref, *Message;
+  } Bad[] = {
+      {"0:64 0:8", "read a [ i0+100000, i1 ]",
+       "line 5: subscript 'i0+100000' spans 100000..100063 over the nest's "
+       "bounds, outside 'a' (0..63)"},
+      {"0:64 0:8", "read a [ i0, i1+1 ]",
+       "line 5: subscript 'i1+1' spans 1..8 over the nest's bounds, outside "
+       "'a' (0..7)"},
+      {"0:64 0:8", "write a [ i0-1, i1 ]",
+       "line 5: subscript 'i0-1' spans -1..62 over the nest's bounds, "
+       "outside 'a' (0..63)"},
+      {"0:64 0:8", "read a [ i0, i0-i1 ]",
+       "line 5: subscript 'i0-i1' spans -7..63 over the nest's bounds, "
+       "outside 'a' (0..7)"},
+      {"0:5", "gather-write a via idx [ i0 ]",
+       "line 5: subscript 'i0' spans 0..4 over the nest's bounds, outside "
+       "'idx' (0..3)"},
+      {"0:64 0:8", "read a [ 4611686018427387904*i0, i1 ]",
+       "line 5: subscript '4611686018427387904*i0' overflows 64 bits over "
+       "the nest's bounds"},
+      // Sums that wrap to an in-range value must not slip past the check.
+      {"0:64 0:8", "read a [ i0+9223372036854775807+9223372036854775807+2, i1 ]",
+       "line 5: malformed expression "
+       "'i0+9223372036854775807+9223372036854775807+2'"},
+      {"0:64 0:8",
+       "read a [ 9223372036854775807*i0+9223372036854775807*i0+2*i0+i0, i1 ]",
+       "line 5: malformed expression "
+       "'9223372036854775807*i0+9223372036854775807*i0+2*i0+i0'"},
+  };
+  for (const auto &Case : Bad) {
+    EXPECT_FALSE(Parse(Case.Nest, Case.Ref, &Err).has_value()) << Case.Ref;
+    EXPECT_EQ(Err, Case.Message) << Case.Ref;
+  }
 }
 
 TEST(ProgramText, ParsesNegativeAndScaledCoefficients) {
   const char *Text = R"(
 program coeffs
 array a dims 64 1024 elem 8
-nest n bounds 0:16 0:16 parallel 0
+nest n bounds 0:16 1:16 parallel 0
   read a [ 2*i0+1, 32*i1-i0 ]
 end
 )";

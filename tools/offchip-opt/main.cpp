@@ -105,13 +105,12 @@ int main(int Argc, char **Argv) {
     Request.Workload.ProgramText = SS.str();
   }
 
-  if (Simulate) {
+  if (Simulate)
     Request.Kind = RequestKind::Simulate;
-    if (Config.Trace.Enabled)
-      Request.TracePrefix = TraceOut;
-  }
+  if (!Config.Trace.Enabled)
+    TraceOut.clear();
 
-  SimResponse Resp = executeRequest(Request, Jobs);
+  SimResponse Resp = executeRequest(Request, Jobs, TraceOut);
   if (!Resp.ok()) {
     if (!Resp.Diagnostics.empty())
       std::fprintf(stderr, "%s\n", renderDiagnostics(Resp.Diagnostics).c_str());
