@@ -5,10 +5,15 @@
 /// computation (the source of the ~4% overhead of Section 6.1) next to the
 /// access stream's cursor step and boundary recompute, the event loop's
 /// tournament-tree step, XY-routed message injection and the link calendar
-/// under it, cache probes and fills, and DRAM bank service.
+/// under it, cache probes and fills, DRAM bank service, and the service's
+/// JSON codec: writing an Optimize and a Simulate answer and parsing a
+/// request.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "api/ContentHash.h"
+#include "api/Execute.h"
+#include "api/Serialize.h"
 #include "cache/Cache.h"
 #include "cache/Directory.h"
 #include "core/LayoutTransformer.h"
@@ -269,5 +274,80 @@ void BM_DramAccess(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_DramAccess);
+
+/// The machine offchip-serve's benchmark traffic names: the scaled default
+/// at page interleaving.
+MachineConfig serveConfig() {
+  MachineConfig C = MachineConfig::scaledDefault();
+  C.Granularity = InterleaveGranularity::Page;
+  return C;
+}
+
+SimRequest optimizeSwim() {
+  SimRequest R;
+  R.Id = "c0-1";
+  R.Kind = RequestKind::Optimize;
+  R.Config = serveConfig();
+  R.Workload.App = "swim";
+  R.Workload.SizeScale = 0.5;
+  return R;
+}
+
+/// \p R's answer as the daemon sends it for a cache hit.
+SimResponse answerAsHit(const SimRequest &R) {
+  SimResponse Resp = executeRequest(R, /*Jobs=*/1);
+  Resp.Id = R.Id;
+  Resp.CacheHit = true;
+  Resp.Key = requestKey(R).str();
+  return Resp;
+}
+
+void writeAnswer(benchmark::State &State, const SimResponse &Resp) {
+  std::size_t Bytes = 0;
+  for (auto _ : State) {
+    std::string Line = writeResponseLine(Resp);
+    Bytes = Line.size();
+    benchmark::DoNotOptimize(Line.data());
+    benchmark::ClobberMemory();
+  }
+  State.counters["bytes"] = static_cast<double>(Bytes);
+}
+
+void BM_WritePlanAnswer(benchmark::State &State) {
+  writeAnswer(State, answerAsHit(optimizeSwim()));
+}
+BENCHMARK(BM_WritePlanAnswer);
+
+void BM_WriteSimulateAnswer(benchmark::State &State) {
+  SimRequest R;
+  R.Id = "c0-2";
+  R.Kind = RequestKind::Simulate;
+  R.Config = serveConfig();
+  R.Workload.ProgramText = R"(
+program tinylet
+array a dims 64 64 elem 8
+
+nest sweep bounds 0:64 1:63 parallel 0
+  read  a [ i1-1, i0 ]
+  write a [ i1, i0 ]
+end
+)";
+  writeAnswer(State, answerAsHit(R));
+}
+BENCHMARK(BM_WriteSimulateAnswer);
+
+void BM_ParseRequest(benchmark::State &State) {
+  const std::string Line = writeRequestLine(optimizeSwim());
+  for (auto _ : State) {
+    std::string Err;
+    SimRequest R;
+    std::optional<JsonValue> V = parseJson(Line, &Err);
+    bool Ok = V && requestFromJson(*V, &R, &Err);
+    benchmark::DoNotOptimize(Ok);
+    benchmark::DoNotOptimize(R.Config.MeshX);
+  }
+  State.counters["bytes"] = static_cast<double>(Line.size());
+}
+BENCHMARK(BM_ParseRequest);
 
 } // namespace

@@ -92,28 +92,6 @@ double coalescedPct(const SimResult &R) {
                : 0.0;
 }
 
-/// The host CPU's marketing name from /proc/cpuinfo ("model name" on
-/// x86/arm64 distros, "cpu model"/"Processor" elsewhere), or "unknown"
-/// when unreadable — so the committed BENCH_perf.json records which
-/// machine produced its numbers alongside host_cores.
-std::string hostCpuModel() {
-  std::ifstream In("/proc/cpuinfo");
-  std::string Line;
-  while (std::getline(In, Line)) {
-    for (const char *Key : {"model name", "cpu model", "Processor"}) {
-      if (Line.rfind(Key, 0) != 0)
-        continue;
-      std::size_t Colon = Line.find(':');
-      if (Colon == std::string::npos)
-        continue;
-      std::size_t Begin = Line.find_first_not_of(" \t", Colon + 1);
-      if (Begin != std::string::npos)
-        return Line.substr(Begin);
-    }
-  }
-  return "unknown";
-}
-
 /// A contiguous record sweep: three arrays of 64-byte records (one record
 /// per cache line) read/read/written in one pass, so nearly every access
 /// opens a fresh line and the off-chip path dominates the host's work —
@@ -246,7 +224,9 @@ int main(int Argc, char **Argv) {
   // Comparisons across BENCH_perf.json revisions are only meaningful
   // between reports with compatible host fields.
   Sink->meta("host_cores", formatString("%u", HostCores));
-  Sink->meta("cpu_model", JsonValue::string(CpuModel).write());
+  std::string QuotedModel;
+  JsonWriter(QuotedModel).value(CpuModel);
+  Sink->meta("cpu_model", QuotedModel);
   Sink->columns({{"workload", 22},
                  {"seconds", 9},
                  {"median_s", 9},

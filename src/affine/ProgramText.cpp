@@ -449,6 +449,24 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
     if (P.Kind == "values") {
       if (P.Values.size() != Count)
         return Fail(P.LineNo, "value count does not match the array size");
+      // Each value selects a row of every data array gathered through this
+      // index array: the range the nearby/random generators draw from.
+      for (const LoopNest &Nest : Nests)
+        for (const IndexedRef &Ref : Nest.indexedRefs()) {
+          if (Ref.IndexArray != It->second)
+            continue;
+          const ArrayDecl &Data = Program->array(Ref.DataArray);
+          for (std::int64_t V : P.Values)
+            if (V < 0 || V >= Data.Dims[0])
+              return Fail(P.LineNo,
+                          formatString("index value %lld is outside '%s' "
+                                       "(0..%lld), which is gathered via '%s'",
+                                       static_cast<long long>(V),
+                                       Data.Name.c_str(),
+                                       static_cast<long long>(Data.Dims[0] -
+                                                              1),
+                                       P.IndexArray.c_str()));
+        }
       Program->setIndexArrayValues(It->second, P.Values);
       continue;
     }

@@ -6,62 +6,195 @@
 #include "support/Format.h"
 
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 using namespace offchip;
 
 //===----------------------------------------------------------------------===//
-// Construction
+// Writer
 //===----------------------------------------------------------------------===//
 
-JsonValue JsonValue::boolean(bool V) {
-  JsonValue J;
-  J.K = Kind::Bool;
-  J.BoolV = V;
-  return J;
+namespace {
+
+bool isPlain(char C) {
+  unsigned char U = static_cast<unsigned char>(C);
+  return U >= 0x20 && U != '"' && U != '\\';
 }
 
-JsonValue JsonValue::number(double V) {
-  // %.17g round-trips every finite IEEE double through strtod exactly.
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+/// Whether all 8 bytes at \p P are plain, tested a word at a time:
+/// (X - N*Ones) & ~X & High is nonzero exactly when some byte of X is below
+/// N (for N <= 0x80), and a byte equal to B is a zero byte of X ^ B*Ones.
+bool plainWord(const char *P) {
+  constexpr std::uint64_t Ones = 0x0101010101010101ull, High = Ones << 7;
+  std::uint64_t X;
+  std::memcpy(&X, P, sizeof(X));
+  auto below = [](std::uint64_t V, std::uint64_t N) {
+    return (V - N * Ones) & ~V & High;
+  };
+  return !(below(X, 0x20) | below(X ^ ('"' * Ones), 1) |
+           below(X ^ ('\\' * Ones), 1));
+}
+
+/// The first byte at or after \p P that is not plain, or \p End.
+const char *skipPlain(const char *P, const char *End) {
+  while (End - P >= 8 && plainWord(P))
+    P += 8;
+  while (P != End && isPlain(*P))
+    ++P;
+  return P;
+}
+
+/// The letter after the backslash in the escape of a byte that is not
+/// plain; 'u' stands for \u00XX.
+char escapeLetter(char C) {
+  switch (C) {
+  case '"':
+    return '"';
+  case '\\':
+    return '\\';
+  case '\b':
+    return 'b';
+  case '\f':
+    return 'f';
+  case '\n':
+    return 'n';
+  case '\r':
+    return 'r';
+  case '\t':
+    return 't';
+  default:
+    return 'u';
+  }
+}
+
+/// Appends \p S quoted, copying the plain bytes between escapes a run at
+/// a time.
+void appendEscaped(std::string &Out, std::string_view S) {
+  Out.reserve(Out.size() + S.size() + 2);
+  Out += '"';
+  const char *Run = S.data(), *End = S.data() + S.size();
+  for (const char *P; (P = skipPlain(Run, End)) != End; Run = P + 1) {
+    Out.append(Run, P);
+    char L = escapeLetter(*P);
+    if (L != 'u') {
+      const char Esc[] = {'\\', L};
+      Out.append(Esc, sizeof(Esc));
+    } else {
+      const char Hex[] = "0123456789abcdef";
+      unsigned char C = static_cast<unsigned char>(*P);
+      const char Esc[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xF]};
+      Out.append(Esc, sizeof(Esc));
+    }
+  }
+  Out.append(Run, End);
+  Out += '"';
+}
+
+} // namespace
+
+JsonWriter &JsonWriter::beginObject() {
+  separate();
+  Out += '{';
+  Comma = false;
+  return *this;
+}
+
+JsonWriter &JsonWriter::endObject() {
+  Out += '}';
+  Comma = true;
+  return *this;
+}
+
+JsonWriter &JsonWriter::beginArray() {
+  separate();
+  Out += '[';
+  Comma = false;
+  return *this;
+}
+
+JsonWriter &JsonWriter::endArray() {
+  Out += ']';
+  Comma = true;
+  return *this;
+}
+
+JsonWriter &JsonWriter::key(std::string_view K) {
+  separate();
+  appendEscaped(Out, K);
+  Out += ':';
+  Comma = false;
+  return *this;
+}
+
+JsonWriter &JsonWriter::value(std::string_view S) {
+  separate();
+  appendEscaped(Out, S);
+  return *this;
+}
+
+JsonWriter &JsonWriter::value(std::uint64_t V) {
+  separate();
+  char Buf[20];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+  return *this;
+}
+
+JsonWriter &JsonWriter::value(double V) {
+  separate();
   // JSON has no inf/nan; the simulator never produces them, but don't emit
   // an unparsable document if a bug does.
-  if (std::strchr(Buf, 'n') || std::strchr(Buf, 'i'))
-    std::snprintf(Buf, sizeof(Buf), "0");
-  return rawNumber(Buf);
+  if (!std::isfinite(V)) {
+    Out += '0';
+    return *this;
+  }
+  // Precision 17 in the general format is specified to print what %.17g
+  // prints, which round-trips every finite IEEE double through strtod.
+  char Buf[32];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V,
+                                std::chars_format::general, 17)
+                      .ptr);
+  return *this;
 }
 
-JsonValue JsonValue::number(std::uint64_t V) {
-  return rawNumber(formatString("%llu", static_cast<unsigned long long>(V)));
+JsonWriter &JsonWriter::value(bool V) {
+  separate();
+  Out += V ? "true" : "false";
+  return *this;
 }
 
-JsonValue JsonValue::rawNumber(std::string Token) {
-  JsonValue J;
-  J.K = Kind::Number;
-  J.Text = std::move(Token);
-  return J;
-}
-
-JsonValue JsonValue::string(std::string V) {
-  JsonValue J;
-  J.K = Kind::String;
-  J.Text = std::move(V);
-  return J;
-}
-
-JsonValue JsonValue::array() {
-  JsonValue J;
-  J.K = Kind::Array;
-  return J;
-}
-
-JsonValue JsonValue::object() {
-  JsonValue J;
-  J.K = Kind::Object;
-  return J;
+JsonWriter &JsonWriter::value(const JsonValue &V) {
+  switch (V.K) {
+  case JsonValue::Kind::Null:
+    separate();
+    Out += "null";
+    break;
+  case JsonValue::Kind::Bool:
+    value(V.BoolV);
+    break;
+  case JsonValue::Kind::Number:
+    separate();
+    Out += V.Text;
+    break;
+  case JsonValue::Kind::String:
+    value(V.Text);
+    break;
+  case JsonValue::Kind::Array:
+    beginArray();
+    for (const JsonValue &Item : V.Items)
+      value(Item);
+    endArray();
+    break;
+  case JsonValue::Kind::Object:
+    beginObject();
+    for (const auto &[Key, Member] : V.Members)
+      key(Key).value(Member);
+    endObject();
+    break;
+  }
+  return *this;
 }
 
 //===----------------------------------------------------------------------===//
@@ -99,30 +232,6 @@ const std::string &JsonValue::asString() const {
   return Text;
 }
 
-const std::string &JsonValue::numberToken() const {
-  if (K != Kind::Number)
-    reportFatalError("JsonValue::numberToken on non-number");
-  return Text;
-}
-
-void JsonValue::push(JsonValue V) {
-  if (K != Kind::Array)
-    reportFatalError("JsonValue::push on non-array");
-  Items.push_back(std::move(V));
-}
-
-void JsonValue::set(std::string Key, JsonValue V) {
-  if (K != Kind::Object)
-    reportFatalError("JsonValue::set on non-object");
-  for (auto &M : Members) {
-    if (M.first == Key) {
-      M.second = std::move(V);
-      return;
-    }
-  }
-  Members.emplace_back(std::move(Key), std::move(V));
-}
-
 const JsonValue *JsonValue::find(std::string_view Key) const {
   if (K != Kind::Object)
     return nullptr;
@@ -132,89 +241,9 @@ const JsonValue *JsonValue::find(std::string_view Key) const {
   return nullptr;
 }
 
-//===----------------------------------------------------------------------===//
-// Writer
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void writeEscaped(const std::string &S, std::string &Out) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  Out += '"';
-}
-
-} // namespace
-
-void JsonValue::writeTo(std::string &Out) const {
-  switch (K) {
-  case Kind::Null:
-    Out += "null";
-    return;
-  case Kind::Bool:
-    Out += BoolV ? "true" : "false";
-    return;
-  case Kind::Number:
-    Out += Text;
-    return;
-  case Kind::String:
-    writeEscaped(Text, Out);
-    return;
-  case Kind::Array:
-    Out += '[';
-    for (std::size_t I = 0; I < Items.size(); ++I) {
-      if (I)
-        Out += ',';
-      Items[I].writeTo(Out);
-    }
-    Out += ']';
-    return;
-  case Kind::Object:
-    Out += '{';
-    for (std::size_t I = 0; I < Members.size(); ++I) {
-      if (I)
-        Out += ',';
-      writeEscaped(Members[I].first, Out);
-      Out += ':';
-      Members[I].second.writeTo(Out);
-    }
-    Out += '}';
-    return;
-  }
-}
-
 std::string JsonValue::write() const {
   std::string Out;
-  writeTo(Out);
+  JsonWriter(Out).value(*this);
   return Out;
 }
 
@@ -222,12 +251,12 @@ std::string JsonValue::write() const {
 // Parser
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-class Parser {
+/// Builds the tree in place: each value is parsed straight into its array
+/// slot or object member, and strings and number tokens are copied from
+/// the text a run at a time.
+class JsonValue::Parser {
 public:
-  Parser(const std::string &Text, std::string *Err)
-      : S(Text), Err(Err) {}
+  Parser(std::string_view Text, std::string *Err) : S(Text), Err(Err) {}
 
   std::optional<JsonValue> run() {
     skipWs();
@@ -241,10 +270,16 @@ public:
   }
 
 private:
-  const std::string &S;
+  std::string_view S;
   std::string *Err;
   std::size_t Pos = 0;
   unsigned Depth = 0;
+
+  /// The members of the object open at each depth, by key: an
+  /// open-addressed table of member index + 1 (0 = empty slot). An object's
+  /// members are all parsed before the next object at its depth begins, so
+  /// one table per depth serves every object.
+  std::vector<std::vector<std::uint32_t>> KeyTables;
 
   std::optional<JsonValue> fail(const std::string &Msg) {
     if (Err)
@@ -256,17 +291,18 @@ private:
     return false;
   }
 
+  static bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
   void skipWs() {
     while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t' ||
                               S[Pos] == '\n' || S[Pos] == '\r'))
       ++Pos;
   }
 
-  bool literal(const char *Lit) {
-    std::size_t N = std::strlen(Lit);
-    if (S.compare(Pos, N, Lit) != 0)
-      return failB(formatString("expected '%s'", Lit));
-    Pos += N;
+  bool literal(std::string_view Lit) {
+    if (S.substr(Pos, Lit.size()) != Lit)
+      return failB("expected '" + std::string(Lit) + "'");
+    Pos += Lit.size();
     return true;
   }
 
@@ -277,18 +313,17 @@ private:
       return failB("unexpected end of input");
     switch (S[Pos]) {
     case 'n':
-      return literal("null") && (Out = JsonValue::null(), true);
+      return literal("null");
     case 't':
-      return literal("true") && (Out = JsonValue::boolean(true), true);
+      Out.K = Kind::Bool;
+      Out.BoolV = true;
+      return literal("true");
     case 'f':
-      return literal("false") && (Out = JsonValue::boolean(false), true);
-    case '"': {
-      std::string V;
-      if (!parseString(V))
-        return false;
-      Out = JsonValue::string(std::move(V));
-      return true;
-    }
+      Out.K = Kind::Bool;
+      return literal("false");
+    case '"':
+      Out.K = Kind::String;
+      return parseString(Out.Text);
     case '[':
       return parseArray(Out);
     case '{':
@@ -298,31 +333,34 @@ private:
     }
   }
 
+  bool digits() {
+    if (Pos >= S.size() || !isDigit(S[Pos]))
+      return false;
+    while (Pos < S.size() && isDigit(S[Pos]))
+      ++Pos;
+    return true;
+  }
+
   bool parseNumber(JsonValue &Out) {
     std::size_t Start = Pos;
     if (Pos < S.size() && S[Pos] == '-')
       ++Pos;
-    if (Pos >= S.size() || !isdigit(static_cast<unsigned char>(S[Pos])))
+    if (!digits())
       return failB("invalid number");
-    while (Pos < S.size() && isdigit(static_cast<unsigned char>(S[Pos])))
-      ++Pos;
     if (Pos < S.size() && S[Pos] == '.') {
       ++Pos;
-      if (Pos >= S.size() || !isdigit(static_cast<unsigned char>(S[Pos])))
+      if (!digits())
         return failB("invalid number: digits must follow '.'");
-      while (Pos < S.size() && isdigit(static_cast<unsigned char>(S[Pos])))
-        ++Pos;
     }
     if (Pos < S.size() && (S[Pos] == 'e' || S[Pos] == 'E')) {
       ++Pos;
       if (Pos < S.size() && (S[Pos] == '+' || S[Pos] == '-'))
         ++Pos;
-      if (Pos >= S.size() || !isdigit(static_cast<unsigned char>(S[Pos])))
+      if (!digits())
         return failB("invalid number: digits must follow exponent");
-      while (Pos < S.size() && isdigit(static_cast<unsigned char>(S[Pos])))
-        ++Pos;
     }
-    Out = JsonValue::rawNumber(S.substr(Start, Pos - Start));
+    Out.K = Kind::Number;
+    Out.Text.assign(S.substr(Start, Pos - Start));
     return true;
   }
 
@@ -345,7 +383,7 @@ private:
     return true;
   }
 
-  void appendUtf8(unsigned Cp, std::string &Out) {
+  static void appendUtf8(unsigned Cp, std::string &Out) {
     if (Cp < 0x80) {
       Out += static_cast<char>(Cp);
     } else if (Cp < 0x800) {
@@ -366,6 +404,9 @@ private:
   bool parseString(std::string &Out) {
     ++Pos; // opening quote
     while (true) {
+      std::size_t Run = Pos;
+      Pos = skipPlain(S.data() + Pos, S.data() + S.size()) - S.data();
+      Out.append(S.substr(Run, Pos - Run));
       if (Pos >= S.size())
         return failB("unterminated string");
       char C = S[Pos];
@@ -373,13 +414,8 @@ private:
         ++Pos;
         return true;
       }
-      if (static_cast<unsigned char>(C) < 0x20)
+      if (C != '\\')
         return failB("unescaped control character in string");
-      if (C != '\\') {
-        Out += C;
-        ++Pos;
-        continue;
-      }
       ++Pos;
       if (Pos >= S.size())
         return failB("truncated escape");
@@ -439,7 +475,7 @@ private:
   bool parseArray(JsonValue &Out) {
     ++Pos; // '['
     ++Depth;
-    Out = JsonValue::array();
+    Out.K = Kind::Array;
     skipWs();
     if (Pos < S.size() && S[Pos] == ']') {
       ++Pos;
@@ -447,10 +483,9 @@ private:
       return true;
     }
     while (true) {
-      JsonValue V;
-      if (!parseValue(V))
+      Out.Items.emplace_back();
+      if (!parseValue(Out.Items.back()))
         return false;
-      Out.push(std::move(V));
       skipWs();
       if (Pos >= S.size())
         return failB("unterminated array");
@@ -468,10 +503,44 @@ private:
     }
   }
 
+  /// The member of \p Obj named \p Key, appended when the key is new; a
+  /// repeated key gets its first member back, cleared for the new value.
+  JsonValue &member(JsonValue &Obj, std::string &&Key) {
+    std::vector<std::uint32_t> &Table = KeyTables[Depth];
+    auto &Members = Obj.Members;
+    // A key's home slot; collisions probe linearly from there.
+    auto slotOf = [&Table](std::string_view K) {
+      std::size_t Mask = Table.size() - 1;
+      return std::hash<std::string_view>()(K) & Mask;
+    };
+    std::size_t Slot = slotOf(Key);
+    for (; Table[Slot] != 0; Slot = (Slot + 1) & (Table.size() - 1)) {
+      auto &[OldKey, OldValue] = Members[Table[Slot] - 1];
+      if (OldKey == Key)
+        return OldValue = JsonValue();
+    }
+    Members.emplace_back(std::move(Key), JsonValue());
+    Table[Slot] = static_cast<std::uint32_t>(Members.size());
+    // Keep the table at most half full.
+    if (2 * Members.size() > Table.size()) {
+      Table.assign(2 * Table.size(), 0);
+      for (std::size_t I = 0; I < Members.size(); ++I) {
+        Slot = slotOf(Members[I].first);
+        while (Table[Slot] != 0)
+          Slot = (Slot + 1) & (Table.size() - 1);
+        Table[Slot] = static_cast<std::uint32_t>(I + 1);
+      }
+    }
+    return Members.back().second;
+  }
+
   bool parseObject(JsonValue &Out) {
     ++Pos; // '{'
     ++Depth;
-    Out = JsonValue::object();
+    Out.K = Kind::Object;
+    if (KeyTables.size() <= Depth)
+      KeyTables.resize(Depth + 1);
+    KeyTables[Depth].assign(64, 0);
     skipWs();
     if (Pos < S.size() && S[Pos] == '}') {
       ++Pos;
@@ -490,10 +559,8 @@ private:
         return failB("expected ':' after object key");
       ++Pos;
       skipWs();
-      JsonValue V;
-      if (!parseValue(V))
+      if (!parseValue(member(Out, std::move(Key))))
         return false;
-      Out.set(std::move(Key), std::move(V));
       skipWs();
       if (Pos >= S.size())
         return failB("unterminated object");
@@ -511,9 +578,7 @@ private:
   }
 };
 
-} // namespace
-
-std::optional<JsonValue> offchip::parseJson(const std::string &Text,
+std::optional<JsonValue> offchip::parseJson(std::string_view Text,
                                             std::string *Err) {
-  return Parser(Text, Err).run();
+  return JsonValue::Parser(Text, Err).run();
 }

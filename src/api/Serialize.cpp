@@ -25,42 +25,42 @@ bool keyError(std::string *Err, std::string_view Key, std::string_view What) {
 // string on success and otherwise what it expected.
 //===----------------------------------------------------------------------===//
 
-JsonValue encode(std::uint64_t V) { return JsonValue::number(V); }
-JsonValue encode(unsigned V) { return JsonValue::number(V); }
-JsonValue encode(bool V) { return JsonValue::boolean(V); }
-JsonValue encode(double V) { return JsonValue::number(V); }
+void encode(JsonWriter &W, std::uint64_t V) { W.value(V); }
+void encode(JsonWriter &W, unsigned V) { W.value(V); }
+void encode(JsonWriter &W, bool V) { W.value(V); }
+void encode(JsonWriter &W, double V) { W.value(V); }
 
 template <class E>
   requires std::is_enum_v<E>
-JsonValue encode(E V) {
-  return JsonValue::string(enumName(V));
+void encode(JsonWriter &W, E V) {
+  W.value(enumName(V));
 }
 
-template <class T> JsonValue encode(const std::vector<T> &V) {
-  JsonValue A = JsonValue::array();
+template <class T> void encode(JsonWriter &W, const std::vector<T> &V) {
+  W.beginArray();
   for (const T &X : V)
-    A.push(encode(X));
-  return A;
+    encode(W, X);
+  W.endArray();
 }
 
-JsonValue encode(const Accumulator &A) {
-  JsonValue O = JsonValue::object();
-  O.set("count", encode(A.count()));
-  O.set("sum", encode(A.sum()));
-  O.set("min", encode(A.min()));
-  O.set("max", encode(A.max()));
-  return O;
+void encode(JsonWriter &W, const Accumulator &A) {
+  W.beginObject();
+  W.key("count").value(A.count());
+  W.key("sum").value(A.sum());
+  W.key("min").value(A.min());
+  W.key("max").value(A.max());
+  W.endObject();
 }
 
-JsonValue encode(const IntHistogram &H) {
-  JsonValue O = JsonValue::object();
-  O.set("cap", encode(H.cap()));
-  JsonValue Buckets = JsonValue::array();
+void encode(JsonWriter &W, const IntHistogram &H) {
+  W.beginObject();
+  W.key("cap").value(H.cap());
+  W.key("buckets").beginArray();
   if (H.total() != 0)
     for (unsigned I = 0; I <= H.maxNonEmptyBucket(); ++I)
-      Buckets.push(encode(H.countAt(I)));
-  O.set("buckets", std::move(Buckets));
-  return O;
+      W.value(H.countAt(I));
+  W.endArray();
+  W.endObject();
 }
 
 /// Integers: a plain digit token that fits the member. A sign, fraction,
@@ -177,20 +177,21 @@ const std::unordered_map<std::string_view, std::size_t> &configRows() {
 // MachineConfig and SimResult: both directions walk the field lists.
 //===----------------------------------------------------------------------===//
 
-JsonValue offchip::toJson(const MachineConfig &C) {
-  JsonValue O = JsonValue::object();
+static void encode(JsonWriter &W, const MachineConfig &C) {
+  W.beginObject();
   forEachConfigField(
-      [&O](ConfigField F, const auto &Member) {
+      [&W](ConfigField F, const auto &Member) {
         // A list row is written only when non-empty: validate() allows an
         // mc_nodes list only under the Explicit placement, and every other
         // config carries no mc_nodes key.
         if constexpr (requires { Member.empty(); })
           if (Member.empty())
             return;
-        O.set(F.Key, encode(Member));
+        W.key(F.Key);
+        encode(W, Member);
       },
       C);
-  return O;
+  W.endObject();
 }
 
 bool offchip::machineConfigFromJson(const JsonValue &V, MachineConfig *C,
@@ -219,14 +220,15 @@ bool offchip::machineConfigFromJson(const JsonValue &V, MachineConfig *C,
   return E.empty() || keyError(Err, BadKey, E);
 }
 
-JsonValue offchip::toJson(const SimResult &R) {
-  JsonValue O = JsonValue::object();
+static void encode(JsonWriter &W, const SimResult &R) {
+  W.beginObject();
   forEachResultField(
-      [&O](ResultField F, const auto &Member) {
-        O.set(F.Key, encode(Member));
+      [&W](ResultField F, const auto &Member) {
+        W.key(F.Key);
+        encode(W, Member);
       },
       R);
-  return O;
+  W.endObject();
 }
 
 bool offchip::simResultFromJson(const JsonValue &V, SimResult *R,
@@ -247,29 +249,27 @@ bool offchip::simResultFromJson(const JsonValue &V, SimResult *R,
 // PlanSummary
 //===----------------------------------------------------------------------===//
 
-JsonValue offchip::toJson(const PlanSummary &P) {
-  JsonValue O = JsonValue::object();
-  O.set("program", JsonValue::string(P.ProgramName));
-  O.set("clusters", JsonValue::number(P.NumClusters));
-  O.set("cores_per_cluster_x", JsonValue::number(P.CoresPerClusterX));
-  O.set("cores_per_cluster_y", JsonValue::number(P.CoresPerClusterY));
-  O.set("mcs_per_cluster", JsonValue::number(P.MCsPerCluster));
-  JsonValue Arrays = JsonValue::array();
+static void encode(JsonWriter &W, const PlanSummary &P) {
+  W.beginObject();
+  W.key("program").value(P.ProgramName);
+  W.key("clusters").value(P.NumClusters);
+  W.key("cores_per_cluster_x").value(P.CoresPerClusterX);
+  W.key("cores_per_cluster_y").value(P.CoresPerClusterY);
+  W.key("mcs_per_cluster").value(P.MCsPerCluster);
+  W.key("arrays").beginArray();
   for (const PlanArrayRow &Row : P.Arrays) {
-    JsonValue A = JsonValue::object();
-    A.set("name", JsonValue::string(Row.Name));
-    A.set("optimized", JsonValue::boolean(Row.Optimized));
-    A.set("u", JsonValue::string(Row.U));
-    A.set("note", JsonValue::string(Row.Note));
-    Arrays.push(std::move(A));
+    W.beginObject();
+    W.key("name").value(Row.Name);
+    W.key("optimized").value(Row.Optimized);
+    W.key("u").value(Row.U);
+    W.key("note").value(Row.Note);
+    W.endObject();
   }
-  O.set("arrays", std::move(Arrays));
-  O.set("arrays_optimized_fraction",
-        JsonValue::number(P.ArraysOptimizedFraction));
-  O.set("refs_satisfied_fraction",
-        JsonValue::number(P.RefsSatisfiedFraction));
-  O.set("source", JsonValue::string(P.TransformedSource));
-  return O;
+  W.endArray();
+  W.key("arrays_optimized_fraction").value(P.ArraysOptimizedFraction);
+  W.key("refs_satisfied_fraction").value(P.RefsSatisfiedFraction);
+  W.key("source").value(P.TransformedSource);
+  W.endObject();
 }
 
 bool offchip::planSummaryFromJson(const JsonValue &V, PlanSummary *P,
@@ -310,21 +310,23 @@ bool offchip::planSummaryFromJson(const JsonValue &V, PlanSummary *P,
 // SimRequest
 //===----------------------------------------------------------------------===//
 
-JsonValue offchip::toJson(const SimRequest &R) {
-  JsonValue O = JsonValue::object();
+static void encode(JsonWriter &W, const SimRequest &R) {
+  W.beginObject();
   if (!R.Id.empty())
-    O.set("id", JsonValue::string(R.Id));
-  O.set("method", encode(R.Kind));
+    W.key("id").value(R.Id);
+  W.key("method");
+  encode(W, R.Kind);
   if (R.Workload.isApp()) {
-    O.set("app", JsonValue::string(R.Workload.App));
-    O.set("scale", JsonValue::number(R.Workload.SizeScale));
+    W.key("app").value(R.Workload.App);
+    W.key("scale").value(R.Workload.SizeScale);
   } else {
-    O.set("program", JsonValue::string(R.Workload.ProgramText));
+    W.key("program").value(R.Workload.ProgramText);
   }
   if (R.MCsPerCluster != 1)
-    O.set("mcs_per_cluster", JsonValue::number(R.MCsPerCluster));
-  O.set("config", toJson(R.Config));
-  return O;
+    W.key("mcs_per_cluster").value(R.MCsPerCluster);
+  W.key("config");
+  encode(W, R.Config);
+  W.endObject();
 }
 
 bool offchip::requestFromJson(const JsonValue &V, SimRequest *R,
@@ -376,48 +378,54 @@ bool offchip::requestFromJson(const JsonValue &V, SimRequest *R,
 // SimResponse
 //===----------------------------------------------------------------------===//
 
-JsonValue offchip::toJson(const SimResponse &R) {
-  JsonValue O = JsonValue::object();
+static void encode(JsonWriter &W, const SimResponse &R) {
+  W.beginObject();
   if (!R.Id.empty())
-    O.set("id", JsonValue::string(R.Id));
-  O.set("status", encode(R.Status));
+    W.key("id").value(R.Id);
+  W.key("status");
+  encode(W, R.Status);
   switch (R.Status) {
   case ResponseStatus::Overloaded:
     break;
   case ResponseStatus::Error: {
     if (!R.ErrorText.empty())
-      O.set("error", JsonValue::string(R.ErrorText));
+      W.key("error").value(R.ErrorText);
     if (!R.Diagnostics.empty()) {
-      JsonValue Diags = JsonValue::array();
+      W.key("diagnostics").beginArray();
       for (const ConfigDiagnostic &D : R.Diagnostics) {
-        JsonValue J = JsonValue::object();
-        J.set("field", JsonValue::string(D.Field));
-        J.set("value", JsonValue::string(D.Value));
-        J.set("constraint", JsonValue::string(D.Constraint));
-        J.set("fix", JsonValue::string(D.Fix));
-        Diags.push(std::move(J));
+        W.beginObject();
+        W.key("field").value(D.Field);
+        W.key("value").value(D.Value);
+        W.key("constraint").value(D.Constraint);
+        W.key("fix").value(D.Fix);
+        W.endObject();
       }
-      O.set("diagnostics", std::move(Diags));
+      W.endArray();
     }
     break;
   }
   case ResponseStatus::Ok:
-    O.set("cache", JsonValue::string(R.CacheHit ? "hit" : "miss"));
+    W.key("cache").value(R.CacheHit ? "hit" : "miss");
     // Written only when set so pre-single-flight response bytes are
     // unchanged; absent means false on the read side.
     if (R.Singleflight)
-      O.set("singleflight", JsonValue::boolean(true));
+      W.key("singleflight").value(true);
     if (!R.Key.empty())
-      O.set("key", JsonValue::string(R.Key));
-    O.set("server_seconds", JsonValue::number(R.ServerSeconds));
-    O.set("plan", toJson(R.Plan));
-    if (R.Original)
-      O.set("original", toJson(*R.Original));
-    if (R.Optimized)
-      O.set("optimized", toJson(*R.Optimized));
+      W.key("key").value(R.Key);
+    W.key("server_seconds").value(R.ServerSeconds);
+    W.key("plan");
+    encode(W, R.Plan);
+    if (R.Original) {
+      W.key("original");
+      encode(W, *R.Original);
+    }
+    if (R.Optimized) {
+      W.key("optimized");
+      encode(W, *R.Optimized);
+    }
     break;
   }
-  return O;
+  W.endObject();
 }
 
 bool offchip::responseFromJson(const JsonValue &V, SimResponse *R,
@@ -492,10 +500,37 @@ bool offchip::responseFromJson(const JsonValue &V, SimResponse *R,
   return true;
 }
 
+//===----------------------------------------------------------------------===//
+// The streamed text, as a line or as a parsed tree
+//===----------------------------------------------------------------------===//
+
+template <class T> static std::string wireText(const T &X) {
+  std::string Text;
+  JsonWriter W(Text);
+  encode(W, X);
+  return Text;
+}
+
+template <class T> static JsonValue wireTree(const T &X) {
+  return *parseJson(wireText(X));
+}
+
+template <class T> static std::string wireLine(const T &X) {
+  std::string Line = wireText(X);
+  Line += '\n';
+  return Line;
+}
+
+JsonValue offchip::toJson(const MachineConfig &C) { return wireTree(C); }
+JsonValue offchip::toJson(const SimResult &R) { return wireTree(R); }
+JsonValue offchip::toJson(const PlanSummary &P) { return wireTree(P); }
+JsonValue offchip::toJson(const SimRequest &R) { return wireTree(R); }
+JsonValue offchip::toJson(const SimResponse &R) { return wireTree(R); }
+
 std::string offchip::writeRequestLine(const SimRequest &R) {
-  return toJson(R).write() + "\n";
+  return wireLine(R);
 }
 
 std::string offchip::writeResponseLine(const SimResponse &R) {
-  return toJson(R).write() + "\n";
+  return wireLine(R);
 }

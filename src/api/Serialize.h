@@ -22,6 +22,10 @@
 /// plain digit tokens that fit their field; doubles are %.17g tokens, so a
 /// result survives the wire bit-identically.
 ///
+/// Each type has one serializer, which streams its text through JsonWriter
+/// (api/Json.h); toJson is that text parsed back into a tree, for callers
+/// that inspect or compare it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OFFCHIP_API_SERIALIZE_H
@@ -36,7 +40,7 @@ namespace offchip {
 // Machine config
 //===----------------------------------------------------------------------===//
 
-/// Full encoding (every supported key, current values).
+/// Full encoding (every supported key, current values), as a parsed tree.
 JsonValue toJson(const MachineConfig &C);
 
 /// Applies a (partial) config object onto \p C. Unknown keys, wrong types
@@ -65,7 +69,7 @@ bool requestFromJson(const JsonValue &V, SimRequest *R, std::string *Err);
 JsonValue toJson(const SimResponse &R);
 bool responseFromJson(const JsonValue &V, SimResponse *R, std::string *Err);
 
-/// Convenience: one '\n'-terminated protocol line.
+/// One '\n'-terminated protocol line, streamed.
 std::string writeRequestLine(const SimRequest &R);
 std::string writeResponseLine(const SimResponse &R);
 

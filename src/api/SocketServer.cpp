@@ -257,41 +257,44 @@ void SocketServer::handleLine(const std::shared_ptr<Connection> &Conn,
   std::string Method =
       MethodV && MethodV->isString() ? MethodV->asString() : "";
   if (Method == "ping" || Method == "apps" || Method == "stats") {
-    JsonValue O = JsonValue::object();
+    std::string Line;
+    JsonWriter W(Line);
+    W.beginObject();
     if (!Id.empty())
-      O.set("id", JsonValue::string(Id));
-    O.set("status", JsonValue::string(enumName(ResponseStatus::Ok)));
+      W.key("id").value(Id);
+    W.key("status").value(enumName(ResponseStatus::Ok));
     if (Method == "ping") {
-      O.set("pong", JsonValue::boolean(true));
-      O.set("workers", JsonValue::number(Service.workers()));
+      W.key("pong").value(true);
+      W.key("workers").value(Service.workers());
     } else if (Method == "apps") {
-      JsonValue Apps = JsonValue::array();
+      W.key("apps").beginArray();
       for (const std::string &Name : appNames()) {
-        JsonValue A = JsonValue::object();
-        A.set("name", JsonValue::string(Name));
-        A.set("summary", JsonValue::string(findApp(Name)->Summary));
-        Apps.push(std::move(A));
+        W.beginObject();
+        W.key("name").value(Name);
+        W.key("summary").value(findApp(Name)->Summary);
+        W.endObject();
       }
-      O.set("apps", std::move(Apps));
+      W.endArray();
     } else {
       SimService::Stats S = Service.stats();
-      O.set("admitted", JsonValue::number(S.Admitted));
-      O.set("completed", JsonValue::number(S.Completed));
-      O.set("rejected", JsonValue::number(S.Rejected));
-      O.set("singleflight_hits", JsonValue::number(S.Cache.SingleflightHits));
-      O.set("cache_hits", JsonValue::number(S.Cache.Hits));
-      O.set("cache_misses", JsonValue::number(S.Cache.Misses));
-      O.set("cache_evictions", JsonValue::number(S.Cache.Evictions));
-      O.set("cache_entries", JsonValue::number(S.Cache.Entries));
-      O.set("cache_capacity", JsonValue::number(S.Cache.Capacity));
-      O.set("connections",
-            JsonValue::number(NumConnections.load(std::memory_order_relaxed)));
-      O.set("requests",
-            JsonValue::number(NumRequests.load(std::memory_order_relaxed)));
-      O.set("parse_errors", JsonValue::number(NumParseErrors.load(
-                                std::memory_order_relaxed)));
+      W.key("admitted").value(S.Admitted);
+      W.key("completed").value(S.Completed);
+      W.key("rejected").value(S.Rejected);
+      W.key("singleflight_hits").value(S.Cache.SingleflightHits);
+      W.key("cache_hits").value(S.Cache.Hits);
+      W.key("cache_misses").value(S.Cache.Misses);
+      W.key("cache_evictions").value(S.Cache.Evictions);
+      W.key("cache_entries").value(S.Cache.Entries);
+      W.key("cache_capacity").value(S.Cache.Capacity);
+      W.key("connections")
+          .value(NumConnections.load(std::memory_order_relaxed));
+      W.key("requests").value(NumRequests.load(std::memory_order_relaxed));
+      W.key("parse_errors")
+          .value(NumParseErrors.load(std::memory_order_relaxed));
     }
-    Conn->writeLine(O.write() + "\n");
+    W.endObject();
+    Line += '\n';
+    Conn->writeLine(Line);
     return;
   }
 

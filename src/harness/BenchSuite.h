@@ -72,7 +72,7 @@ public:
   virtual void note(const std::string &Text) = 0;
   /// Attaches one machine-readable key/value pair to the report header.
   /// \p RawJson must already be valid JSON — a bare number, true/false, or
-  /// a quoted string (JsonValue::string(...).write() quotes safely). The
+  /// a quoted string (api/Json.h's JsonWriter::value quotes safely). The
   /// JSON sink emits it as a top-level field before "rows"; the text and
   /// CSV sinks render it as a "key = value" note line.
   virtual void meta(const std::string &Key, const std::string &RawJson);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 
 using namespace offchip;
 
@@ -51,4 +52,22 @@ double offchip::correctedTotalSeconds(double TotalSeconds,
   double Overhead =
       clockCalibration().WallPerCall * static_cast<double>(TimedCalls);
   return std::max(0.0, TotalSeconds - Overhead);
+}
+
+std::string offchip::hostCpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line)) {
+    for (const char *Key : {"model name", "cpu model", "Processor"}) {
+      if (Line.rfind(Key, 0) != 0)
+        continue;
+      std::size_t Colon = Line.find(':');
+      if (Colon == std::string::npos)
+        continue;
+      std::size_t Begin = Line.find_first_not_of(" \t", Colon + 1);
+      if (Begin != std::string::npos)
+        return Line.substr(Begin);
+    }
+  }
+  return "unknown";
 }

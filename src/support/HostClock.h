@@ -9,12 +9,15 @@
 /// reported phase and total times subtract it, so `timed_total_s` tracks the
 /// untimed `seconds` instead of inflating it.
 ///
+/// hostCpuModel() names the host for the committed measurements.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OFFCHIP_SUPPORT_HOSTCLOCK_H
 #define OFFCHIP_SUPPORT_HOSTCLOCK_H
 
 #include <cstdint>
+#include <string>
 
 namespace offchip {
 
@@ -38,6 +41,13 @@ double correctedPhaseSeconds(double AccumSeconds, std::uint64_t TimedCalls);
 /// \returns \p TotalSeconds with the wall cost of \p TimedCalls timing
 /// pairs subtracted, clamped at zero.
 double correctedTotalSeconds(double TotalSeconds, std::uint64_t TimedCalls);
+
+/// The host CPU's marketing name from /proc/cpuinfo ("model name" on
+/// x86/arm64 distros, "cpu model"/"Processor" elsewhere), or "unknown"
+/// when unreadable — so a committed measurement (BENCH_perf.json,
+/// BENCH_serve.json) records which machine produced it alongside its core
+/// count.
+std::string hostCpuModel();
 
 } // namespace offchip
 

@@ -14,12 +14,18 @@
 #include "api/ResultCache.h"
 #include "api/Serialize.h"
 #include "api/Service.h"
+#include "support/Format.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <condition_variable>
 #include <mutex>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -332,11 +338,16 @@ TEST(Serialize, EveryResultFieldComparedAndRoundTrips) {
         EXPECT_TRUE(equalResults(Back, Changed, &Why)) << F.Key << ": " << Why;
         // Every row is required on read.
         const JsonValue Full = toJson(Base);
-        JsonValue Without = JsonValue::object();
+        std::string WithoutText;
+        JsonWriter W(WithoutText);
+        W.beginObject();
         for (const auto &[Key, Value] : Full.members())
           if (Key != F.Key)
-            Without.set(Key, Value);
-        EXPECT_FALSE(simResultFromJson(Without, &Back, &Err)) << F.Key;
+            W.key(Key).value(Value);
+        W.endObject();
+        std::optional<JsonValue> Without = parseJson(WithoutText);
+        ASSERT_TRUE(Without.has_value()) << WithoutText;
+        EXPECT_FALSE(simResultFromJson(*Without, &Back, &Err)) << F.Key;
         EXPECT_EQ(Err.rfind(std::string("field '") + F.Key + "'", 0), 0u)
             << Err;
         Member = BaseMember;
@@ -598,6 +609,191 @@ TEST(Json, ExactNumberTokens) {
   EXPECT_EQ(V->find("pi")->asDouble(), 3.141592653589793);
   EXPECT_EQ(V->write(),
             "{\"big\":18446744073709551615,\"pi\":3.141592653589793}");
+}
+
+// The formatter JsonWriter replaced, kept as the byte-for-byte reference:
+// one snprintf per number and a per-character escape.
+std::string referenceNumber(double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  if (std::strchr(Buf, 'n') || std::strchr(Buf, 'i'))
+    std::snprintf(Buf, sizeof(Buf), "0");
+  return Buf;
+}
+
+std::string referenceNumber(std::uint64_t V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%llu", static_cast<unsigned long long>(V));
+  return Buf;
+}
+
+std::string referenceString(const std::string &S) {
+  std::string Out = "\"";
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\b':
+      Out += "\\b";
+      break;
+    case '\f':
+      Out += "\\f";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out + "\"";
+}
+
+template <class T> std::string written(const T &V) {
+  std::string Out;
+  JsonWriter(Out).value(V);
+  return Out;
+}
+
+TEST(Json, WriterMatchesPrintfOracle) {
+  std::mt19937_64 Rng(20151013);
+  auto bitsToDouble = [](std::uint64_t Bits) {
+    double D;
+    std::memcpy(&D, &Bits, sizeof(D));
+    return D;
+  };
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> Doubles = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 -1.0,
+                                 0.1,
+                                 1.0 / 3.0,
+                                 0.5,
+                                 1e-5,
+                                 1e-4,
+                                 1e16,
+                                 1e17,
+                                 123456789.0,
+                                 9007199254740992.0,
+                                 9007199254740994.0,
+                                 18446744073709551616.0,
+                                 1e20,
+                                 1e21,
+                                 1e308,
+                                 -1e308,
+                                 Limits::max(),
+                                 -Limits::max(),
+                                 Limits::min(),
+                                 Limits::denorm_min(),
+                                 -Limits::denorm_min(),
+                                 bitsToDouble(0x000fffffffffffffull),
+                                 Limits::quiet_NaN(),
+                                 -Limits::quiet_NaN(),
+                                 Limits::infinity(),
+                                 -Limits::infinity()};
+  for (int I = 0; I < 6000; ++I)
+    Doubles.push_back(bitsToDouble(Rng())); // every exponent, NaNs included
+  for (int I = 0; I < 2000; ++I) // subnormals
+    Doubles.push_back(bitsToDouble(Rng() & 0x800fffffffffffffull));
+  for (int I = 0; I < 2000; ++I) // integers above 2^53
+    Doubles.push_back(std::ldexp(static_cast<double>(Rng() >> 11), 1 + I % 60));
+  for (int I = 0; I < 2000; ++I) // short decimals, like the results carry
+    Doubles.push_back(static_cast<double>(Rng() % 100000) /
+                      std::pow(10.0, static_cast<double>(I % 12)));
+  std::size_t NonFinite = 0;
+  for (double D : Doubles) {
+    ASSERT_EQ(written(D), referenceNumber(D)) << std::hexfloat << D;
+    NonFinite += !std::isfinite(D);
+    // And the token parses back to the same bits (non-finite values to 0).
+    std::optional<JsonValue> V = parseJson(written(D));
+    ASSERT_TRUE(V && V->isNumber());
+    double Back = V->asDouble(), Want = std::isfinite(D) ? D : 0.0;
+    EXPECT_EQ(std::memcmp(&Back, &Want, sizeof(double)), 0) << written(D);
+  }
+  EXPECT_GT(NonFinite, 4u);
+
+  std::vector<std::uint64_t> Ints = {0, 1, 9, 10, 4294967295ull,
+                                     9007199254740993ull,
+                                     18446744073709551615ull};
+  for (std::uint64_t P = 1; P <= 1000000000000000000ull; P *= 10)
+    Ints.insert(Ints.end(), {P - 1, P, P + 1});
+  for (int I = 0; I < 2000; ++I)
+    Ints.push_back(Rng() >> (Rng() % 64));
+  for (std::uint64_t U : Ints) {
+    ASSERT_EQ(written(U), referenceNumber(U));
+    EXPECT_EQ(parseJson(written(U))->asU64(), U);
+  }
+  EXPECT_EQ(written(0u), "0");
+  EXPECT_EQ(written(std::numeric_limits<std::uint64_t>::max()),
+            "18446744073709551615");
+
+  std::vector<std::string> Strings = {"", "plain", "caf\xc3\xa9 \xe2\x82\xac",
+                                      "\xf0\x9f\x98\x80 emoji", "\x7f",
+                                      "\"quoted\" back\\slash /"};
+  for (int C = 0; C < 0x80; ++C)
+    Strings.push_back(std::string(1, static_cast<char>(C)) + "x" +
+                      std::string(1, static_cast<char>(C)));
+  const char *Utf8[] = {"\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80"};
+  for (int I = 0; I < 2000; ++I) {
+    std::string S;
+    for (std::uint64_t N = Rng() % 40; N > 0; --N) {
+      std::uint64_t R = Rng();
+      if (R % 5 == 0)
+        S += Utf8[R / 5 % 3];
+      else
+        S += static_cast<char>(R / 5 % 0x80);
+    }
+    Strings.push_back(S);
+  }
+  for (const std::string &S : Strings) {
+    ASSERT_EQ(written(S), referenceString(S));
+    // The parser reads every escape back to the original bytes.
+    std::optional<JsonValue> V = parseJson(written(S));
+    ASSERT_TRUE(V && V->isString()) << written(S);
+    EXPECT_EQ(V->asString(), S);
+    EXPECT_EQ(V->write(), written(S));
+  }
+}
+
+TEST(Json, DuplicateKeysKeepFirstPositionAndLastValue) {
+  std::optional<JsonValue> V =
+      parseJson(R"({"a":1,"b":2,"a":{"x":3,"x":4},"c":5,"b":6})");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->write(), R"({"a":{"x":4},"b":6,"c":5})");
+  EXPECT_EQ(V->find("b")->asU64(), 6u);
+
+  // Past the parser's first table size, and with the same key at another
+  // nesting depth in between.
+  std::string Text = "{";
+  for (int I = 0; I < 100; ++I)
+    Text += formatString("\"k%d\":%d,", I, I);
+  Text += R"("k7":{"k7":1,"k8":2,"k7":3},"k99":"last","k0":true})";
+  V = parseJson(Text);
+  ASSERT_TRUE(V.has_value());
+  ASSERT_EQ(V->members().size(), 100u);
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(V->members()[I].first, formatString("k%d", I));
+  EXPECT_TRUE(V->members()[0].second.asBool());
+  EXPECT_EQ(V->members()[7].second.write(), R"({"k7":3,"k8":2})");
+  EXPECT_EQ(V->members()[99].second.asString(), "last");
+  EXPECT_EQ(V->members()[50].second.asU64(), 50u);
 }
 
 //===----------------------------------------------------------------------===//

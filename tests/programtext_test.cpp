@@ -98,6 +98,46 @@ end
   EXPECT_TRUE(P->nests()[0].indexedRefs()[0].IsWrite);
 }
 
+TEST(ProgramText, InlineIndexValuesStayInsideTheGatheredArray) {
+  // Inline values are checked like the generators draw: each one must be a
+  // row, [0, Dims[0]), of every data array gathered via the index array.
+  auto Parse = [](const char *Values, std::string *Err) {
+    return parseProgramText(std::string("program vals\n"
+                                        "array x dims 64 elem 8\n"
+                                        "array y dims 8 2 elem 8\n"
+                                        "array idx dims 4 elem 8\n"
+                                        "index idx values ") +
+                                Values +
+                                "\nnest n bounds 0:4 parallel 0\n"
+                                "  gather-read x via idx [ i0 ]\n"
+                                "  gather-write y via idx [ i0 ]\n"
+                                "end\n",
+                            Err);
+  };
+  std::string Err;
+  EXPECT_TRUE(Parse("0 7 3 1", &Err).has_value()) << Err;
+  struct {
+    const char *Values, *Message;
+  } Bad[] = {
+      {"100000 1 -5 3", "line 5: index value 100000 is outside 'x' (0..63), "
+                        "which is gathered via 'idx'"},
+      {"1 2 -5 3", "line 5: index value -5 is outside 'x' (0..63), which is "
+                   "gathered via 'idx'"},
+      {"0 8 3 1", "line 5: index value 8 is outside 'y' (0..7), which is "
+                  "gathered via 'idx'"},
+  };
+  for (const auto &Case : Bad) {
+    EXPECT_FALSE(Parse(Case.Values, &Err).has_value()) << Case.Values;
+    EXPECT_EQ(Err, Case.Message) << Case.Values;
+  }
+  // An index array that no gather reads through keeps any values.
+  EXPECT_TRUE(parseProgramText("program p\narray idx dims 2 elem 8\n"
+                               "index idx values -1 99\n",
+                               &Err)
+                  .has_value())
+      << Err;
+}
+
 TEST(ProgramText, RoundTripPreservesStructure) {
   auto P = parseProgramText(StencilText);
   ASSERT_TRUE(P.has_value());

@@ -19,6 +19,7 @@
 #include "api/Serialize.h"
 #include "api/Socket.h"
 #include "support/Format.h"
+#include "support/HostClock.h"
 #include "support/Options.h"
 #include "workloads/AppModel.h"
 
@@ -312,7 +313,21 @@ int main(int Argc, char **Argv) {
     close(Fd);
   }
 
-  JsonValue LevelsJson = JsonValue::array();
+  // The report streams: the header fields, then one object per level.
+  std::string Json;
+  JsonWriter W(Json);
+  W.beginObject();
+  W.key("bench").value("serve");
+  W.key("host_cores").value(std::thread::hardware_concurrency());
+  W.key("cpu_model").value(hostCpuModel());
+  W.key("requests_per_client").value(Requests);
+  W.key("duplicate_ratio").value(DuplicateRatio);
+  W.key("verified").value(Verify);
+  W.key("cache_cold_ms").value(ColdMs);
+  W.key("cache_hit_ms").value(HitMs);
+  W.key("cache_probe_hit").value(ProbeHit);
+  W.key("cache_speedup").value(HitMs > 0.0 ? ColdMs / HitMs : 0.0);
+  W.key("levels").beginArray();
   std::uint64_t TotalErrors = 0, TotalVerifyFailures = 0;
   std::printf("%-8s %-10s %-10s %-10s %-10s %-10s %-8s %-7s %s\n", "clients",
               "rps", "p50_ms", "p90_ms", "p99_ms", "hit_rate", "sf_hits",
@@ -360,35 +375,24 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Overloads),
                 static_cast<unsigned long long>(Errors));
 
-    JsonValue L = JsonValue::object();
-    L.set("clients", JsonValue::number(Level));
-    L.set("requests", JsonValue::number(
-                          static_cast<std::uint64_t>(Lat.size())));
-    L.set("wall_seconds", JsonValue::number(WallSeconds));
-    L.set("rps", JsonValue::number(Rps));
-    L.set("p50_ms", JsonValue::number(P50));
-    L.set("p90_ms", JsonValue::number(P90));
-    L.set("p99_ms", JsonValue::number(P99));
-    L.set("cache_hits", JsonValue::number(Hits));
-    L.set("cache_misses", JsonValue::number(Misses));
-    L.set("singleflight_hits", JsonValue::number(Singleflight));
-    L.set("overloaded_retries", JsonValue::number(Overloads));
-    L.set("errors", JsonValue::number(Errors));
-    L.set("verify_failures", JsonValue::number(VerifyFailures));
-    LevelsJson.push(std::move(L));
+    W.beginObject();
+    W.key("clients").value(Level);
+    W.key("requests").value(Lat.size());
+    W.key("wall_seconds").value(WallSeconds);
+    W.key("rps").value(Rps);
+    W.key("p50_ms").value(P50);
+    W.key("p90_ms").value(P90);
+    W.key("p99_ms").value(P99);
+    W.key("cache_hits").value(Hits);
+    W.key("cache_misses").value(Misses);
+    W.key("singleflight_hits").value(Singleflight);
+    W.key("overloaded_retries").value(Overloads);
+    W.key("errors").value(Errors);
+    W.key("verify_failures").value(VerifyFailures);
+    W.endObject();
   }
-
-  JsonValue Out = JsonValue::object();
-  Out.set("bench", JsonValue::string("serve"));
-  Out.set("requests_per_client", JsonValue::number(Requests));
-  Out.set("duplicate_ratio", JsonValue::number(DuplicateRatio));
-  Out.set("verified", JsonValue::boolean(Verify));
-  Out.set("cache_cold_ms", JsonValue::number(ColdMs));
-  Out.set("cache_hit_ms", JsonValue::number(HitMs));
-  Out.set("cache_probe_hit", JsonValue::boolean(ProbeHit));
-  Out.set("cache_speedup",
-          JsonValue::number(HitMs > 0.0 ? ColdMs / HitMs : 0.0));
-  Out.set("levels", std::move(LevelsJson));
+  W.endArray();
+  W.endObject();
 
   std::printf("\ncache probe: cold %.2f ms, hit %.2f ms (%.0fx)%s\n", ColdMs,
               HitMs, HitMs > 0.0 ? ColdMs / HitMs : 0.0,
@@ -399,7 +403,6 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: cannot write '%s'\n", OutPath.c_str());
     return 1;
   }
-  std::string Json = Out.write();
   std::fwrite(Json.data(), 1, Json.size(), F);
   std::fputc('\n', F);
   std::fclose(F);
