@@ -19,10 +19,6 @@ IntVector AffineRef::evaluate(const IntVector &Iter) const {
   return Data;
 }
 
-IntMatrix AffineRef::partitionSubmatrix(unsigned U) const {
-  return Access.withColumnRemoved(U);
-}
-
 AffineRef AffineRef::transformed(const IntMatrix &Transform) const {
   return AffineRef(Array, Transform.multiply(Access),
                    Transform.apply(Offset), Write);

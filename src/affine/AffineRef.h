@@ -37,10 +37,6 @@ public:
   /// Evaluates the data vector touched at iteration \p Iter: A*Iter + o.
   IntVector evaluate(const IntVector &Iter) const;
 
-  /// \returns the submatrix B of Section 5.2: the access matrix with the
-  /// column of the iteration partition dimension \p U removed.
-  IntMatrix partitionSubmatrix(unsigned U) const;
-
   /// Applies a layout transformation matrix: the reference becomes
   /// (Transform*A, Transform*o), matching r' = U*r in Section 5.2.
   AffineRef transformed(const IntMatrix &Transform) const;

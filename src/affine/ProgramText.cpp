@@ -173,28 +173,6 @@ bool subscriptRange(const IntVector &Coeffs, std::int64_t Const,
   return true;
 }
 
-std::string affineToText(const IntVector &Coeffs, std::int64_t Const) {
-  std::string Out;
-  for (std::size_t D = 0; D < Coeffs.size(); ++D) {
-    std::int64_t K = Coeffs[D];
-    if (K == 0)
-      continue;
-    if (!Out.empty() && K > 0)
-      Out += "+";
-    if (K == -1)
-      Out += "-";
-    else if (K != 1)
-      Out += formatString("%lld*", static_cast<long long>(K));
-    Out += formatString("i%zu", D);
-  }
-  if (Const != 0 || Out.empty()) {
-    if (!Out.empty() && Const > 0)
-      Out += "+";
-    Out += formatString("%lld", static_cast<long long>(Const));
-  }
-  return Out;
-}
-
 } // namespace
 
 std::optional<AffineProgram>
@@ -482,60 +460,4 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
   for (LoopNest &Nest : Nests)
     Program->addNest(std::move(Nest));
   return Program;
-}
-
-std::string offchip::printProgramText(const AffineProgram &Program) {
-  std::string Out = "program " + Program.name() + "\n";
-  for (ArrayId Id = 0; Id < Program.numArrays(); ++Id) {
-    const ArrayDecl &D = Program.array(Id);
-    Out += "array " + D.Name + " dims";
-    for (std::int64_t Dim : D.Dims)
-      Out += formatString(" %lld", static_cast<long long>(Dim));
-    Out += formatString(" elem %u\n", D.ElementBytes);
-  }
-  for (ArrayId Id = 0; Id < Program.numArrays(); ++Id) {
-    const std::vector<std::int64_t> *Values = Program.indexArrayValues(Id);
-    if (!Values)
-      continue;
-    if (Values->size() <= 64) {
-      Out += "index " + Program.array(Id).Name + " values";
-      for (std::int64_t V : *Values)
-        Out += formatString(" %lld", static_cast<long long>(V));
-      Out += "\n";
-    } else {
-      Out += "# index " + Program.array(Id).Name +
-             formatString(" contents omitted (%zu values)\n", Values->size());
-    }
-  }
-  for (const LoopNest &Nest : Program.nests()) {
-    const IterationSpace &S = Nest.space();
-    Out += "nest " + Nest.name() + " bounds";
-    for (unsigned D = 0; D < S.depth(); ++D)
-      Out += formatString(" %lld:%lld", static_cast<long long>(S.lower(D)),
-                          static_cast<long long>(S.upper(D)));
-    Out += formatString(" parallel %u", Nest.partitionDim());
-    if (Nest.repeatCount() > 1)
-      Out += formatString(" repeat %u", Nest.repeatCount());
-    Out += "\n";
-    auto Subscripts = [&](const AffineRef &Ref) {
-      std::string T = " [ ";
-      for (unsigned D = 0; D < Ref.dataRank(); ++D) {
-        if (D)
-          T += ", ";
-        T += affineToText(Ref.accessMatrix().row(D), Ref.offset()[D]);
-      }
-      return T + " ]";
-    };
-    for (const AffineRef &Ref : Nest.refs())
-      Out += std::string("  ") + (Ref.isWrite() ? "write " : "read  ") +
-             Program.array(Ref.arrayId()).Name + Subscripts(Ref) + "\n";
-    for (const IndexedRef &IRef : Nest.indexedRefs())
-      Out += std::string("  ") +
-             (IRef.IsWrite ? "gather-write " : "gather-read  ") +
-             Program.array(IRef.DataArray).Name + " via " +
-             Program.array(IRef.IndexArray).Name + Subscripts(IRef.IndexAccess) +
-             "\n";
-    Out += "end\n";
-  }
-  return Out;
 }

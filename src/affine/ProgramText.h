@@ -41,12 +41,6 @@ namespace offchip {
 std::optional<AffineProgram> parseProgramText(const std::string &Text,
                                               std::string *Error = nullptr);
 
-/// Renders \p Program in the same format (index-array contents become
-/// generator directives only if they were attached via the generators;
-/// otherwise a comment notes the omission). parse(print(P)) reproduces the
-/// structure of P.
-std::string printProgramText(const AffineProgram &Program);
-
 } // namespace offchip
 
 #endif // OFFCHIP_AFFINE_PROGRAMTEXT_H

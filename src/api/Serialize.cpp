@@ -522,10 +522,7 @@ template <class T> static std::string wireLine(const T &X) {
 }
 
 JsonValue offchip::toJson(const MachineConfig &C) { return wireTree(C); }
-JsonValue offchip::toJson(const SimResult &R) { return wireTree(R); }
 JsonValue offchip::toJson(const PlanSummary &P) { return wireTree(P); }
-JsonValue offchip::toJson(const SimRequest &R) { return wireTree(R); }
-JsonValue offchip::toJson(const SimResponse &R) { return wireTree(R); }
 
 std::string offchip::writeRequestLine(const SimRequest &R) {
   return wireLine(R);

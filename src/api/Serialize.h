@@ -23,8 +23,9 @@
 /// result survives the wire bit-identically.
 ///
 /// Each type has one serializer, which streams its text through JsonWriter
-/// (api/Json.h); toJson is that text parsed back into a tree, for callers
-/// that inspect or compare it.
+/// (api/Json.h). Requests and responses leave as protocol lines; the config
+/// and plan also come back as a parsed tree (toJson), for callers that
+/// inspect or compare them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +53,6 @@ bool machineConfigFromJson(const JsonValue &V, MachineConfig *C,
 // Results
 //===----------------------------------------------------------------------===//
 
-JsonValue toJson(const SimResult &R);
 bool simResultFromJson(const JsonValue &V, SimResult *R, std::string *Err);
 
 JsonValue toJson(const PlanSummary &P);
@@ -63,10 +63,8 @@ bool planSummaryFromJson(const JsonValue &V, PlanSummary *P,
 // Requests and responses
 //===----------------------------------------------------------------------===//
 
-JsonValue toJson(const SimRequest &R);
 bool requestFromJson(const JsonValue &V, SimRequest *R, std::string *Err);
 
-JsonValue toJson(const SimResponse &R);
 bool responseFromJson(const JsonValue &V, SimResponse *R, std::string *Err);
 
 /// One '\n'-terminated protocol line, streamed.

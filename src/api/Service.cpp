@@ -5,7 +5,6 @@
 #include "api/Execute.h"
 
 #include <exception>
-#include <future>
 #include <memory>
 #include <utility>
 
@@ -96,14 +95,6 @@ void SimService::process(const SimRequest &R, const DoneFn &Done) {
     W.Done(std::move(Copy));
   }
   Done(std::move(Resp));
-}
-
-SimResponse SimService::call(SimRequest R) {
-  std::promise<SimResponse> Promise;
-  std::future<SimResponse> Future = Promise.get_future();
-  submit(std::move(R),
-         [&Promise](SimResponse Resp) { Promise.set_value(std::move(Resp)); });
-  return Future.get();
 }
 
 void SimService::drain() {

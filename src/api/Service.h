@@ -67,9 +67,6 @@ public:
   /// thread for Overloaded ones; it must not block on this service.
   void submit(SimRequest R, DoneFn Done);
 
-  /// Synchronous convenience: submit + wait for the answer.
-  SimResponse call(SimRequest R);
-
   /// Blocks until every admitted request has been answered.
   void drain();
 

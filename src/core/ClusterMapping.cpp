@@ -5,7 +5,6 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 using namespace offchip;
@@ -204,18 +203,6 @@ double ClusterMapping::averageDistanceToAssignedMCs() const {
   return Sum / static_cast<double>(N);
 }
 
-double ClusterMapping::averageDistanceToNearestMC() const {
-  double Sum = 0.0;
-  unsigned N = Topology.numNodes();
-  for (unsigned Node = 0; Node < N; ++Node) {
-    unsigned Best = std::numeric_limits<unsigned>::max();
-    for (unsigned MCNode : MCNodes)
-      Best = std::min(Best, Topology.manhattan(Node, MCNode));
-    Sum += Best;
-  }
-  return Sum / static_cast<double>(N);
-}
-
 unsigned ClusterMapping::threadToNode(unsigned ThreadId) const {
   assert(ThreadId < Topology.numNodes() && "thread id out of range");
   // Decomposition mirrors R(r_v): y-in-cluster fastest, then cluster-Y,
@@ -230,13 +217,6 @@ unsigned ClusterMapping::threadToNode(unsigned ThreadId) const {
   unsigned CXPos = T;
   assert(CXPos < CX && "thread id decomposition out of range");
   return Topology.nodeId({CXPos * NX + XX, CYPos * NY + W});
-}
-
-unsigned ClusterMapping::nodeToThread(unsigned Node) const {
-  Coord C = Topology.coordOf(Node);
-  unsigned CXPos = C.X / NX, XX = C.X % NX;
-  unsigned CYPos = C.Y / NY, W = C.Y % NY;
-  return ((CXPos * NX + XX) * CY + CYPos) * NY + W;
 }
 
 std::vector<bool> ClusterMapping::acceptableMCsFor(unsigned MC) const {

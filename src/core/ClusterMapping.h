@@ -101,18 +101,11 @@ public:
   /// Mean Manhattan distance from each node to the MCs of its cluster.
   double averageDistanceToAssignedMCs() const;
 
-  /// Mean Manhattan distance from each node to its *nearest* MC; the lower
-  /// bound any mapping can achieve.
-  double averageDistanceToNearestMC() const;
-
   /// The node a logical thread id is bound to (footnote 5 of the paper):
   /// thread ids walk cores y-within-cluster first, then cluster-Y, then
   /// x-within-cluster, then cluster-X — the same order the layout formula
   /// R(r_v) assumes for data blocks.
   unsigned threadToNode(unsigned ThreadId) const;
-
-  /// Inverse of threadToNode.
-  unsigned nodeToThread(unsigned Node) const;
 
   /// MCs considered "adjacent enough" to desired MC \p MC for the shared-L2
   /// delta-skip (Section 5.3): every MC whose distance to \p MC is strictly

@@ -404,11 +404,6 @@ AffineRun SharedL2Layout::runAlong(const IntVector &T,
                        static_cast<std::int64_t>(P));
 }
 
-unsigned SharedL2Layout::homeBankForDataVec(const IntVector &DataVec) const {
-  std::int64_t Fast = 0;
-  return static_cast<unsigned>(bankOf(Box.transform(DataVec), &Fast));
-}
-
 int SharedL2Layout::desiredMCForOffset(std::uint64_t ElemOffset) const {
   std::uint64_t Line = ElemOffset / P;
   return DesiredMCOfBank[static_cast<unsigned>(Line % N)];

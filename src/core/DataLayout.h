@@ -221,9 +221,6 @@ public:
   bool isTransformed() const override { return true; }
   int desiredMCForOffset(std::uint64_t ElemOffset) const override;
 
-  /// Home L2 bank (== hosting node id) of the element; exposed for tests.
-  unsigned homeBankForDataVec(const IntVector &DataVec) const;
-
   /// Number of owner nodes whose data the off-chip pass relocated to a
   /// neighboring bank.
   unsigned relocatedBanks() const { return Relocated; }

@@ -313,22 +313,6 @@ std::optional<int> BenchSuite::parseArgs(int Argc, char **Argv) {
   return std::nullopt;
 }
 
-BenchSuite &BenchSuite::jobs(unsigned N) {
-  if (Runner)
-    reportFatalError("BenchSuite::jobs after the first submission");
-  JobsSetting = N;
-  return *this;
-}
-
-unsigned BenchSuite::jobsResolved() const {
-  return Runner ? Runner->jobs() : JobsSetting;
-}
-
-BenchSuite &BenchSuite::sink(std::unique_ptr<OutputSink> S) {
-  Sink = std::move(S);
-  return *this;
-}
-
 std::shared_ptr<const AppModel> BenchSuite::app(const std::string &Name,
                                                 double SizeScale) {
   auto Key = std::make_pair(Name, SizeScale);

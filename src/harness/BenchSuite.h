@@ -160,16 +160,6 @@ public:
   MachineConfig &config() { return Config; }
   const MachineConfig &config() const { return Config; }
 
-  /// Overrides the worker count (0 = hardware threads). Only effective
-  /// before the first submission.
-  BenchSuite &jobs(unsigned N);
-  /// Resolved parallelism once the runner exists; the pending setting
-  /// otherwise.
-  unsigned jobsResolved() const;
-
-  /// Replaces the output sink (default: text tables on stdout).
-  BenchSuite &sink(std::unique_ptr<OutputSink> S);
-
   //===--------------------------------------------------------------------===//
   // Apps and mappings
   //===--------------------------------------------------------------------===//

@@ -15,10 +15,6 @@ ExperimentRunner::ExperimentRunner(unsigned Jobs) {
 
 ExperimentRunner::~ExperimentRunner() = default;
 
-unsigned ExperimentRunner::jobs() const {
-  return Pool ? Pool->threadCount() : 1;
-}
-
 SimFuture ExperimentRunner::submit(std::function<SimResult()> Fn) {
   if (!Fn)
     reportFatalError("ExperimentRunner::submit called with empty job");

@@ -70,9 +70,6 @@ public:
   /// other jobs.
   SimFuture submit(std::function<SimResult()> Fn);
 
-  /// Resolved parallelism (>= 1).
-  unsigned jobs() const;
-
 private:
   std::unique_ptr<ThreadPool> Pool; // null when serial
 };

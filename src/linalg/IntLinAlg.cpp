@@ -9,53 +9,6 @@
 
 using namespace offchip;
 
-ExtGcdResult offchip::extendedGcd(std::int64_t A, std::int64_t B) {
-  // Iterative extended Euclid on absolute values, fixing signs at the end.
-  std::int64_t OldR = A, R = B;
-  std::int64_t OldS = 1, S = 0;
-  std::int64_t OldT = 0, T = 1;
-  while (R != 0) {
-    std::int64_t Q = OldR / R;
-    OldR -= Q * R;
-    std::swap(OldR, R);
-    OldS -= Q * S;
-    std::swap(OldS, S);
-    OldT -= Q * T;
-    std::swap(OldT, T);
-  }
-  if (OldR < 0) {
-    OldR = -OldR;
-    OldS = -OldS;
-    OldT = -OldT;
-  }
-  return {OldR, OldS, OldT};
-}
-
-unsigned offchip::rank(IntMatrix M) {
-  // Fraction-free Gaussian elimination with partial pivoting by magnitude.
-  unsigned Rank = 0;
-  std::int64_t Prev = 1;
-  for (unsigned Col = 0; Col < M.numCols() && Rank < M.numRows(); ++Col) {
-    // Find a non-zero pivot in this column at or below row Rank.
-    unsigned Pivot = Rank;
-    while (Pivot < M.numRows() && M.at(Pivot, Col) == 0)
-      ++Pivot;
-    if (Pivot == M.numRows())
-      continue;
-    M.swapRows(Rank, Pivot);
-    for (unsigned R = Rank + 1; R < M.numRows(); ++R) {
-      for (unsigned C = Col + 1; C < M.numCols(); ++C)
-        M.at(R, C) = (M.at(Rank, Col) * M.at(R, C) -
-                      M.at(R, Col) * M.at(Rank, C)) /
-                     Prev;
-      M.at(R, Col) = 0;
-    }
-    Prev = M.at(Rank, Col);
-    ++Rank;
-  }
-  return Rank;
-}
-
 std::int64_t offchip::determinant(const IntMatrix &M) {
   assert(M.numRows() == M.numCols() && "determinant of non-square matrix");
   unsigned N = M.numRows();
@@ -181,16 +134,6 @@ HermiteResult offchip::hermiteNormalForm(const IntMatrix &M) {
     ++PivotRow;
   }
   return {std::move(H), std::move(T)};
-}
-
-IntMatrix offchip::inverseUnimodular(const IntMatrix &U) {
-  assert(isUnimodular(U) && "inverseUnimodular of non-unimodular matrix");
-  HermiteResult HR = hermiteNormalForm(U);
-  // HNF of a unimodular matrix is the identity, so T * U == I and T is the
-  // inverse we want.
-  assert(HR.H == IntMatrix::identity(U.numRows()) &&
-         "HNF of unimodular matrix must be the identity");
-  return HR.T;
 }
 
 std::optional<IntMatrix> offchip::completeToUnimodularRow(const IntVector &G,

@@ -2,11 +2,10 @@
 ///
 /// \file
 /// The integer linear algebra Algorithm 1 relies on:
-///   - integer Gaussian elimination (rank, determinant via Bareiss),
+///   - the determinant via fraction-free (Bareiss) elimination,
 ///   - right-nullspace bases, used to solve B^T g_v^T = 0 (Eq. 3),
 ///   - row-style Hermite normal form with transformation tracking, used for
-///     the unimodularity correction step (Algorithm 1, lines 10-12) and for
-///     inverting unimodular matrices,
+///     the unimodularity correction step (Algorithm 1, lines 10-12),
 ///   - completion of a primitive row vector to a unimodular matrix, which
 ///     turns the solved hyperplane vector g_v into the full layout
 ///     transformation U (Section 5.2).
@@ -21,21 +20,6 @@
 #include <optional>
 
 namespace offchip {
-
-/// Result of the extended Euclidean algorithm: G = gcd(A, B) = X*A + Y*B,
-/// with G >= 0.
-struct ExtGcdResult {
-  std::int64_t G;
-  std::int64_t X;
-  std::int64_t Y;
-};
-
-/// Extended Euclid. gcd(0, 0) is 0 with X = Y = 0.
-ExtGcdResult extendedGcd(std::int64_t A, std::int64_t B);
-
-/// \returns the rank of \p M over the rationals, computed with fraction-free
-/// (Bareiss) elimination so all intermediate values stay integral.
-unsigned rank(IntMatrix M);
 
 /// \returns det(M) for square \p M via the Bareiss algorithm.
 std::int64_t determinant(const IntMatrix &M);
@@ -56,11 +40,6 @@ struct HermiteResult {
 };
 
 HermiteResult hermiteNormalForm(const IntMatrix &M);
-
-/// \returns U^{-1} for unimodular \p U. Asserts |det(U)| == 1. Since the HNF
-/// of a unimodular matrix is the identity, the HNF transformation matrix is
-/// exactly the inverse.
-IntMatrix inverseUnimodular(const IntMatrix &U);
 
 /// Completes \p G (divided by its gcd internally, sign preserved) into an
 /// N x N unimodular matrix whose row \p V equals the primitive form of \p G.

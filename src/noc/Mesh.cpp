@@ -16,23 +16,6 @@ unsigned Mesh::manhattan(unsigned A, unsigned B) const {
   return DX + DY;
 }
 
-std::vector<unsigned> Mesh::xyRoute(unsigned Src, unsigned Dst) const {
-  Coord C = coordOf(Src);
-  Coord D = coordOf(Dst);
-  std::vector<unsigned> Route;
-  Route.reserve(manhattan(Src, Dst) + 1);
-  Route.push_back(Src);
-  while (C.X != D.X) {
-    C.X += C.X < D.X ? 1 : -1;
-    Route.push_back(nodeId(C));
-  }
-  while (C.Y != D.Y) {
-    C.Y += C.Y < D.Y ? 1 : -1;
-    Route.push_back(nodeId(C));
-  }
-  return Route;
-}
-
 namespace {
 
 /// Evenly spreads \p Count positions over [0, Extent), biased to cover the

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The two-dimensional mesh every other component is defined against: node
-/// ids, coordinates, Manhattan distances, XY routes, and memory-controller
-/// placements (Figure 8a plus the alternates of Figures 26 and 27).
+/// ids, coordinates, Manhattan distances, and memory-controller placements
+/// (Figure 8a plus the alternates of Figures 26 and 27).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,10 +51,6 @@ public:
   /// Manhattan distance in links between two nodes; the XY route has exactly
   /// this many links.
   unsigned manhattan(unsigned A, unsigned B) const;
-
-  /// The sequence of node ids visited by dimension-ordered XY routing from
-  /// \p Src to \p Dst, inclusive of both endpoints.
-  std::vector<unsigned> xyRoute(unsigned Src, unsigned Dst) const;
 
 private:
   unsigned X;

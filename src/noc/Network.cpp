@@ -91,7 +91,7 @@ std::uint64_t Network::slowLinkReserves() const {
 }
 
 MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
-                            std::uint64_t Time, MsgClass Cls) {
+                            std::uint64_t Time, MsgClass) {
   if (Src == Dst)
     return {Time, 0, 0};
   using Clock = std::chrono::steady_clock;
@@ -147,8 +147,6 @@ MessageResult Network::send(unsigned Src, unsigned Dst, unsigned Bytes,
 
   // Tail flit trails the head by Flits - 1 cycles once pipelined.
   std::uint64_t Arrival = Cur + (Flits - 1);
-  ++Messages;
-  ++ClassCount[static_cast<unsigned>(Cls)];
   if (TimeCalls) {
     TimedSeconds += std::chrono::duration<double>(Clock::now() - T0).count();
     ++TimedCalls;

@@ -22,7 +22,6 @@
 #include "support/Pow2.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,10 +38,7 @@ struct NocConfig {
   unsigned LinkBytes = 16;
 };
 
-/// Classification of a message for per-class traffic accounting. Data is
-/// the default (the pre-coherence flows carried only requests, data and
-/// writebacks and never looked at the class); coherence adds invalidation,
-/// downgrade and ack traffic that should be attributable in reports.
+/// Classification of a message; Network::send() accepts and ignores it.
 enum class MsgClass : std::uint8_t {
   Request = 0,
   Data,
@@ -51,9 +47,6 @@ enum class MsgClass : std::uint8_t {
   Downgrade,
   Ack,
 };
-
-/// Number of MsgClass values (for per-class counter arrays).
-inline constexpr unsigned NumMsgClasses = 6;
 
 /// Outcome of injecting one message.
 struct MessageResult {
@@ -79,10 +72,12 @@ public:
   const NocConfig &config() const { return Config; }
 
   /// Sends \p Bytes from \p Src to \p Dst at \p Time, reserving links along
-  /// the XY route. Src == Dst costs zero network cycles (and is not counted
-  /// as a message). \p Cls only affects the per-class counters.
+  /// the XY route. Src == Dst costs zero network cycles. The trailing
+  /// MsgClass is ignored: it is kept, unnamed and defaulted, only because
+  /// the benchmark driver (perfbench/src/Layers.cpp) still passes
+  /// MsgClass::Request and MsgClass::Data.
   MessageResult send(unsigned Src, unsigned Dst, unsigned Bytes,
-                     std::uint64_t Time, MsgClass Cls = MsgClass::Data);
+                     std::uint64_t Time, MsgClass = MsgClass::Data);
 
   /// Tells the network that no future send() can carry a time below \p T
   /// (the simulation engine processes accesses in ready-time order, so the
@@ -97,14 +92,6 @@ public:
   /// no contention.
   MessageResult sendIdeal(unsigned Src, unsigned Dst, unsigned Bytes,
                           std::uint64_t Time) const;
-
-  /// Total messages injected through send().
-  std::uint64_t messagesSent() const { return Messages; }
-
-  /// Messages injected through send() with class \p Cls.
-  std::uint64_t classMessages(MsgClass Cls) const {
-    return ClassCount[static_cast<unsigned>(Cls)];
-  }
 
   /// Sum over links of cycles each link was reserved; a congestion proxy.
   std::uint64_t totalLinkBusyCycles() const { return LinkBusyCycles; }
@@ -222,10 +209,8 @@ private:
   Pow2Divider FlitDiv;
   std::vector<LinkState> Links;
   std::uint64_t Floor = 0;
-  std::uint64_t Messages = 0;
   std::uint64_t LinkBusyCycles = 0;
   std::uint64_t LinkReserves = 0;
-  std::array<std::uint64_t, NumMsgClasses> ClassCount{};
   bool TimeCalls = false;
   double TimedSeconds = 0.0;
   std::uint64_t TimedCalls = 0;

@@ -18,21 +18,6 @@
 
 using namespace offchip;
 
-std::vector<std::vector<unsigned>>
-offchip::partitionNodesForApps(const ClusterMapping &Mapping,
-                               unsigned NumApps) {
-  unsigned N = Mapping.mesh().numNodes();
-  assert(NumApps > 0 && N % NumApps == 0 &&
-         "apps must divide the machine evenly");
-  std::vector<std::vector<unsigned>> Out(NumApps);
-  unsigned PerApp = N / NumApps;
-  // Walk cores in cluster-consistent thread order so each app occupies
-  // whole (or contiguous fractions of) clusters.
-  for (unsigned T = 0; T < N; ++T)
-    Out[T / PerApp].push_back(Mapping.threadToNode(T));
-  return Out;
-}
-
 namespace {
 
 /// One simulated thread's execution state.

@@ -58,11 +58,6 @@ SimResult runSingle(const AffineProgram &Program, const LayoutPlan &Plan,
                     const MachineConfig &Config, const ClusterMapping &Mapping,
                     unsigned ComputeGapCycles = 0);
 
-/// Splits the machine's cores among \p NumApps apps in cluster-ordered
-/// contiguous groups; entry i is app i's node list.
-std::vector<std::vector<unsigned>>
-partitionNodesForApps(const ClusterMapping &Mapping, unsigned NumApps);
-
 } // namespace offchip
 
 #endif // OFFCHIP_SIM_ENGINE_H

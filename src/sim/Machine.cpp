@@ -146,8 +146,7 @@ void Machine::retireL2Victim(unsigned Node, const Cache::Eviction &Ev,
   if (Ev.Dirty) {
     std::uint64_t VictimPA = Ev.LineAddr * Config.L2LineBytes;
     unsigned VictimMC = mcForPhys(VictimPA);
-    MessageResult WB = Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes,
-                                T, MsgClass::Writeback);
+    MessageResult WB = Net.send(Node, MCNodes[VictimMC], Config.L2LineBytes, T);
     MCs[VictimMC].writeback(VictimPA, WB.ArrivalTime);
   }
 }
@@ -156,14 +155,12 @@ std::uint64_t Machine::forwardFromL2(unsigned Node, unsigned Source,
                                      unsigned DirNode, std::uint64_t PA,
                                      const MessageResult &Req,
                                      std::uint64_t T, SimResult &R) {
-  MessageResult Fwd =
-      Net.send(DirNode, Source, Config.RequestBytes, T, MsgClass::Request);
+  MessageResult Fwd = Net.send(DirNode, Source, Config.RequestBytes, T);
   if (Sink)
     Sink->emit(TraceKind::RemoteL2Hit, Fwd.ArrivalTime,
                Config.L2LatencyCycles, PA, Source);
   T = Fwd.ArrivalTime + Config.L2LatencyCycles;
-  MessageResult Data =
-      Net.send(Source, Node, Config.L2LineBytes, T, MsgClass::Data);
+  MessageResult Data = Net.send(Source, Node, Config.L2LineBytes, T);
   ++R.RemoteL2Hits;
   R.OnChipNetLatency.addSample(static_cast<double>(
       Req.NetworkCycles + Fwd.NetworkCycles + Data.NetworkCycles));
@@ -180,8 +177,6 @@ void Machine::recordOffChip(unsigned Node, unsigned MC,
   ++R.OffChipAccesses;
   R.OffChipNetLatency.addSample(
       static_cast<double>(Req.NetworkCycles + Data.NetworkCycles));
-  R.OffNetLatencyHist.addSample((Req.NetworkCycles + Data.NetworkCycles) /
-                                64);
   R.MemLatency.addSample(
       static_cast<double>(Dram.QueueCycles + Dram.ServiceCycles));
   R.OffChipMsgHops.addSample(Req.Hops);
@@ -518,16 +513,14 @@ std::uint64_t Machine::coherentUpgrade(unsigned Node, std::uint64_t Line,
   std::uint64_t LinePA = Line * Config.L2LineBytes;
   unsigned MC = mcForPhys(LinePA);
   unsigned DirNode = MCNodes[MC];
-  MessageResult Req =
-      Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
+  MessageResult Req = Net.send(Node, DirNode, Config.RequestBytes, T);
   if (Sink)
     Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
                Config.DirectoryLatencyCycles, LinePA, DirNode);
   T = Req.ArrivalTime + Config.DirectoryLatencyCycles;
   // The grant leaves only once every other copy is gone.
   T = invalidateSharers(Line, Node, DirNode, T, R);
-  MessageResult Grant =
-      Net.send(DirNode, Node, Config.Coherence.AckBytes, T, MsgClass::Ack);
+  MessageResult Grant = Net.send(DirNode, Node, Config.Coherence.AckBytes, T);
   R.CohMsgHops.addSample(Req.Hops);
   R.CohMsgHops.addSample(Grant.Hops);
   L2s[Node].setState(Line, LineState::Modified);
@@ -547,8 +540,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
   while (Mask != 0) {
     unsigned S = static_cast<unsigned>(std::countr_zero(Mask));
     Mask &= Mask - 1;
-    MessageResult Inv = Net.send(DirNode, S, Config.Coherence.InvalidateBytes,
-                                 T, MsgClass::Invalidate);
+    MessageResult Inv =
+        Net.send(DirNode, S, Config.Coherence.InvalidateBytes, T);
     if (Sink)
       Sink->emit(TraceKind::Invalidate, Inv.ArrivalTime, 0, LinePA, S);
     bool WasM =
@@ -559,10 +552,8 @@ std::uint64_t Machine::invalidateSharers(std::uint64_t Line, unsigned Except,
     // A Modified holder's ack carries the dirty line home to its MC; clean
     // copies ack with a header-sized message.
     MessageResult Ack =
-        WasM ? Net.send(S, DirNode, Config.L2LineBytes, Inv.ArrivalTime,
-                        MsgClass::Writeback)
-             : Net.send(S, DirNode, Config.Coherence.AckBytes,
-                        Inv.ArrivalTime, MsgClass::Ack);
+        WasM ? Net.send(S, DirNode, Config.L2LineBytes, Inv.ArrivalTime)
+             : Net.send(S, DirNode, Config.Coherence.AckBytes, Inv.ArrivalTime);
     if (WasM) {
       MCs[mcForPhys(LinePA)].writeback(LinePA, Ack.ArrivalTime);
       ++R.CoherenceWritebacks;
@@ -623,8 +614,7 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
   const bool MESI =
       Config.Coherence.Protocol == MachineConfig::CoherenceProtocol::MESI;
 
-  MessageResult Req =
-      Net.send(Node, DirNode, Config.RequestBytes, T, MsgClass::Request);
+  MessageResult Req = Net.send(Node, DirNode, Config.RequestBytes, T);
   if (Sink)
     Sink->emit(TraceKind::DirLookup, Req.ArrivalTime,
                Config.DirectoryLatencyCycles, PA, DirNode);
@@ -665,10 +655,8 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
       L2s[Source].setState(Line, LineState::Shared);
       ++R.Downgrades;
       MessageResult Notify =
-          WasM ? Net.send(Source, DirNode, Config.L2LineBytes, T,
-                          MsgClass::Writeback)
-               : Net.send(Source, DirNode, Config.Coherence.AckBytes, T,
-                          MsgClass::Downgrade);
+          WasM ? Net.send(Source, DirNode, Config.L2LineBytes, T)
+               : Net.send(Source, DirNode, Config.Coherence.AckBytes, T);
       if (WasM) {
         MCs[MC].writeback(Line * Config.L2LineBytes, Notify.ArrivalTime);
         ++R.CoherenceWritebacks;
@@ -689,8 +677,7 @@ std::uint64_t Machine::coherentMissTail(unsigned Node, std::uint64_t PA,
   // the coherence-free two-leg DRAM path.
   DramAccessResult Dram = MCs[MC].access(PA, T);
   T = Dram.CompleteTime;
-  MessageResult Data =
-      Net.send(DirNode, Node, Config.L2LineBytes, T, MsgClass::Data);
+  MessageResult Data = Net.send(DirNode, Node, Config.L2LineBytes, T);
   T = Data.ArrivalTime;
   recordOffChip(Node, MC, Req, Dram, Data, R);
 
@@ -768,19 +755,15 @@ std::vector<std::string> Machine::checkInvariants(const SimResult &R) const {
          "one on-chip network-latency sample per remote L2 hit");
   Expect(R.OffChipMsgHops.total(), 2 * R.OffChipAccesses,
          "two off-chip hop samples (request, data) per off-chip access");
-  // Private flow: three on-chip messages per remote hit (request, forward,
-  // data). SNUCA: two per home-bank hit and two (L1 request/response legs)
-  // per off-chip access; its off-chip histogram also skips the debug
-  // latency histogram, which only the private flow feeds.
-  if (Config.SharedL2) {
+  // Private and coherent flows: three on-chip messages per remote hit
+  // (request, forward, data). SNUCA: two per home-bank hit and two (the L1
+  // request/response legs) per off-chip access.
+  if (Config.SharedL2)
     Expect(R.OnChipMsgHops.total(), 2 * (R.RemoteL2Hits + R.OffChipAccesses),
            "two on-chip hop samples per home-bank transaction");
-  } else {
+  else
     Expect(R.OnChipMsgHops.total(), 3 * R.RemoteL2Hits,
            "three on-chip hop samples per remote L2 hit");
-    Expect(R.OffNetLatencyHist.total(), R.OffChipAccesses,
-           "one off-chip latency histogram sample per off-chip access");
-  }
 
   std::string Why;
   if (!Net.checkCalendars(&Why))

@@ -26,8 +26,6 @@ std::string offchip::renderDiagnostics(
   return Out;
 }
 
-MachineConfig MachineConfig::paperDefault() { return MachineConfig(); }
-
 MachineConfig MachineConfig::scaledDefault() {
   MachineConfig C;
   // Keep Table 1's ratios (ways, line sizes, latencies) but shrink

@@ -181,9 +181,6 @@ struct MachineConfig {
                                                            : PageBytes;
   }
 
-  /// The paper's Table 1 configuration, unmodified.
-  static MachineConfig paperDefault();
-
   /// Same ratios, ~16x smaller caches/pages; the benches' default so that
   /// proportionally scaled workloads run in seconds.
   static MachineConfig scaledDefault();

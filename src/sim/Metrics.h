@@ -67,9 +67,6 @@ struct SimResult {
   Accumulator MemLatency;
   Accumulator AccessLatency; // end-to-end, all accesses
 
-  /// Debug: distribution of off-chip network latencies (bucket = 64 cyc).
-  IntHistogram OffNetLatencyHist{1024};
-
   // Message hop histograms (Figure 15).
   IntHistogram OnChipMsgHops;
   IntHistogram OffChipMsgHops;
@@ -180,8 +177,6 @@ void forEachResultField(Visitor &&Visit, Result &...R) {
         R.OffChipNetLatency...);
   Visit(ResultField{"MemLatency", "mem_latency"}, R.MemLatency...);
   Visit(ResultField{"AccessLatency", "access_latency"}, R.AccessLatency...);
-  Visit(ResultField{"OffNetLatencyHist", "offnet_latency_hist"},
-        R.OffNetLatencyHist...);
   Visit(ResultField{"OnChipMsgHops", "onchip_msg_hops"}, R.OnChipMsgHops...);
   Visit(ResultField{"OffChipMsgHops", "offchip_msg_hops"},
         R.OffChipMsgHops...);

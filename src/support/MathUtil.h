@@ -55,12 +55,6 @@ inline unsigned log2Floor(std::uint64_t X) {
   return L;
 }
 
-/// \returns ceil(log2(X)); X must be non-zero.
-inline unsigned log2Ceil(std::uint64_t X) {
-  assert(X != 0 && "log2Ceil of zero");
-  return isPowerOfTwo(X) ? log2Floor(X) : log2Floor(X) + 1;
-}
-
 /// \returns the greatest common divisor of |A| and |B| (gcd(0,0) == 0).
 inline std::int64_t gcd64(std::int64_t A, std::int64_t B) {
   if (A < 0)

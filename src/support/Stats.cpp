@@ -4,21 +4,6 @@
 
 using namespace offchip;
 
-void Accumulator::merge(const Accumulator &Other) {
-  if (Other.Count == 0)
-    return;
-  if (Count == 0) {
-    *this = Other;
-    return;
-  }
-  Sum += Other.Sum;
-  if (Other.Min < Min)
-    Min = Other.Min;
-  if (Other.Max > Max)
-    Max = Other.Max;
-  Count += Other.Count;
-}
-
 void IntHistogram::addSample(std::uint64_t Value) {
   unsigned B = Value >= MaxBucket ? MaxBucket - 1
                                   : static_cast<unsigned>(Value);
@@ -53,7 +38,3 @@ double IntHistogram::mean() const {
   return Sum / static_cast<double>(Total);
 }
 
-void IntHistogram::reset() {
-  Buckets.clear();
-  Total = 0;
-}

@@ -28,17 +28,12 @@ public:
     ++Count;
   }
 
-  /// Merges another accumulator into this one.
-  void merge(const Accumulator &Other);
-
   std::uint64_t count() const { return Count; }
   double sum() const { return Sum; }
   double mean() const { return Count == 0 ? 0.0 : Sum / Count; }
   double min() const { return Count == 0 ? 0.0 : Min; }
   double max() const { return Count == 0 ? 0.0 : Max; }
   bool empty() const { return Count == 0; }
-
-  void reset() { *this = Accumulator(); }
 
   /// Reconstructs an accumulator from its exposed moments (the inverse of
   /// serializing count/sum/min/max, e.g. over the service wire protocol).
@@ -88,8 +83,6 @@ public:
 
   /// Weighted mean of the bucket indices.
   double mean() const;
-
-  void reset();
 
   /// The overflow cap this histogram was constructed with (samples beyond
   /// it land in the last bucket).

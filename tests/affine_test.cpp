@@ -41,9 +41,10 @@ TEST(AffineRef, EvaluateAndTransform) {
 }
 
 TEST(AffineRef, PartitionSubmatrix) {
+  // B of Section 5.2: the access matrix without the partition column.
   IntMatrix A = IntMatrix::fromRows({{0, 1}, {1, 0}});
   AffineRef R(0, A, {0, 0}, false);
-  IntMatrix B = R.partitionSubmatrix(0);
+  IntMatrix B = R.accessMatrix().withColumnRemoved(0);
   EXPECT_EQ(B, IntMatrix::fromRows({{1}, {0}}));
 }
 

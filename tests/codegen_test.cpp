@@ -10,6 +10,7 @@
 #include "core/CodeGen.h"
 #include "core/DataLayout.h"
 #include "harness/Experiment.h"
+#include "support/Format.h"
 
 #include <gtest/gtest.h>
 
@@ -156,7 +157,7 @@ void expectExprMatchesLayout(const AffineRef &Ref,
     if (Count % Stride == 0) {
       std::map<std::string, std::int64_t> Vars;
       for (unsigned D = 0; D < Space.depth(); ++D)
-        Vars["i" + std::to_string(D)] = Iter[D];
+        Vars[formatString("i%u", D)] = Iter[D];
       std::int64_t Got = ExprEval(E.Expr, Vars, E.Tables).run();
       std::uint64_t Want = Result.Layout->elementOffset(Ref.evaluate(Iter));
       ASSERT_EQ(static_cast<std::uint64_t>(Got), Want)
@@ -276,7 +277,7 @@ TEST(CodeGen, EmittedExpressionsForAllAppsEvaluate) {
         for (int I = 0; I < 40 && !Nest.space().isEmpty(); ++I) {
           std::map<std::string, std::int64_t> Vars;
           for (unsigned D = 0; D < Nest.space().depth(); ++D)
-            Vars["i" + std::to_string(D)] = Iter[D];
+            Vars[formatString("i%u", D)] = Iter[D];
           std::int64_t Got = ExprEval(E.Expr, Vars, E.Tables).run();
           ASSERT_EQ(static_cast<std::uint64_t>(Got),
                     R.Layout->elementOffset(Ref.evaluate(Iter)))

@@ -20,6 +20,8 @@
 #include "support/Random.h"
 #include "workloads/AppModel.h"
 
+#include "TestOracles.h"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -242,7 +244,7 @@ TEST_P(SharedLayoutProperty, BijectiveAndBankCorrect) {
     ASSERT_LT(Off, L.sizeInElements());
     ASSERT_TRUE(Seen.insert(Off).second);
     // The hardware bank decode must agree with the layout's claimed bank.
-    ASSERT_EQ((Off / 32) % 64, L.homeBankForDataVec(V));
+    ASSERT_EQ((Off / 32) % 64, oracle::homeBank(L, V));
   }
 }
 

@@ -170,7 +170,7 @@ bool rejectsWith(const MachineConfig &C, const std::string &Field) {
 
 TEST(ConfigValidate, DefaultsAreClean) {
   EXPECT_TRUE(MachineConfig::scaledDefault().validate().empty());
-  EXPECT_TRUE(MachineConfig::paperDefault().validate().empty());
+  EXPECT_TRUE(MachineConfig().validate().empty());
 }
 
 TEST(ConfigValidate, RejectsDegenerateMeshes) {

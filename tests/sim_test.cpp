@@ -23,6 +23,11 @@ MachineConfig tinyConfig() {
 
 ClusterMapping tinyMapping(const MachineConfig &C) { return makeM1Mapping(C); }
 
+/// Two co-running apps on the tiny machine, one per half in M1's thread
+/// order (threads 0-7 walk the left two columns, 8-15 the right two).
+const std::vector<std::vector<unsigned>> TinyHalves = {
+    {0, 4, 8, 12, 1, 5, 9, 13}, {2, 6, 10, 14, 3, 7, 11, 15}};
+
 /// A small 2-array streaming program.
 AffineProgram tinyProgram(std::int64_t N = 64) {
   AffineProgram P("tiny");
@@ -42,7 +47,7 @@ AffineProgram tinyProgram(std::int64_t N = 64) {
 //===----------------------------------------------------------------------===//
 
 TEST(MachineConfig, PaperDefaultsMatchTable1) {
-  MachineConfig C = MachineConfig::paperDefault();
+  MachineConfig C;
   EXPECT_EQ(C.MeshX, 8u);
   EXPECT_EQ(C.MeshY, 8u);
   EXPECT_EQ(C.L1SizeBytes, 16u * 1024);
@@ -61,7 +66,7 @@ TEST(MachineConfig, PaperDefaultsMatchTable1) {
 }
 
 TEST(MachineConfig, InterleaveBytesFollowGranularity) {
-  MachineConfig C = MachineConfig::paperDefault();
+  MachineConfig C;
   C.Granularity = InterleaveGranularity::CacheLine;
   EXPECT_EQ(C.interleaveBytes(), C.L2LineBytes);
   C.Granularity = InterleaveGranularity::Page;
@@ -325,9 +330,10 @@ TEST(Engine, MultiprogramOutputsPerApp) {
   AffineProgram P2 = tinyProgram(64);
   LayoutPlan Plan1 = LayoutTransformer::originalPlan(P1);
   LayoutPlan Plan2 = LayoutTransformer::originalPlan(P2);
-  std::vector<std::vector<unsigned>> Nodes = partitionNodesForApps(M, 2);
-  AppInstance A1{&P1, &Plan1, Nodes[0], 0};
-  AppInstance A2{&P2, &Plan2, Nodes[1], 0};
+  for (unsigned T = 0; T < 16; ++T)
+    ASSERT_EQ(TinyHalves[T / 8][T % 8], M.threadToNode(T));
+  AppInstance A1{&P1, &Plan1, TinyHalves[0], 0};
+  AppInstance A2{&P2, &Plan2, TinyHalves[1], 0};
   RunOutputs Multi;
   SimResult R = runSimulation({A1, A2}, C, M, &Multi);
   ASSERT_EQ(Multi.AppAccesses.size(), 2u);
@@ -409,9 +415,8 @@ TEST(Engine, BurstCoalescePerThreadWorkIdentical) {
   AffineProgram P2 = tinyProgram(64);
   LayoutPlan Plan1 = LayoutTransformer::originalPlan(P1);
   LayoutPlan Plan2 = LayoutTransformer::originalPlan(P2);
-  std::vector<std::vector<unsigned>> Nodes = partitionNodesForApps(M, 2);
-  AppInstance A1{&P1, &Plan1, Nodes[0], 0};
-  AppInstance A2{&P2, &Plan2, Nodes[1], 0};
+  AppInstance A1{&P1, &Plan1, TinyHalves[0], 0};
+  AppInstance A2{&P2, &Plan2, TinyHalves[1], 0};
 
   RunOutputs Off;
   runSimulation({A1, A2}, C, M, &Off);

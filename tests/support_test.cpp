@@ -60,8 +60,6 @@ TEST(MathUtil, PowerOfTwoAndLogs) {
   EXPECT_FALSE(isPowerOfTwo(12));
   EXPECT_EQ(log2Floor(1), 0u);
   EXPECT_EQ(log2Floor(9), 3u);
-  EXPECT_EQ(log2Ceil(9), 4u);
-  EXPECT_EQ(log2Ceil(8), 3u);
 }
 
 TEST(MathUtil, Gcd64) {
@@ -108,17 +106,6 @@ TEST(Accumulator, BasicMoments) {
   EXPECT_DOUBLE_EQ(A.mean(), 4.0);
   EXPECT_DOUBLE_EQ(A.min(), 2.0);
   EXPECT_DOUBLE_EQ(A.max(), 6.0);
-}
-
-TEST(Accumulator, Merge) {
-  Accumulator A, B;
-  A.addSample(1.0);
-  B.addSample(3.0);
-  B.addSample(5.0);
-  A.merge(B);
-  EXPECT_EQ(A.count(), 3u);
-  EXPECT_DOUBLE_EQ(A.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(A.max(), 5.0);
 }
 
 TEST(IntHistogram, CdfMatchesCounts) {

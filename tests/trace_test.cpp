@@ -65,7 +65,6 @@ void expectIdentical(const SimResult &A, const SimResult &B) {
     for (unsigned I = 0; I <= Top; ++I)
       EXPECT_EQ(X.countAt(I), Y.countAt(I)) << Name << " bucket " << I;
   };
-  ExpectHistEq(A.OffNetLatencyHist, B.OffNetLatencyHist, "OffNetLatencyHist");
   ExpectHistEq(A.OnChipMsgHops, B.OnChipMsgHops, "OnChipMsgHops");
   ExpectHistEq(A.OffChipMsgHops, B.OffChipMsgHops, "OffChipMsgHops");
 
