@@ -4,11 +4,13 @@
 
 #include "affine/ProgramText.h"
 #include "core/CodeGen.h"
-#include "harness/Runner.h"
+#include "harness/Experiment.h"
 #include "support/Format.h"
+#include "support/ThreadPool.h"
 #include "workloads/AppModel.h"
 
 #include <chrono>
+#include <future>
 #include <utility>
 
 using namespace offchip;
@@ -41,10 +43,10 @@ PlanSummary summarizePlan(const AffineProgram &Program,
   return S;
 }
 
-} // namespace
-
-SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs,
-                                    const std::string &TracePrefix) {
+/// The shared body: \p Helpers null runs the simulate pair serially on this
+/// thread.
+SimResponse execute(const SimRequest &R, ThreadPool *Helpers,
+                    const std::string &TracePrefix) {
   auto Start = std::chrono::steady_clock::now();
   SimResponse Resp;
   Resp.Id = R.Id;
@@ -97,42 +99,68 @@ SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs,
   }
 
   const MachineConfig &Config = R.Config;
+  const bool Simulate = R.Kind == RequestKind::Simulate;
   ClusterMapping Mapping = makeM2Mapping(Config, R.MCsPerCluster);
+  MachineConfig BaseConfig = Config;
+  MachineConfig OptConfig = optimizedConfig(Config);
+  if (Simulate && !TracePrefix.empty()) {
+    BaseConfig.Trace.Enabled = true;
+    BaseConfig.Trace.ChromeOutPath = TracePrefix + "-original.trace.json";
+    BaseConfig.Trace.SeriesOutPath = TracePrefix + "-original.series.csv";
+    OptConfig.Trace.Enabled = true;
+    OptConfig.Trace.ChromeOutPath = TracePrefix + "-optimized.trace.json";
+    OptConfig.Trace.SeriesOutPath = TracePrefix + "-optimized.series.csv";
+  }
+
+  // The original variant needs no layout pass, so it starts now and
+  // overlaps everything below. The task reads this frame: Join waits for
+  // it on every way out, a throw included.
+  std::future<SimResult> Original;
+  struct Join {
+    std::future<SimResult> &F;
+    ~Join() {
+      if (F.valid())
+        F.wait();
+    }
+  } JoinOriginal{Original};
+  if (Simulate) {
+    std::packaged_task<SimResult()> Task(
+        [&Program, &BaseConfig, &Mapping, GapCycles] {
+          LayoutPlan Plan = LayoutTransformer::originalPlan(*Program);
+          return runSingle(*Program, Plan, BaseConfig, Mapping, GapCycles);
+        });
+    Original = Task.get_future();
+    if (Helpers)
+      Helpers->submit(std::move(Task));
+    else
+      Task();
+  }
 
   LayoutTransformer Pass(Mapping, Config.layoutOptions());
   LayoutPlan Plan = Pass.run(*Program);
   Resp.Plan = summarizePlan(*Program, Plan, Mapping);
 
-  if (R.Kind == RequestKind::Simulate) {
-    MachineConfig BaseConfig = Config;
-    MachineConfig OptConfig = optimizedConfig(Config);
-    if (!TracePrefix.empty()) {
-      BaseConfig.Trace.Enabled = true;
-      BaseConfig.Trace.ChromeOutPath = TracePrefix + "-original.trace.json";
-      BaseConfig.Trace.SeriesOutPath = TracePrefix + "-original.series.csv";
-      OptConfig.Trace.Enabled = true;
-      OptConfig.Trace.ChromeOutPath = TracePrefix + "-optimized.trace.json";
-      OptConfig.Trace.SeriesOutPath = TracePrefix + "-optimized.series.csv";
-    }
-    // The two variants are independent; fan them across the runner and join
-    // before returning, identical to the CLI's --jobs behaviour.
-    ExperimentRunner Runner(Jobs);
-    SimFuture BaseF = Runner.submit(
-        [&Program, &BaseConfig, &Mapping, GapCycles]() -> SimResult {
-          LayoutPlan Original = LayoutTransformer::originalPlan(*Program);
-          return runSingle(*Program, Original, BaseConfig, Mapping,
-                           GapCycles);
-        });
-    SimFuture OptF = Runner.submit(
-        [&Program, &Plan, &OptConfig, &Mapping, GapCycles]() -> SimResult {
-          return runSingle(*Program, Plan, OptConfig, Mapping, GapCycles);
-        });
-    Resp.Original = BaseF.get();
-    Resp.Optimized = OptF.get();
+  if (Simulate) {
+    Resp.Optimized = runSingle(*Program, Plan, OptConfig, Mapping, GapCycles);
+    Resp.Original = Original.get();
   }
 
   Resp.ServerSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
   return Resp;
+}
+
+} // namespace
+
+SimResponse offchip::executeRequest(const SimRequest &R, unsigned Jobs,
+                                    const std::string &TracePrefix) {
+  if (Jobs == 1)
+    return execute(R, nullptr, TracePrefix);
+  ThreadPool Helper(1);
+  return execute(R, &Helper, TracePrefix);
+}
+
+SimResponse offchip::executeRequest(const SimRequest &R, ThreadPool &Helpers) {
+  return execute(R, &Helpers, "");
 }

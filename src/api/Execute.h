@@ -18,6 +18,8 @@
 
 namespace offchip {
 
+class ThreadPool;
+
 /// Executes \p R synchronously in-process.
 ///
 /// Error taxonomy: an invalid machine config yields Status == Error with
@@ -27,13 +29,22 @@ namespace offchip {
 /// compute wall time in ServerSeconds. CacheHit/Key are left for the
 /// service layer — a direct call never consults a cache.
 ///
-/// \p Jobs is ExperimentRunner parallelism for the two-variant simulate
-/// fan-out (1 = inline serial execution, 0 = all cores). A non-empty
-/// \p TracePrefix makes a simulate request write
+/// \p Jobs is the simulate pair's parallelism: 1 runs the original and the
+/// optimized variant one after the other on the calling thread; any other
+/// value (0 included) runs the original on one helper thread beside them.
+/// The pair is two runs, so no value uses more than one helper. A
+/// non-empty \p TracePrefix makes a simulate request write
 /// "<prefix>-original" / "<prefix>-optimized" .trace.json/.series.csv
 /// files.
 SimResponse executeRequest(const SimRequest &R, unsigned Jobs = 1,
                            const std::string &TracePrefix = "");
+
+/// The same, with a simulate request's original variant submitted to the
+/// caller's \p Helpers pool as soon as the program resolves, so it overlaps
+/// the layout pass and the optimized run on the calling thread. The call
+/// joins that task before it returns or throws. \p Helpers must never wait
+/// on its submitter, or the two can deadlock.
+SimResponse executeRequest(const SimRequest &R, ThreadPool &Helpers);
 
 } // namespace offchip
 

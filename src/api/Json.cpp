@@ -275,11 +275,19 @@ private:
   std::size_t Pos = 0;
   unsigned Depth = 0;
 
-  /// The members of the object open at each depth, by key: an
-  /// open-addressed table of member index + 1 (0 = empty slot). An object's
-  /// members are all parsed before the next object at its depth begins, so
-  /// one table per depth serves every object.
-  std::vector<std::vector<std::uint32_t>> KeyTables;
+  /// Per-depth object state. An object's members are all parsed before the
+  /// next object at its depth begins, so one entry per depth serves every
+  /// object. It outlives a parse, per thread: a thread parses one shape of
+  /// request after another, so the member count of the last object closed
+  /// at a depth sizes the next one there, and the 40-key config object is
+  /// built without a reallocation or rehash.
+  struct DepthState {
+    /// The open object's members by key: an open-addressed table of member
+    /// index + 1 (0 = empty slot).
+    std::vector<std::uint32_t> Keys;
+    std::size_t LastMembers = 0;
+  };
+  static inline thread_local std::vector<DepthState> Depths;
 
   std::optional<JsonValue> fail(const std::string &Msg) {
     if (Err)
@@ -506,7 +514,7 @@ private:
   /// The member of \p Obj named \p Key, appended when the key is new; a
   /// repeated key gets its first member back, cleared for the new value.
   JsonValue &member(JsonValue &Obj, std::string &&Key) {
-    std::vector<std::uint32_t> &Table = KeyTables[Depth];
+    std::vector<std::uint32_t> &Table = Depths[Depth].Keys;
     auto &Members = Obj.Members;
     // A key's home slot; collisions probe linearly from there.
     auto slotOf = [&Table](std::string_view K) {
@@ -538,12 +546,20 @@ private:
     ++Pos; // '{'
     ++Depth;
     Out.K = Kind::Object;
-    if (KeyTables.size() <= Depth)
-      KeyTables.resize(Depth + 1);
-    KeyTables[Depth].assign(64, 0);
+    if (Depths.size() <= Depth)
+      Depths.resize(Depth + 1);
+    DepthState &D = Depths[Depth];
+    // Pre-size for the last object seen here; member() keeps the key table
+    // at most half full.
+    std::size_t Slots = 64;
+    while (Slots < 2 * D.LastMembers)
+      Slots <<= 1;
+    D.Keys.assign(Slots, 0);
+    Out.Members.reserve(D.LastMembers);
     skipWs();
     if (Pos < S.size() && S[Pos] == '}') {
       ++Pos;
+      D.LastMembers = 0;
       --Depth;
       return true;
     }
@@ -570,6 +586,7 @@ private:
       }
       if (S[Pos] == '}') {
         ++Pos;
+        Depths[Depth].LastMembers = Out.Members.size();
         --Depth;
         return true;
       }

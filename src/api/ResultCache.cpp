@@ -23,6 +23,16 @@ ResultCache::Claim ResultCache::claim(const CacheKey &K, const std::string &Id,
   return C;
 }
 
+std::shared_ptr<const SimResponse> ResultCache::hit(const CacheKey &K) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Table.find(K);
+  if (It == Table.end() || !It->second.Result)
+    return nullptr;
+  ++Counts.Hits;
+  Order.splice(Order.begin(), Order, It->second.Pos);
+  return It->second.Result;
+}
+
 std::vector<ResultCache::Waiter> ResultCache::finish(const CacheKey &K,
                                                      const SimResponse &Resp) {
   std::shared_ptr<SimResponse> Done;

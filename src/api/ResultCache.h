@@ -60,6 +60,11 @@ public:
   /// set); an absent key becomes a running entry led by the caller.
   Claim claim(const CacheKey &K, const std::string &Id, const DoneFn &Done);
 
+  /// The done entry under \p K (counted as a hit and marked most recently
+  /// used), or null without counting anything: a miss is counted by the
+  /// claim() that follows it.
+  std::shared_ptr<const SimResponse> hit(const CacheKey &K);
+
   /// Ends the leader's run of \p K: an Ok \p Resp becomes the done entry
   /// (stored without its per-request Id/CacheHit/Singleflight/Key fields,
   /// evicting the least recently used entry when full); anything else, or

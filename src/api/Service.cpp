@@ -12,14 +12,39 @@ using namespace offchip;
 
 SimService::SimService(ServiceOptions Opts, Executor Exec)
     : Opts(Opts), Exec(Exec ? std::move(Exec)
-                            : [](const SimRequest &R) {
-                                return executeRequest(R, /*Jobs=*/1);
+                            : [this](const SimRequest &R) {
+                                return executeRequest(R, Helpers);
                               }),
-      Cache(Opts.CacheCapacity), Pool(Opts.Workers) {}
+      Cache(Opts.CacheCapacity), Helpers(Opts.Workers), Pool(Opts.Workers) {}
 
 SimService::~SimService() { drain(); }
 
+namespace {
+
+SimResponse hitResponse(const SimResponse &Done, const std::string &Id,
+                        const CacheKey &Key) {
+  SimResponse Resp = Done;
+  Resp.Id = Id;
+  Resp.CacheHit = true;
+  Resp.Key = Key.str();
+  return Resp;
+}
+
+} // namespace
+
 void SimService::submit(SimRequest R, DoneFn Done) {
+  CacheKey Key = requestKey(R);
+  // A done entry costs a copy, so it is answered right here: no worker
+  // handoff, and never refused for a full queue.
+  if (std::shared_ptr<const SimResponse> Hit = Cache.hit(Key)) {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      ++Admitted;
+      ++Completed;
+    }
+    Done(hitResponse(*Hit, R.Id, Key));
+    return;
+  }
   bool Reject = false;
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -42,10 +67,10 @@ void SimService::submit(SimRequest R, DoneFn Done) {
     Done(std::move(Resp));
     return;
   }
-  auto Shared = std::make_shared<std::pair<SimRequest, DoneFn>>(
-      std::move(R), std::move(Done));
+  auto Shared = std::make_shared<Admission>(
+      Admission{std::move(R), Key, std::move(Done)});
   Pool.submit([this, Shared]() {
-    process(Shared->first, Shared->second);
+    process(*Shared);
     std::lock_guard<std::mutex> Lock(Mu);
     --Pending;
     ++Completed;
@@ -70,15 +95,12 @@ SimResponse SimService::execute(const SimRequest &R) const {
   return Resp;
 }
 
-void SimService::process(const SimRequest &R, const DoneFn &Done) {
-  CacheKey Key = requestKey(R);
-  ResultCache::Claim C = Cache.claim(Key, R.Id, Done);
+void SimService::process(const Admission &A) {
+  const SimRequest &R = A.Request;
+  // The key may have finished since submit() looked: claim decides again.
+  ResultCache::Claim C = Cache.claim(A.Key, R.Id, A.Done);
   if (C.Hit) {
-    SimResponse Resp = *C.Hit;
-    Resp.Id = R.Id;
-    Resp.CacheHit = true;
-    Resp.Key = Key.str();
-    Done(std::move(Resp));
+    A.Done(hitResponse(*C.Hit, R.Id, A.Key));
     return;
   }
   // A joined request is answered by its leader; the leader's Pending keeps
@@ -87,14 +109,14 @@ void SimService::process(const SimRequest &R, const DoneFn &Done) {
     return;
   SimResponse Resp = execute(R);
   Resp.CacheHit = false;
-  Resp.Key = Key.str();
-  for (ResultCache::Waiter &W : Cache.finish(Key, Resp)) {
+  Resp.Key = A.Key.str();
+  for (ResultCache::Waiter &W : Cache.finish(A.Key, Resp)) {
     SimResponse Copy = Resp;
     Copy.Id = W.Id;
     Copy.Singleflight = true;
     W.Done(std::move(Copy));
   }
-  Done(std::move(Resp));
+  A.Done(std::move(Resp));
 }
 
 void SimService::drain() {

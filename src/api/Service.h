@@ -7,14 +7,18 @@
 /// hit (answered from the table), a join (an identical request is running:
 /// it waits for that leader's result — single-flight, so a stampede of
 /// equal requests costs one simulation) or a lead (it runs
-/// executeRequest() and answers its waiters). Admission is explicit
+/// executeRequest() and answers its waiters). A lead on a simulate request
+/// runs its optimized variant on its worker and its original beside it on
+/// a helper pool of the same size, so N workers use up to 2N simulation
+/// threads. Hits are answered by submit() itself; only joins and leads
+/// pass admission, which is explicit
 /// backpressure — when QueueDepth requests are already admitted but
 /// unanswered, submit() answers Overloaded immediately instead of queueing
 /// unboundedly; nothing admitted is ever dropped, not even when the
 /// executor throws (the request and its single-flight waiters are answered
 /// with an error, and nothing is cached). The completion callback is
 /// invoked exactly once per submit(), on a worker thread (or on the
-/// caller's thread for Overloaded answers).
+/// caller's thread for hits and Overloaded answers).
 ///
 /// The executor is injectable so tests can hold requests open and observe
 /// backpressure/drain behaviour deterministically; production uses
@@ -36,7 +40,8 @@
 namespace offchip {
 
 struct ServiceOptions {
-  /// Simulation worker threads (0 = one per hardware thread).
+  /// Request worker threads (0 = one per hardware thread); each has a
+  /// helper thread for a simulate request's second variant.
   unsigned Workers = 0;
   /// Maximum admitted-but-unanswered requests before submit() answers
   /// Overloaded.
@@ -62,9 +67,10 @@ public:
   SimService(const SimService &) = delete;
   SimService &operator=(const SimService &) = delete;
 
-  /// Admits \p R or answers Overloaded on the spot. \p Done runs on a
-  /// worker thread for admitted requests and synchronously on the caller's
-  /// thread for Overloaded ones; it must not block on this service.
+  /// Answers a cache hit on the spot, else admits \p R or answers
+  /// Overloaded on the spot. \p Done runs on a worker thread for admitted
+  /// requests and synchronously on the caller's thread for hits and
+  /// Overloaded ones; it must not block on this service.
   void submit(SimRequest R, DoneFn Done);
 
   /// Blocks until every admitted request has been answered.
@@ -81,7 +87,13 @@ public:
   unsigned workers() const { return Pool.threadCount(); }
 
 private:
-  void process(const SimRequest &R, const DoneFn &Done);
+  /// A request past admission, with the key submit() computed.
+  struct Admission {
+    SimRequest Request;
+    CacheKey Key;
+    DoneFn Done;
+  };
+  void process(const Admission &A);
   /// Exec, with an exception turned into an Error answer, so that every
   /// admitted request is answered and its running entry retired.
   SimResponse execute(const SimRequest &R) const;
@@ -95,6 +107,9 @@ private:
   std::size_t Pending = 0; // admitted, not yet answered
   std::uint64_t Admitted = 0, Rejected = 0, Completed = 0;
 
+  /// Runs each Simulate leader's original variant beside its optimized
+  /// one: as many threads as Pool, so a leader never waits for a slot.
+  ThreadPool Helpers;
   ThreadPool Pool; // last member: workers must die before the state above
 };
 

@@ -72,6 +72,13 @@ bool offchip::sendAll(int Fd, const std::string &Data) {
 bool LineReader::readLine(std::string *Line) {
   for (;;) {
     std::size_t NL = Buf.find('\n', Scanned);
+    if ((NL == std::string::npos ? Buf.size() : NL) - Pos > MaxLineBytes) {
+      // Drop the partial line and read nothing more.
+      TooLong = Eof = true;
+      Buf.clear();
+      Pos = Scanned = 0;
+      return false;
+    }
     if (NL != std::string::npos) {
       std::size_t Len = NL - Pos;
       if (Len > 0 && Buf[Pos + Len - 1] == '\r')

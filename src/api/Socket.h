@@ -26,11 +26,20 @@ bool sendAll(int Fd, const std::string &Data);
 /// terminator and any trailing '\r' are stripped).
 class LineReader {
 public:
+  /// The longest line delivered, in bytes before the '\n'. A peer that
+  /// sends more without a newline ends the stream (tooLong()), so one line
+  /// cannot grow the buffer without bound.
+  static constexpr std::size_t MaxLineBytes = 1 << 20;
+
   explicit LineReader(int Fd) : Fd(Fd) {}
 
-  /// Reads the next line into \p Line. Returns false on EOF or error; a
-  /// final unterminated line is still delivered before EOF is reported.
+  /// Reads the next line into \p Line. Returns false on EOF, error or an
+  /// overlong line; a final unterminated line is still delivered before
+  /// EOF is reported.
   bool readLine(std::string *Line);
+
+  /// True once a line longer than MaxLineBytes ended the stream.
+  bool tooLong() const { return TooLong; }
 
 private:
   int Fd;
@@ -40,6 +49,7 @@ private:
   /// received chunk is scanned once however long the line grows.
   std::size_t Scanned = 0;
   bool Eof = false;
+  bool TooLong = false;
 };
 
 } // namespace offchip

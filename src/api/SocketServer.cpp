@@ -38,6 +38,14 @@ struct SocketServer::Connection {
     sendAll(Fd, Line);
   }
 
+  void writeError(const std::string &Id, const std::string &Text) {
+    SimResponse Resp;
+    Resp.Id = Id;
+    Resp.Status = ResponseStatus::Error;
+    Resp.ErrorText = Text;
+    writeLine(writeResponseLine(Resp));
+  }
+
   void beginRequest() {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Outstanding;
@@ -222,6 +230,12 @@ void SocketServer::serveConnection(const std::shared_ptr<Connection> &Conn) {
       continue;
     handleLine(Conn, Line);
   }
+  if (Reader.tooLong()) {
+    NumParseErrors.fetch_add(1, std::memory_order_relaxed);
+    Conn->writeError("", formatString("request line longer than %zu bytes; "
+                                      "closing the connection",
+                                      LineReader::MaxLineBytes));
+  }
   // EOF (or our own SHUT_RD): answer everything already admitted, then
   // signal the writing side so `nc -N`-style half-closing clients see a
   // clean end of stream.
@@ -235,16 +249,9 @@ void SocketServer::handleLine(const std::shared_ptr<Connection> &Conn,
   NumRequests.fetch_add(1, std::memory_order_relaxed);
   std::string Err;
   std::optional<JsonValue> V = parseJson(Line, &Err);
-  auto errorLine = [&](const std::string &Id, const std::string &Text) {
-    SimResponse Resp;
-    Resp.Id = Id;
-    Resp.Status = ResponseStatus::Error;
-    Resp.ErrorText = Text;
-    Conn->writeLine(writeResponseLine(Resp));
-  };
   if (!V) {
     NumParseErrors.fetch_add(1, std::memory_order_relaxed);
-    errorLine("", "cannot parse request: " + Err);
+    Conn->writeError("", "cannot parse request: " + Err);
     return;
   }
   std::string Id;
@@ -301,7 +308,7 @@ void SocketServer::handleLine(const std::shared_ptr<Connection> &Conn,
   SimRequest Req;
   if (!requestFromJson(*V, &Req, &Err)) {
     NumParseErrors.fetch_add(1, std::memory_order_relaxed);
-    errorLine(Id, Err);
+    Conn->writeError(Id, Err);
     return;
   }
   Conn->beginRequest();

@@ -24,11 +24,12 @@ namespace offchip {
 /// that path's cache misses.
 class Directory {
 public:
-  explicit Directory(unsigned NumNodes) : NumNodes(NumNodes) {
+  /// \p ExpectedLines pre-sizes the sharer table so a run that tracks
+  /// that many lines never rehashes.
+  explicit Directory(unsigned NumNodes, std::size_t ExpectedLines = 0)
+      : NumNodes(NumNodes) {
     assert(NumNodes <= 64 && "directory supports up to 64 nodes");
-    // A run of the scaled machine tracks tens of thousands of lines; start
-    // past the cheap doublings.
-    Lines.reserve(1 << 14);
+    Lines.reserve(ExpectedLines);
   }
 
   /// \returns a node currently holding \p LineAddr, or -1 if none.
@@ -73,6 +74,9 @@ public:
   bool pickVictim(std::uint64_t *LineAddr);
 
   std::uint64_t trackedLines() const { return Lines.size(); }
+
+  /// Slots in the sharer table (16 bytes each).
+  std::size_t tableSlots() const { return Lines.capacity(); }
 
   /// True when \p Node is recorded as holding \p LineAddr. No LRU or
   /// statistics side effects; used by the invariant checker (src/check).

@@ -139,22 +139,6 @@ SimResult offchip::runSimulation(const std::vector<AppInstance> &Apps,
   VC.BytesPerMC = Config.BytesPerMC;
   VirtualMemory VM(VC, Config.PagePolicy);
 
-  Machine M(Config, Mapping, VM);
-
-  // Tracing: one sink for the whole run, attached to the machine and its
-  // substrates.
-  std::unique_ptr<TraceSink> Sink;
-  if (Config.Trace.Enabled) {
-    Sink = std::make_unique<TraceSink>(Config.Trace, Config.numNodes(),
-                                       Config.MeshX, Config.NumMCs,
-                                       M.mcNodes());
-    M.setTraceSink(Sink.get());
-  }
-
-  SimResult R;
-  R.NodeToMCTraffic.assign(
-      static_cast<std::size_t>(Config.numNodes()) * Config.NumMCs, 0);
-
   // Build address maps and thread streams.
   std::vector<std::unique_ptr<AddressMap>> Maps;
   std::vector<EngineThread> Threads;
@@ -172,6 +156,22 @@ SimResult offchip::runSimulation(const std::vector<AppInstance> &Apps,
       Threads.emplace_back(*Maps.back(), T, NumThreads,
                            App.Nodes[T / Config.ThreadsPerCore], A, Gap);
   }
+
+  Machine M(Config, Mapping, VM);
+
+  // Tracing: one sink for the whole run, attached to the machine and its
+  // substrates.
+  std::unique_ptr<TraceSink> Sink;
+  if (Config.Trace.Enabled) {
+    Sink = std::make_unique<TraceSink>(Config.Trace, Config.numNodes(),
+                                       Config.MeshX, Config.NumMCs,
+                                       M.mcNodes());
+    M.setTraceSink(Sink.get());
+  }
+
+  SimResult R;
+  R.NodeToMCTraffic.assign(
+      static_cast<std::size_t>(Config.numNodes()) * Config.NumMCs, 0);
 
   const unsigned ThreadShift = [&] {
     unsigned S = 0;

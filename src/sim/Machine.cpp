@@ -12,6 +12,24 @@
 
 using namespace offchip;
 
+namespace {
+
+/// Initial directory size: the lines of the data the run reserved, capped
+/// at 1 << 14 (an app at the scaled sizes tracks more, and grows from
+/// there). The sparse directory keeps the fixed 1 << 14 start: its victim
+/// rotation walks the table's slots, so the table's size is part of its
+/// results.
+std::size_t directoryLines(const MachineConfig &Config,
+                           const VirtualMemory &VM) {
+  constexpr std::uint64_t Cap = 1 << 14;
+  if (Config.Coherence.SparseDirectory)
+    return Cap;
+  return static_cast<std::size_t>(
+      std::min(VM.reservedBytes() / Config.L2LineBytes, Cap));
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &Config, const ClusterMapping &Mapping,
                  VirtualMemory &VM)
     : Config(Config), InterleaveDiv(Config.interleaveBytes()),
@@ -19,7 +37,7 @@ Machine::Machine(const MachineConfig &Config, const ClusterMapping &Mapping,
       L2LineDiv(Config.L2LineBytes), NodeDiv(Config.numNodes()),
       Mapping(&Mapping), VM(&VM), Topology(Config.MeshX, Config.MeshY),
       Net(Topology, Config.Noc), MCNodes(Mapping.mcNodes()),
-      Dir(Config.numNodes()), CohLedger(Config.numNodes()) {
+      Dir(Config.numNodes(), directoryLines(Config, VM)), CohLedger(Config.numNodes()) {
   assert(MCNodes.size() == Config.NumMCs &&
          "mapping MC count must match the machine");
   if (Config.CollectPhaseTimes)

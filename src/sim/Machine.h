@@ -48,6 +48,8 @@ class ThreadStream;
 class Machine {
 public:
   /// \p VM is owned by the caller (it spans all co-running programs).
+  /// Construct the machine after the programs' address maps: the directory
+  /// is sized from what \p VM has reserved by then.
   Machine(const MachineConfig &Config, const ClusterMapping &Mapping,
           VirtualMemory &VM);
 
@@ -98,6 +100,7 @@ public:
   const MachineConfig &config() const { return Config; }
   const std::vector<unsigned> &mcNodes() const { return MCNodes; }
   const Network &network() const { return Net; }
+  const Directory &directory() const { return Dir; }
 
 private:
   //===--------------------------------------------------------------------===//

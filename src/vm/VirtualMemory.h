@@ -113,6 +113,10 @@ public:
   /// an alternate controller.
   std::uint64_t redirectedPages() const { return Redirected; }
 
+  /// Bytes of virtual address space reserve() has handed out, alignment
+  /// padding included.
+  std::uint64_t reservedBytes() const { return NextVA - Config.PageBytes; }
+
   /// Number of physical pages handed out so far.
   std::uint64_t allocatedPages() const { return Allocated; }
 

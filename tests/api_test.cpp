@@ -4,8 +4,9 @@
 // canonical content hash (stability, inclusion/exclusion sets), exact JSON
 // roundtrips for every request/response variant, the LRU result cache
 // (eviction, stats, concurrent access), the service layer (backpressure,
-// drain, served-vs-direct bit identity), and executeRequest error
-// reporting.
+// drain, served-vs-direct bit identity, hits answered past a full queue,
+// the side-by-side variant pair), and executeRequest (error reporting, the
+// answer independent of --jobs).
 //
 //===----------------------------------------------------------------------===//
 
@@ -100,6 +101,17 @@ SimResponse callService(SimService &Service, SimRequest R) {
     Answer.set_value(std::move(Resp));
   });
   return Future.get();
+}
+
+/// The wire bytes of \p R's answer content: the per-request fields (id,
+/// cache, single-flight, key) and the wall time cleared.
+std::string answerBytes(SimResponse R) {
+  R.Id.clear();
+  R.CacheHit = false;
+  R.Singleflight = false;
+  R.Key.clear();
+  R.ServerSeconds = 0;
+  return writeResponseLine(R);
 }
 
 /// A result whose every field is set, with small values.
@@ -1383,9 +1395,155 @@ TEST(Service, SingleflightUnderOverloadStillAnswersEverySubmit) {
   EXPECT_EQ(S.Cache.SingleflightHits, 2u);
 }
 
+TEST(Service, CacheHitAnsweredWhileWorkersAndQueueAreFull) {
+  // Every worker held by the executor and the queue full: a miss is
+  // refused, yet a done entry is still answered ok on the caller's thread.
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Open = false;
+  std::atomic<unsigned> Held{0};
+  auto GateExec = [&](const SimRequest &R) {
+    if (R.Id.rfind("hold", 0) == 0) {
+      Held.fetch_add(1);
+      std::unique_lock<std::mutex> Lock(Mu);
+      Cv.wait(Lock, [&] { return Open; });
+    }
+    SimResponse Resp;
+    Resp.Id = R.Id;
+    Resp.Status = ResponseStatus::Ok;
+    return Resp;
+  };
+  SimService Service({/*Workers=*/2, /*QueueDepth=*/2, /*CacheCapacity=*/8},
+                     GateExec);
+  SimRequest Warm;
+  Warm.Id = "warm";
+  Warm.Workload.ProgramText = "program warm";
+  ASSERT_TRUE(callService(Service, Warm).ok());
+  Service.drain();
+
+  std::mutex DoneMu;
+  std::vector<SimResponse> HeldAnswers;
+  for (unsigned I = 0; I < 2; ++I) {
+    SimRequest R;
+    R.Id = formatString("hold%u", I);
+    R.Workload.ProgramText = formatString("program p%u", I);
+    Service.submit(R, [&](SimResponse Resp) {
+      std::lock_guard<std::mutex> Lock(DoneMu);
+      HeldAnswers.push_back(std::move(Resp));
+    });
+  }
+  while (Held.load() < 2)
+    std::this_thread::yield();
+
+  SimRequest Miss;
+  Miss.Id = "miss";
+  Miss.Workload.ProgramText = "program other";
+  EXPECT_EQ(callService(Service, Miss).Status, ResponseStatus::Overloaded);
+
+  std::thread::id AnsweredOn;
+  SimResponse Hit;
+  Warm.Id = "hit";
+  Service.submit(Warm, [&](SimResponse Resp) {
+    AnsweredOn = std::this_thread::get_id();
+    Hit = std::move(Resp);
+  });
+  EXPECT_EQ(AnsweredOn, std::this_thread::get_id());
+  EXPECT_EQ(Hit.Status, ResponseStatus::Ok);
+  EXPECT_EQ(Hit.Id, "hit");
+  EXPECT_NE(writeResponseLine(Hit).find("\"cache\":\"hit\""),
+            std::string::npos)
+      << writeResponseLine(Hit);
+
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Open = true;
+  }
+  Cv.notify_all();
+  Service.drain();
+  EXPECT_EQ(HeldAnswers.size(), 2u);
+  SimService::Stats S = Service.stats();
+  EXPECT_EQ(S.Admitted, 4u); // warm, two held, the hit
+  EXPECT_EQ(S.Completed, 4u);
+  EXPECT_EQ(S.Rejected, 1u);
+  EXPECT_EQ(S.Cache.Hits, 1u);
+  EXPECT_EQ(S.Cache.Misses, 3u);
+}
+
+TEST(Service, SimulateVariantsSideBySideMatchDirect) {
+  // The served pair runs the original on a helper thread beside the
+  // optimized one; its answer is the serial direct run's, byte for byte.
+  SimService Service({/*Workers=*/2, /*QueueDepth=*/8, /*CacheCapacity=*/0});
+  for (InterleaveGranularity G :
+       {InterleaveGranularity::Page, InterleaveGranularity::CacheLine}) {
+    SimRequest App;
+    App.Kind = RequestKind::Simulate;
+    App.Workload.App = "swim";
+    App.Workload.SizeScale = 0.05;
+    for (SimRequest R : {App, tinySimulate()}) {
+      R.Config.Granularity = G;
+      SimResponse Direct = executeRequest(R, /*Jobs=*/1);
+      SimResponse Served = callService(Service, R);
+      ASSERT_TRUE(Served.ok()) << Served.ErrorText;
+      ASSERT_TRUE(Served.Original && Served.Optimized);
+      EXPECT_EQ(answerBytes(Served), answerBytes(Direct))
+          << R.Workload.App << " " << enumName(G);
+    }
+  }
+}
+
+TEST(Service, SimulateMissesWithOneWorkerAllAnswered) {
+  // One worker and one helper: eight distinct misses in flight at once
+  // cannot deadlock, and each answer is its direct run's.
+  SimService Service({/*Workers=*/1, /*QueueDepth=*/8, /*CacheCapacity=*/8});
+  std::vector<SimRequest> Requests;
+  std::vector<std::promise<SimResponse>> Answers(8);
+  std::vector<std::thread> Clients;
+  for (unsigned I = 0; I < 8; ++I) {
+    SimRequest R = tinySimulate();
+    R.Id = formatString("m%u", I);
+    R.Workload.ProgramText += formatString("# request %u\n", I);
+    Requests.push_back(R);
+  }
+  for (unsigned I = 0; I < 8; ++I)
+    Clients.emplace_back([&, I] {
+      Service.submit(Requests[I], [&Answers, I](SimResponse Resp) {
+        Answers[I].set_value(std::move(Resp));
+      });
+    });
+  for (std::thread &T : Clients)
+    T.join();
+  for (unsigned I = 0; I < 8; ++I) {
+    SimResponse Served = Answers[I].get_future().get();
+    ASSERT_TRUE(Served.ok()) << I;
+    EXPECT_EQ(Served.Id, Requests[I].Id);
+    EXPECT_FALSE(Served.CacheHit);
+    EXPECT_EQ(answerBytes(Served), answerBytes(executeRequest(Requests[I])))
+        << I;
+  }
+  Service.drain();
+  EXPECT_EQ(Service.stats().Completed, 8u);
+  EXPECT_EQ(Service.stats().Cache.Misses, 8u);
+}
+
 //===----------------------------------------------------------------------===//
-// executeRequest error reporting
+// executeRequest
 //===----------------------------------------------------------------------===//
+
+TEST(Execute, JobsDoNotChangeTheAnswer) {
+  // Serial, one helper, "all cores": the same bytes but the wall time.
+  SimRequest App;
+  App.Kind = RequestKind::Simulate;
+  App.Workload.App = "hpccg";
+  App.Workload.SizeScale = 0.05;
+  for (SimRequest R : {App, tinySimulate()}) {
+    R.Id = "jobs";
+    std::string Serial = answerBytes(executeRequest(R, 1));
+    EXPECT_NE(Serial.find("\"optimized\":{"), std::string::npos);
+    for (unsigned Jobs : {2u, 0u})
+      EXPECT_EQ(answerBytes(executeRequest(R, Jobs)), Serial)
+          << R.Workload.App << " --jobs " << Jobs;
+  }
+}
 
 TEST(Execute, InvalidConfigYieldsDiagnostics) {
   SimRequest R = tinySimulate();

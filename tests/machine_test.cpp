@@ -3,11 +3,13 @@
 /// Drives Machine::access directly with hand-picked addresses, pinning the
 /// Figure 2 flows: hit classification, directory-served on-chip transfers,
 /// home-bank routing, the optimal scheme's redirection, and first-touch
-/// translation.
+/// translation; and the directory's initial size.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "affine/ProgramText.h"
 #include "harness/Experiment.h"
+#include "sim/AddressMap.h"
 #include "sim/Machine.h"
 #include "support/Random.h"
 
@@ -307,4 +309,38 @@ TEST(Machine, AccessClassesPartitionTotals) {
   EXPECT_EQ(Rig_.R.L1Hits + Rig_.R.LocalL2Hits + Rig_.R.RemoteL2Hits +
                 Rig_.R.OffChipAccesses,
             Rig_.R.TotalAccesses);
+}
+
+TEST(Machine, DirectoryStartsAtTheDataFootprint) {
+  // The directory's table is sized from the lines the address maps
+  // reserved, capped at 1 << 14 lines (a 32768-slot table): a tiny program
+  // allocates KiBs, an app at a quarter of its size keeps the capped start.
+  MachineConfig C = privateConfig();
+  auto InitialSlots = [](const MachineConfig &C, const AffineProgram &P) {
+    VirtualMemory VM(VmConfig{C.PageBytes, C.NumMCs, C.BytesPerMC},
+                     C.PagePolicy);
+    LayoutPlan Plan = LayoutTransformer::originalPlan(P);
+    AddressMap Map(P, Plan, VM, C);
+    ClusterMapping Mapping = makeM1Mapping(C);
+    return Machine(C, Mapping, VM).directory().tableSlots();
+  };
+  std::optional<AffineProgram> Tiny = parseProgramText(R"(
+program tiny
+array a dims 32 32 elem 8
+nest sweep bounds 0:32 1:31 parallel 0
+  read  a [ i1-1, i0 ]
+  write a [ i1, i0 ]
+end
+)");
+  ASSERT_TRUE(Tiny);
+  std::size_t TinySlots = InitialSlots(C, *Tiny);
+  EXPECT_LE(TinySlots * 16, 4096u) << TinySlots << " slots";
+  EXPECT_EQ(InitialSlots(C, buildApp("swim", 0.25).Program), 32768u);
+
+  // The sparse directory's victim rotation walks the slots: it keeps the
+  // fixed start whatever the footprint.
+  MachineConfig Sparse = C;
+  Sparse.Coherence.Protocol = MachineConfig::CoherenceProtocol::MSI;
+  Sparse.Coherence.SparseDirectory = true;
+  EXPECT_EQ(InitialSlots(Sparse, *Tiny), 32768u);
 }

@@ -3,9 +3,9 @@
 // End-to-end tests of the offchip-serve TCP layer against a real
 // in-process SocketServer on an ephemeral port: the server-level methods
 // (ping/apps/stats), a full optimize request over the wire, malformed-line
-// handling, pipelined ids, the already-bound-port diagnostic, and graceful
-// shutdown (every admitted request answered before run() returns); and the
-// line reader itself over a socketpair.
+// handling, the line-length cap, pipelined ids, the already-bound-port
+// diagnostic, and graceful shutdown (every admitted request answered before
+// run() returns); and the line reader itself over a socketpair.
 //
 //===----------------------------------------------------------------------===//
 
@@ -254,6 +254,22 @@ TEST_F(ServerTest, GracefulStopDeliversInFlightAnswers) {
   EXPECT_EQ(field(V, "id"), "last");
   EXPECT_EQ(field(V, "status"), "ok");
   EXPECT_EQ(Service->stats().Completed, 1u);
+}
+
+TEST_F(ServerTest, OversizedLineAnsweredWithErrorAndClosed) {
+  // One byte past the cap with no newline: the server answers a
+  // structured error and closes, instead of buffering without bound.
+  std::string Huge(LineReader::MaxLineBytes + 1, 'x');
+  std::thread Writer([&] { EXPECT_TRUE(sendAll(Fd, Huge)); });
+  JsonValue V = nextResponse();
+  Writer.join();
+  EXPECT_EQ(field(V, "status"), "error");
+  EXPECT_NE(field(V, "error").find("longer than 1048576 bytes"),
+            std::string::npos)
+      << field(V, "error");
+  std::string Line;
+  EXPECT_FALSE(Reader->readLine(&Line)) << "connection must close";
+  EXPECT_EQ(Server->counters().ParseErrors, 1u);
 }
 
 TEST(LineReaderTest, LongLineAndSplitCrlfReadIntact) {

@@ -68,7 +68,9 @@ int main(int Argc, char **Argv) {
   Options.flag("--simulate", &Simulate,
                "run original vs optimized on the scaled machine");
   Options.value("--jobs", &Jobs,
-                "worker threads for --simulate (0 = all cores)");
+                "with --simulate, 1 runs the original and optimized "
+                "variants one after the other; any other value runs them "
+                "side by side (default 1)");
   Options.flag("--csv", &Csv, "print simulation results as CSV");
   addTraceFlags(Options, Config, &TraceOut,
                 "with --simulate, write per-request traces "

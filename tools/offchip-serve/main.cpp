@@ -54,7 +54,9 @@ int main(int Argc, char **Argv) {
                 "with --port 0)");
   unsigned Jobs = 0;
   Options.value("--jobs", &Jobs,
-                "simulation worker threads (default 0 = all cores)");
+                "request worker threads N, each with one helper thread for "
+                "a simulate request's variant pair, so up to 2N simulation "
+                "threads (default 0 = all cores)");
   unsigned QueueDepth = 64, CacheEntries = 256;
   Options.value("--queue-depth", &QueueDepth,
                 "admitted-but-unanswered request bound before new requests "
