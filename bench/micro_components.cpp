@@ -7,7 +7,7 @@
 /// tournament-tree step, XY-routed message injection and the link calendar
 /// under it, cache probes and fills, DRAM bank service, and the service's
 /// JSON codec: writing an Optimize and a Simulate answer and parsing a
-/// request.
+/// request, and whole Optimize misses for the five gather apps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "noc/Network.h"
 #include "sim/AddressMap.h"
 #include "sim/ThreadStream.h"
+#include "support/Format.h"
 #include "support/Random.h"
 #include "support/TournamentTree.h"
 #include "workloads/AppModel.h"
@@ -349,5 +350,26 @@ void BM_ParseRequest(benchmark::State &State) {
   State.counters["bytes"] = static_cast<double>(Line.size());
 }
 BENCHMARK(BM_ParseRequest);
+
+/// An Optimize miss for one of the five gather apps, served in-process with
+/// one job: build, layout pass (its Section 5.4 profiles) and plan summary.
+/// The profile is O(samples) and index arrays are descriptors, so the time
+/// should stay flat from scale 1 to 4.
+void BM_OptimizeGatherApp(benchmark::State &State) {
+  static const char *const Apps[] = {"gafort", "fma3d", "ammp", "hpccg",
+                                     "minimd"};
+  SimRequest R;
+  R.Kind = RequestKind::Optimize;
+  R.Workload.App = Apps[State.range(0)];
+  R.Workload.SizeScale = static_cast<double>(State.range(1));
+  for (auto _ : State) {
+    SimResponse Resp = executeRequest(R, /*Jobs=*/1);
+    benchmark::DoNotOptimize(Resp.Plan.RefsSatisfiedFraction);
+  }
+  State.SetLabel(R.Workload.App + formatString("@%g", R.Workload.SizeScale));
+}
+BENCHMARK(BM_OptimizeGatherApp)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace

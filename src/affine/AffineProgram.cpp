@@ -6,14 +6,13 @@ using namespace offchip;
 
 ArrayId AffineProgram::addArray(ArrayDecl Decl) {
   Arrays.push_back(std::move(Decl));
-  IndexValues.emplace_back();
+  IndexContents.emplace_back();
   return static_cast<ArrayId>(Arrays.size() - 1);
 }
 
-void AffineProgram::setIndexArrayValues(ArrayId Id,
-                                        std::vector<std::int64_t> Values) {
-  assert(Id < IndexValues.size() && "array id out of range");
-  IndexValues[Id] = std::move(Values);
+void AffineProgram::setIndexArrayValues(ArrayId Id, IndexValues Values) {
+  assert(Id < IndexContents.size() && "array id out of range");
+  IndexContents[Id] = std::move(Values);
 }
 
 LoopNest &AffineProgram::addNest(LoopNest Nest) {
@@ -26,12 +25,11 @@ LoopNest &AffineProgram::addNestAtFront(LoopNest Nest) {
   return Nests.front();
 }
 
-const std::vector<std::int64_t> *
-AffineProgram::indexArrayValues(ArrayId Id) const {
-  assert(Id < IndexValues.size() && "array id out of range");
-  if (IndexValues[Id].empty())
+const IndexValues *AffineProgram::indexArrayValues(ArrayId Id) const {
+  assert(Id < IndexContents.size() && "array id out of range");
+  if (IndexContents[Id].size() == 0)
     return nullptr;
-  return &IndexValues[Id];
+  return &IndexContents[Id];
 }
 
 bool AffineProgram::isIndexedlyAccessed(ArrayId Id) const {

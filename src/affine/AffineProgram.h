@@ -11,6 +11,7 @@
 #define OFFCHIP_AFFINE_AFFINEPROGRAM_H
 
 #include "affine/ArrayDecl.h"
+#include "affine/IndexGen.h"
 #include "affine/LoopNest.h"
 
 #include <string>
@@ -30,7 +31,7 @@ public:
 
   /// Provides the contents of index array \p Id (flat element offsets into
   /// the data arrays its indexed references target).
-  void setIndexArrayValues(ArrayId Id, std::vector<std::int64_t> Values);
+  void setIndexArrayValues(ArrayId Id, IndexValues Values);
 
   LoopNest &addNest(LoopNest Nest);
 
@@ -48,7 +49,7 @@ public:
   std::vector<LoopNest> &nests() { return Nests; }
 
   /// \returns the contents of index array \p Id, or nullptr if none were set.
-  const std::vector<std::int64_t> *indexArrayValues(ArrayId Id) const;
+  const IndexValues *indexArrayValues(ArrayId Id) const;
 
   /// True if any nest references array \p Id through an index array.
   bool isIndexedlyAccessed(ArrayId Id) const;
@@ -61,7 +62,7 @@ private:
   std::vector<ArrayDecl> Arrays;
   std::vector<LoopNest> Nests;
   /// Sparse: index-array contents, parallel to Arrays (empty when unset).
-  std::vector<std::vector<std::int64_t>> IndexValues;
+  std::vector<IndexValues> IndexContents;
 };
 
 } // namespace offchip

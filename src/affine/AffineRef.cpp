@@ -12,13 +12,6 @@ AffineRef::AffineRef(ArrayId Array, IntMatrix Access, IntVector Offset,
          "offset length must match data rank");
 }
 
-IntVector AffineRef::evaluate(const IntVector &Iter) const {
-  IntVector Data = Access.apply(Iter);
-  for (std::size_t I = 0; I < Data.size(); ++I)
-    Data[I] += Offset[I];
-  return Data;
-}
-
 AffineRef AffineRef::transformed(const IntMatrix &Transform) const {
   return AffineRef(Array, Transform.multiply(Access),
                    Transform.apply(Offset), Write);

@@ -34,9 +34,6 @@ public:
   unsigned dataRank() const { return Access.numRows(); }
   unsigned loopDepth() const { return Access.numCols(); }
 
-  /// Evaluates the data vector touched at iteration \p Iter: A*Iter + o.
-  IntVector evaluate(const IntVector &Iter) const;
-
   /// Applies a layout transformation matrix: the reference becomes
   /// (Transform*A, Transform*o), matching r' = U*r in Section 5.2.
   AffineRef transformed(const IntMatrix &Transform) const;

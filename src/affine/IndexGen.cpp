@@ -4,43 +4,48 @@
 
 #include "support/Random.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace offchip;
 
-std::vector<std::int64_t> offchip::makeNearbyIndices(std::uint64_t Count,
-                                                     std::int64_t DataExtent,
-                                                     std::int64_t Window,
-                                                     std::uint64_t Seed) {
+IndexValues IndexValues::nearby(std::uint64_t Count, std::int64_t DataExtent,
+                                std::int64_t Window, std::uint64_t Seed) {
   assert(DataExtent > 0 && "empty data array");
-  SplitMix64 Rng(Seed);
-  std::vector<std::int64_t> Values(Count);
-  for (std::uint64_t S = 0; S < Count; ++S) {
-    std::int64_t Ramp = Count <= 1
-                            ? 0
-                            : static_cast<std::int64_t>(
-                                  (S * static_cast<std::uint64_t>(DataExtent)) /
-                                  Count);
-    std::int64_t Jitter =
-        Window == 0 ? 0
-                    : static_cast<std::int64_t>(
-                          Rng.nextBelow(2 * Window + 1)) -
-                          Window;
-    Values[S] = std::clamp<std::int64_t>(Ramp + Jitter, 0, DataExtent - 1);
-  }
-  return Values;
+  assert(Window >= 0 && "negative window");
+  IndexValues V;
+  V.Form = Kind::Nearby;
+  V.Count = Count;
+  V.Extent = DataExtent;
+  V.Window = Window;
+  V.Span = 2 * static_cast<std::uint64_t>(Window) + 1;
+  V.Seed = Seed;
+  return V;
 }
 
-std::vector<std::int64_t> offchip::makeRandomIndices(std::uint64_t Count,
-                                                     std::int64_t DataExtent,
-                                                     std::uint64_t Seed) {
+IndexValues IndexValues::random(std::uint64_t Count, std::int64_t DataExtent,
+                                std::uint64_t Seed) {
   assert(DataExtent > 0 && "empty data array");
-  SplitMix64 Rng(Seed);
-  std::vector<std::int64_t> Values(Count);
-  for (std::uint64_t S = 0; S < Count; ++S)
-    Values[S] =
-        static_cast<std::int64_t>(Rng.nextBelow(static_cast<std::uint64_t>(
-            DataExtent)));
-  return Values;
+  IndexValues V;
+  V.Form = Kind::Random;
+  V.Count = Count;
+  V.Extent = DataExtent;
+  V.Seed = Seed;
+  return V;
+}
+
+std::int64_t IndexValues::generated(std::uint64_t N) const {
+  // Entry N takes the (N+1)-th output of SplitMix64(Seed), which is a pure
+  // function of N.
+  std::uint64_t Draw = SplitMix64::mix(Seed + (N + 1) * SplitMix64::Gamma);
+  if (Form == Kind::Random)
+    return static_cast<std::int64_t>(Draw %
+                                     static_cast<std::uint64_t>(Extent));
+  // The ramp in 128 bits: N * Extent passes 2^64 on long arrays over large
+  // extents. The quotient is below Extent.
+  __int128 V = static_cast<__int128>(static_cast<unsigned __int128>(N) *
+                                     static_cast<std::uint64_t>(Extent) /
+                                     Count);
+  if (Window != 0)
+    V += static_cast<__int128>(Draw % Span) - Window;
+  return V < 0 ? 0 : V >= Extent ? Extent - 1 : static_cast<std::int64_t>(V);
 }

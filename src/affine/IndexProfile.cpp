@@ -58,8 +58,7 @@ std::optional<IndexApproximation>
 offchip::approximateIndexedRef(const AffineProgram &Program,
                                const LoopNest &Nest, const IndexedRef &Ref,
                                std::uint64_t MaxSamples) {
-  const std::vector<std::int64_t> *Values =
-      Program.indexArrayValues(Ref.IndexArray);
+  const IndexValues *Values = Program.indexArrayValues(Ref.IndexArray);
   if (!Values)
     return std::nullopt;
   const ArrayDecl &Data = Program.array(Ref.DataArray);
@@ -84,40 +83,68 @@ offchip::approximateIndexedRef(const AffineProgram &Program,
   std::vector<std::vector<double>> N(K, std::vector<double>(K, 0.0));
   std::vector<double> B(K, 0.0);
 
-  struct Sample {
-    IntVector Iter;
-    double D;
-  };
-  std::vector<Sample> Samples;
-
-  IntVector Iter = Space.firstIteration();
-  std::uint64_t Pos = 0;
-  bool More = !Space.isEmpty();
-  while (More) {
-    if (Pos % Stride == 0) {
-      IntVector IndexVec = Ref.IndexAccess.evaluate(Iter);
-      // Index arrays are flattened for profiling: linearize via the decl.
-      if (Index.contains(IndexVec)) {
-        std::uint64_t Slot = Index.linearize(IndexVec);
-        if (Slot < Values->size()) {
-          double D = static_cast<double>((*Values)[Slot]);
-          std::vector<double> Row(K);
-          Row[0] = 1.0;
-          for (unsigned J = 0; J < Depth; ++J)
-            Row[J + 1] = static_cast<double>(Iter[J]);
-          for (std::size_t R = 0; R < K; ++R) {
-            for (std::size_t C = 0; C < K; ++C)
-              N[R][C] += Row[R] * Row[C];
-            B[R] += Row[R] * D;
-          }
-          Samples.push_back({Iter, D});
-        }
-      }
-    }
-    ++Pos;
-    More = Space.nextIteration(Iter);
+  // The profile visits the lexicographic positions 0, Stride, 2*Stride, ...
+  // below Trip. The space is rectangular, so a position's iteration vector
+  // is its mixed-radix digits over the level extents, innermost level
+  // last, and the next sample's is this one's plus Stride's digits, with
+  // carries: no walk over the positions in between. Samples keep their
+  // iteration vectors in one flat buffer (Depth per sample).
+  const IntMatrix &IndexA = Ref.IndexAccess.accessMatrix();
+  const IntVector &IndexO = Ref.IndexAccess.offset();
+  const unsigned IndexRank = Ref.IndexAccess.dataRank();
+  // An index reference of the wrong rank is never inside the index array.
+  std::uint64_t Positions =
+      IndexRank == Index.rank() ? (Trip - 1) / Stride + 1 : 0;
+  std::vector<std::int64_t> Iters;
+  std::vector<double> Ds;
+  Iters.reserve(Positions * Depth);
+  Ds.reserve(Positions);
+  IntVector StrideDigits(Depth);
+  std::uint64_t Rest = Stride;
+  for (unsigned L = Depth; L > 0; --L) {
+    std::uint64_t E = static_cast<std::uint64_t>(Space.extent(L - 1));
+    StrideDigits[L - 1] = static_cast<std::int64_t>(Rest % E);
+    Rest /= E;
   }
-  if (Samples.size() < K)
+  IntVector Iter = Space.firstIteration();
+  std::vector<double> Row(K);
+  Row[0] = 1.0;
+  // Index arrays are flattened for profiling: a sample needs the index
+  // vector inside the decl, then its row-major slot.
+  for (std::uint64_t P = 0; P < Positions; ++P) {
+    // Both digits are below the extent, so a level carries at most one.
+    bool Carry = false;
+    for (unsigned L = Depth; P != 0 && L > 0; --L) {
+      std::int64_t V = Iter[L - 1] + StrideDigits[L - 1] + Carry;
+      Carry = V >= Space.upper(L - 1);
+      Iter[L - 1] = Carry ? V - Space.extent(L - 1) : V;
+    }
+    std::uint64_t Slot = 0;
+    bool Inside = true;
+    for (unsigned R = 0; R < IndexRank && Inside; ++R) {
+      std::int64_t V = 0;
+      for (unsigned L = 0; L < Depth; ++L)
+        V += IndexA.at(R, L) * Iter[L];
+      V += IndexO[R];
+      Inside = V >= 0 && V < Index.Dims[R];
+      Slot = Slot * static_cast<std::uint64_t>(Index.Dims[R]) +
+             static_cast<std::uint64_t>(V);
+    }
+    if (!Inside || Slot >= Values->size())
+      continue;
+    double D = static_cast<double>(Values->at(Slot));
+    for (unsigned J = 0; J < Depth; ++J)
+      Row[J + 1] = static_cast<double>(Iter[J]);
+    for (std::size_t R = 0; R < K; ++R) {
+      for (std::size_t C = 0; C < K; ++C)
+        N[R][C] += Row[R] * Row[C];
+      B[R] += Row[R] * D;
+    }
+    Iters.insert(Iters.end(), Iter.begin(), Iter.end());
+    Ds.push_back(D);
+  }
+  std::size_t NumSamples = Ds.size();
+  if (NumSamples < K)
     return std::nullopt;
 
   std::vector<double> X;
@@ -126,55 +153,62 @@ offchip::approximateIndexedRef(const AffineProgram &Program,
     // to the mean-value constant approximation.
     X.assign(K, 0.0);
     double Mean = 0.0;
-    for (const Sample &S : Samples)
-      Mean += S.D;
-    X[0] = Mean / static_cast<double>(Samples.size());
+    for (double D : Ds)
+      Mean += D;
+    X[0] = Mean / static_cast<double>(NumSamples);
   }
 
   // Round to an integer affine reference.
-  IntMatrix Access(1, Depth);
+  IntVector Coef(Depth);
   for (unsigned J = 0; J < Depth; ++J)
-    Access.at(0, J) = static_cast<std::int64_t>(std::llround(X[J + 1]));
-  IntVector Offset(1, static_cast<std::int64_t>(std::llround(X[0])));
+    Coef[J] = static_cast<std::int64_t>(std::llround(X[J + 1]));
+  std::int64_t Offset = static_cast<std::int64_t>(std::llround(X[0]));
 
-  auto MeanAbsError = [&](const IntMatrix &A, const IntVector &O) {
-    AffineRef Candidate(Ref.DataArray, A, O, Ref.IsWrite);
+  auto MeanAbsError = [&](const IntVector &C) {
     double Sum = 0.0;
-    for (const Sample &S : Samples)
-      Sum += std::fabs(static_cast<double>(Candidate.evaluate(S.Iter)[0]) -
-                       S.D);
-    return Sum / static_cast<double>(Samples.size());
+    const std::int64_t *It = Iters.data();
+    for (std::size_t S = 0; S < NumSamples; ++S, It += Depth) {
+      std::int64_t V = 0;
+      for (unsigned J = 0; J < Depth; ++J)
+        V += C[J] * It[J];
+      V += Offset;
+      Sum += std::fabs(static_cast<double>(V) - Ds[S]);
+    }
+    return Sum / static_cast<double>(NumSamples);
   };
 
   // Shrinkage: a noisy regression can assign a small iterator a spurious
   // integer coefficient (which would needlessly constrain the Data-to-Core
   // solve). Zero any coefficient whose removal does not worsen the error
   // noticeably.
-  double CurErr = MeanAbsError(Access, Offset);
+  double CurErr = MeanAbsError(Coef);
   for (unsigned J = 0; J < Depth; ++J) {
-    if (Access.at(0, J) == 0)
+    if (Coef[J] == 0)
       continue;
-    IntMatrix Trial = Access;
-    Trial.at(0, J) = 0;
-    double TrialErr = MeanAbsError(Trial, Offset);
-    if (TrialErr <= CurErr * 1.1) {
-      Access = Trial;
+    std::int64_t Kept = Coef[J];
+    Coef[J] = 0;
+    double TrialErr = MeanAbsError(Coef);
+    if (TrialErr <= CurErr * 1.1)
       CurErr = TrialErr;
-    }
+    else
+      Coef[J] = Kept;
   }
-  AffineRef Approx(Ref.DataArray, Access, Offset, Ref.IsWrite);
+  IntMatrix Access(1, Depth);
+  for (unsigned J = 0; J < Depth; ++J)
+    Access.at(0, J) = Coef[J];
+  AffineRef Approx(Ref.DataArray, Access, IntVector(1, Offset), Ref.IsWrite);
 
   // Mean absolute error of the *rounded* approximation, as a fraction of the
   // data array extent.
-  double ErrSum = CurErr * static_cast<double>(Samples.size());
+  double ErrSum = CurErr * static_cast<double>(NumSamples);
   // Normalize by Extent/4, the mean absolute deviation of a uniformly
   // random pattern: 1.0 therefore means "no better than random".
   double Extent = static_cast<double>(Data.Dims[0]);
   double ErrFrac =
       Extent > 0.0
-          ? (ErrSum / static_cast<double>(Samples.size())) / (Extent / 4.0)
+          ? (ErrSum / static_cast<double>(NumSamples)) / (Extent / 4.0)
           : 1.0;
 
-  IndexApproximation Result{std::move(Approx), ErrFrac, Samples.size()};
+  IndexApproximation Result{std::move(Approx), ErrFrac, NumSamples};
   return Result;
 }

@@ -2,7 +2,6 @@
 
 #include "affine/ProgramText.h"
 
-#include "affine/IndexGen.h"
 #include "support/Format.h"
 
 #include <cctype>
@@ -454,8 +453,8 @@ offchip::parseProgramText(const std::string &Text, std::string *Error) {
     std::int64_t Extent = Program->array(DataIt->second).Dims[0];
     Program->setIndexArrayValues(
         It->second, P.Kind == "nearby"
-                        ? makeNearbyIndices(Count, Extent, P.Window, P.Seed)
-                        : makeRandomIndices(Count, Extent, P.Seed));
+                        ? IndexValues::nearby(Count, Extent, P.Window, P.Seed)
+                        : IndexValues::random(Count, Extent, P.Seed));
   }
   for (LoopNest &Nest : Nests)
     Program->addNest(std::move(Nest));

@@ -184,10 +184,11 @@ bool ThreadStream::generate(AccessRequest &Out) {
     for (unsigned D = 0; D < Iter.size(); ++D)
       SlotIdx += G.SlotCoef[D] * Iter[D];
     assert(SlotIdx >= 0 &&
-           static_cast<std::size_t>(SlotIdx) < G.Values->size() &&
+           static_cast<std::uint64_t>(SlotIdx) < G.Values->size() &&
            "index array contents too small");
-    PendingData.VA =
-        Map->vaOfFlat(IRef.DataArray, (*G.Values)[SlotIdx], Scratch);
+    PendingData.VA = Map->vaOfFlat(
+        IRef.DataArray, G.Values->at(static_cast<std::uint64_t>(SlotIdx)),
+        Scratch);
     PendingData.IsWrite = IRef.IsWrite;
     PendingData.Transformed = Map->isTransformed(IRef.DataArray);
     HasPendingData = true;

@@ -105,7 +105,7 @@ private:
   struct Gather {
     IntVector SlotCoef; // row-major strides * A
     std::int64_t SlotConst = 0;
-    const std::vector<std::int64_t> *Values = nullptr;
+    const IndexValues *Values = nullptr;
   };
 
   /// Rebuilds Cursors and Gathers for the current nest (no-op when

@@ -16,7 +16,6 @@
 #define OFFCHIP_WORKLOADS_APPMODEL_H
 
 #include "affine/AffineProgram.h"
-#include "affine/IndexGen.h"
 
 #include <string>
 #include <vector>

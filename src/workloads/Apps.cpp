@@ -376,8 +376,8 @@ AppModel makeGafort(double S) {
   ArrayId Fit = add1D(P, "fitness", N);
   ArrayId Shuf = add1D(P, "shuffle_idx", N);
   P.setIndexArrayValues(
-      Shuf, makeNearbyIndices(static_cast<std::uint64_t>(N), N,
-                              /*Window=*/4096, /*Seed=*/0x9af0));
+      Shuf, IndexValues::nearby(static_cast<std::uint64_t>(N), N,
+                                /*Window=*/4096, /*Seed=*/0x9af0));
 
   LoopNest Eval = makeNest("evaluate", {N}, 0);
   Eval.addRef(pointRef(Pop, {0}, false, 1));
@@ -402,8 +402,8 @@ AppModel makeFma3d(double S) {
   addMisalignedInit(P, X, "init_coords");
   // Adjacent elements share nodes: window-local connectivity, high sharing.
   P.setIndexArrayValues(
-      Conn, makeNearbyIndices(static_cast<std::uint64_t>(Elems * K), Nodes,
-                              /*Window=*/4096, /*Seed=*/0xf3a3));
+      Conn, IndexValues::nearby(static_cast<std::uint64_t>(Elems * K), Nodes,
+                                /*Window=*/4096, /*Seed=*/0xf3a3));
 
   LoopNest Force = makeNest("element_force", {Elems, K}, 0);
   Force.addIndexedRef(indexed2D(X, Conn, false));
@@ -476,13 +476,13 @@ AppModel makeAmmp(double S) {
   ArrayId Rnd = add1D(P, "pairlist", Pairs);
   addMisalignedInit(P, Xyz, "init_coords");
   P.setIndexArrayValues(
-      Nbr, makeNearbyIndices(static_cast<std::uint64_t>(Neigh), Atoms,
-                             /*Window=*/4096, /*Seed=*/0xa44b));
+      Nbr, IndexValues::nearby(static_cast<std::uint64_t>(Neigh), Atoms,
+                               /*Window=*/4096, /*Seed=*/0xa44b));
   // The long-range pair list is uniformly random: its affine approximation
   // fails the 30% error bound and the reference stays unoptimized.
   P.setIndexArrayValues(
-      Rnd, makeRandomIndices(static_cast<std::uint64_t>(Pairs), Atoms,
-                             /*Seed=*/0x77aa));
+      Rnd, IndexValues::random(static_cast<std::uint64_t>(Pairs), Atoms,
+                               /*Seed=*/0x77aa));
 
   LoopNest Bonded = makeNest("bonded", {Atoms}, 0);
   Bonded.addRef(pointRef(Xyz, {0}, false, 1));
@@ -520,8 +520,8 @@ AppModel makeHpccg(double S) {
   // Banded sparsity: column indices stay near the diagonal, so the affine
   // approximation of Section 5.4 fits well.
   P.setIndexArrayValues(
-      ColIdx, makeNearbyIndices(static_cast<std::uint64_t>(Rows * K), Rows,
-                                /*Window=*/384, /*Seed=*/0xcc61));
+      ColIdx, IndexValues::nearby(static_cast<std::uint64_t>(Rows * K), Rows,
+                                  /*Window=*/384, /*Seed=*/0xcc61));
 
   LoopNest Spmv = makeNest("spmv", {Rows, K - 1}, 0);
   Spmv.addRef(pointRef(AVal, {0, 0}, false, 2));
@@ -601,8 +601,8 @@ AppModel makeMinimd(double S) {
   ArrayId Nbr = P.addArray({"neighbor_list", {Atoms, K}, 8});
   // Sorted neighbor bins: very local indices, first-touch-friendly.
   P.setIndexArrayValues(
-      Nbr, makeNearbyIndices(static_cast<std::uint64_t>(Atoms * K), Atoms,
-                             /*Window=*/512, /*Seed=*/0x3d3d));
+      Nbr, IndexValues::nearby(static_cast<std::uint64_t>(Atoms * K), Atoms,
+                               /*Window=*/512, /*Seed=*/0x3d3d));
 
   LoopNest Force = makeNest("compute_force", {Atoms, K}, 0);
   {

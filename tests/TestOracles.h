@@ -13,7 +13,16 @@
 ///   - rank: fraction-free (Bareiss) elimination, checked against the
 ///     dimension of nullspaceBasis;
 ///   - programText: a printer of the textual program format, whose output
-///     the parser must read back with the same structure.
+///     the parser must read back with the same structure;
+///   - makeNearbyIndices / makeRandomIndices: the index-array generators as
+///     sequential SplitMix64 walks that fill a vector, checked against
+///     IndexValues' per-entry closed form;
+///   - evaluate: the data vector an affine reference touches at one
+///     iteration, A*Iter + o, by matrix-vector product (the product code
+///     steps or linearizes it instead);
+///   - approximateIndexedRefFullWalk: the Section 5.4 profile as a walk over
+///     every iteration of the nest that keeps each Stride-th one, checked
+///     bit for bit against approximateIndexedRef's direct sample jumps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,14 +30,19 @@
 #define OFFCHIP_TESTS_TESTORACLES_H
 
 #include "affine/AffineProgram.h"
+#include "affine/IndexProfile.h"
 #include "core/ClusterMapping.h"
 #include "core/DataLayout.h"
 #include "linalg/IntMatrix.h"
 #include "noc/Mesh.h"
 #include "support/Format.h"
 #include "support/MathUtil.h"
+#include "support/Random.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,17 +153,18 @@ inline std::string programText(const AffineProgram &Program) {
     Out += formatString(" elem %u\n", D.ElementBytes);
   }
   for (ArrayId Id = 0; Id < Program.numArrays(); ++Id) {
-    const std::vector<std::int64_t> *Values = Program.indexArrayValues(Id);
+    const IndexValues *Values = Program.indexArrayValues(Id);
     if (!Values)
       continue;
     if (Values->size() <= 64) {
       Out += "index " + Program.array(Id).Name + " values";
-      for (std::int64_t V : *Values)
-        Out += formatString(" %lld", static_cast<long long>(V));
+      for (std::uint64_t N = 0; N < Values->size(); ++N)
+        Out += formatString(" %lld", static_cast<long long>(Values->at(N)));
       Out += "\n";
     } else {
       Out += "# index " + Program.array(Id).Name +
-             formatString(" contents omitted (%zu values)\n", Values->size());
+             formatString(" contents omitted (%llu values)\n",
+                          static_cast<unsigned long long>(Values->size()));
     }
   }
   for (const LoopNest &Nest : Program.nests()) {
@@ -183,6 +198,208 @@ inline std::string programText(const AffineProgram &Program) {
     Out += "end\n";
   }
   return Out;
+}
+
+/// The data vector \p Ref touches at iteration \p Iter: A*Iter + o.
+inline IntVector evaluate(const AffineRef &Ref, const IntVector &Iter) {
+  IntVector Data = Ref.accessMatrix().apply(Iter);
+  for (std::size_t I = 0; I < Data.size(); ++I)
+    Data[I] += Ref.offset()[I];
+  return Data;
+}
+
+/// Index-array contents pointing near a linear ramp over [0, DataExtent),
+/// filled by one sequential SplitMix64 stream (one draw per entry when the
+/// window is non-zero). The ramp is computed in 64 bits, so it is exact
+/// only while Count * DataExtent stays below 2^64.
+inline std::vector<std::int64_t> makeNearbyIndices(std::uint64_t Count,
+                                                   std::int64_t DataExtent,
+                                                   std::int64_t Window,
+                                                   std::uint64_t Seed) {
+  assert(DataExtent > 0 && "empty data array");
+  SplitMix64 Rng(Seed);
+  std::vector<std::int64_t> Values(Count);
+  for (std::uint64_t S = 0; S < Count; ++S) {
+    std::int64_t Ramp = Count <= 1
+                            ? 0
+                            : static_cast<std::int64_t>(
+                                  (S * static_cast<std::uint64_t>(DataExtent)) /
+                                  Count);
+    std::int64_t Jitter =
+        Window == 0 ? 0
+                    : static_cast<std::int64_t>(
+                          Rng.nextBelow(2 * Window + 1)) -
+                          Window;
+    Values[S] = std::clamp<std::int64_t>(Ramp + Jitter, 0, DataExtent - 1);
+  }
+  return Values;
+}
+
+/// A uniformly random index array, filled by one sequential SplitMix64
+/// stream.
+inline std::vector<std::int64_t> makeRandomIndices(std::uint64_t Count,
+                                                   std::int64_t DataExtent,
+                                                   std::uint64_t Seed) {
+  assert(DataExtent > 0 && "empty data array");
+  SplitMix64 Rng(Seed);
+  std::vector<std::int64_t> Values(Count);
+  for (std::uint64_t S = 0; S < Count; ++S)
+    Values[S] =
+        static_cast<std::int64_t>(Rng.nextBelow(static_cast<std::uint64_t>(
+            DataExtent)));
+  return Values;
+}
+
+/// The normal-equation solve of the full-walk profile: Gauss-Jordan with
+/// partial pivoting; zero-pivot columns are pinned to zero.
+inline bool solveNormalEquations(std::vector<std::vector<double>> &N,
+                                 std::vector<double> &B,
+                                 std::vector<double> &X) {
+  std::size_t K = B.size();
+  std::vector<bool> Pinned(K, false);
+  for (std::size_t Col = 0; Col < K; ++Col) {
+    std::size_t Pivot = Col;
+    for (std::size_t R = Col + 1; R < K; ++R)
+      if (std::fabs(N[R][Col]) > std::fabs(N[Pivot][Col]))
+        Pivot = R;
+    if (std::fabs(N[Pivot][Col]) < 1e-9) {
+      Pinned[Col] = true;
+      continue;
+    }
+    std::swap(N[Col], N[Pivot]);
+    std::swap(B[Col], B[Pivot]);
+    for (std::size_t R = 0; R < K; ++R) {
+      if (R == Col)
+        continue;
+      double F = N[R][Col] / N[Col][Col];
+      if (F == 0.0)
+        continue;
+      for (std::size_t C = Col; C < K; ++C)
+        N[R][C] -= F * N[Col][C];
+      B[R] -= F * B[Col];
+    }
+  }
+  X.assign(K, 0.0);
+  bool Any = false;
+  for (std::size_t I = 0; I < K; ++I) {
+    if (Pinned[I])
+      continue;
+    X[I] = B[I] / N[I][I];
+    Any = true;
+  }
+  return Any;
+}
+
+/// approximateIndexedRef as a walk: every iteration of the nest in
+/// lexicographic order, each Stride-th one profiled, each sample's
+/// iteration vector and value kept in its own record.
+inline std::optional<IndexApproximation>
+approximateIndexedRefFullWalk(const AffineProgram &Program,
+                              const LoopNest &Nest, const IndexedRef &Ref,
+                              std::uint64_t MaxSamples = 4096) {
+  const IndexValues *Values = Program.indexArrayValues(Ref.IndexArray);
+  if (!Values)
+    return std::nullopt;
+  const ArrayDecl &Data = Program.array(Ref.DataArray);
+  if (Data.rank() != 1)
+    return std::nullopt;
+  const ArrayDecl &Index = Program.array(Ref.IndexArray);
+
+  const IterationSpace &Space = Nest.space();
+  std::uint64_t Trip = Space.tripCount();
+  if (Trip == 0)
+    return std::nullopt;
+
+  unsigned Depth = Space.depth();
+  std::uint64_t Stride = Trip <= MaxSamples ? 1 : Trip / MaxSamples;
+  if (Stride % 2 == 0)
+    ++Stride;
+
+  std::size_t K = Depth + 1;
+  std::vector<std::vector<double>> N(K, std::vector<double>(K, 0.0));
+  std::vector<double> B(K, 0.0);
+
+  struct Sample {
+    IntVector Iter;
+    double D;
+  };
+  std::vector<Sample> Samples;
+
+  IntVector Iter = Space.firstIteration();
+  std::uint64_t Pos = 0;
+  bool More = !Space.isEmpty();
+  while (More) {
+    if (Pos % Stride == 0) {
+      IntVector IndexVec = evaluate(Ref.IndexAccess, Iter);
+      if (Index.contains(IndexVec)) {
+        std::uint64_t Slot = Index.linearize(IndexVec);
+        if (Slot < Values->size()) {
+          double D = static_cast<double>(Values->at(Slot));
+          std::vector<double> Row(K);
+          Row[0] = 1.0;
+          for (unsigned J = 0; J < Depth; ++J)
+            Row[J + 1] = static_cast<double>(Iter[J]);
+          for (std::size_t R = 0; R < K; ++R) {
+            for (std::size_t C = 0; C < K; ++C)
+              N[R][C] += Row[R] * Row[C];
+            B[R] += Row[R] * D;
+          }
+          Samples.push_back({Iter, D});
+        }
+      }
+    }
+    ++Pos;
+    More = Space.nextIteration(Iter);
+  }
+  if (Samples.size() < K)
+    return std::nullopt;
+
+  std::vector<double> X;
+  if (!solveNormalEquations(N, B, X)) {
+    X.assign(K, 0.0);
+    double Mean = 0.0;
+    for (const Sample &S : Samples)
+      Mean += S.D;
+    X[0] = Mean / static_cast<double>(Samples.size());
+  }
+
+  IntMatrix Access(1, Depth);
+  for (unsigned J = 0; J < Depth; ++J)
+    Access.at(0, J) = static_cast<std::int64_t>(std::llround(X[J + 1]));
+  IntVector Offset(1, static_cast<std::int64_t>(std::llround(X[0])));
+
+  auto MeanAbsError = [&](const IntMatrix &A, const IntVector &O) {
+    AffineRef Candidate(Ref.DataArray, A, O, Ref.IsWrite);
+    double Sum = 0.0;
+    for (const Sample &S : Samples)
+      Sum += std::fabs(static_cast<double>(evaluate(Candidate, S.Iter)[0]) -
+                       S.D);
+    return Sum / static_cast<double>(Samples.size());
+  };
+
+  double CurErr = MeanAbsError(Access, Offset);
+  for (unsigned J = 0; J < Depth; ++J) {
+    if (Access.at(0, J) == 0)
+      continue;
+    IntMatrix Trial = Access;
+    Trial.at(0, J) = 0;
+    double TrialErr = MeanAbsError(Trial, Offset);
+    if (TrialErr <= CurErr * 1.1) {
+      Access = Trial;
+      CurErr = TrialErr;
+    }
+  }
+  AffineRef Approx(Ref.DataArray, Access, Offset, Ref.IsWrite);
+
+  double ErrSum = CurErr * static_cast<double>(Samples.size());
+  double Extent = static_cast<double>(Data.Dims[0]);
+  double ErrFrac =
+      Extent > 0.0
+          ? (ErrSum / static_cast<double>(Samples.size())) / (Extent / 4.0)
+          : 1.0;
+
+  IndexApproximation Result{std::move(Approx), ErrFrac, Samples.size()};
+  return Result;
 }
 
 } // namespace offchip::oracle

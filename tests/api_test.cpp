@@ -6,10 +6,13 @@
 // (eviction, stats, concurrent access), the service layer (backpressure,
 // drain, served-vs-direct bit identity, hits answered past a full queue,
 // the side-by-side variant pair), and executeRequest (error reporting, the
-// answer independent of --jobs).
+// answer independent of --jobs, an Optimize cost independent of the index
+// arrays' length).
 //
 //===----------------------------------------------------------------------===//
 
+#include "affine/IndexProfile.h"
+#include "affine/ProgramText.h"
 #include "api/ContentHash.h"
 #include "api/Execute.h"
 #include "api/ResultCache.h"
@@ -1595,6 +1598,34 @@ TEST(Execute, OptimizeCarriesPlanButNoResults) {
   EXPECT_EQ(Resp.Plan.ProgramName, "tiny");
   EXPECT_FALSE(Resp.Plan.TransformedSource.empty());
   EXPECT_FALSE(Resp.Plan.Arrays.empty());
+}
+
+TEST(Execute, OptimizeCostDoesNotScaleWithTheIndexArray) {
+  // idx holds 2^34 generated entries: 128 GiB if it were materialized. The
+  // descriptor costs O(1) and the profile O(samples), so this answers in
+  // milliseconds; a build that fills the array fails with bad_alloc.
+  SimRequest R;
+  R.Kind = RequestKind::Optimize;
+  R.Workload.ProgramText = "program huge_gather\n"
+                           "array x dims 1048576 elem 8\n"
+                           "array idx dims 16777216 1024 elem 8\n"
+                           "index idx nearby 64 7 for x\n"
+                           "nest sweep bounds 0:16777216 0:1024 parallel 0\n"
+                           "  gather-read x via idx [ i0, i1 ]\n"
+                           "end\n";
+  SimResponse Resp = executeRequest(R, 1);
+  ASSERT_TRUE(Resp.ok()) << Resp.ErrorText;
+  EXPECT_EQ(Resp.Plan.ProgramName, "huge_gather");
+
+  std::optional<AffineProgram> P = parseProgramText(R.Workload.ProgramText);
+  ASSERT_TRUE(P.has_value());
+  ASSERT_EQ(P->indexArrayValues(1)->size(), std::uint64_t{1} << 34);
+  const LoopNest &Nest = P->nests()[0];
+  std::optional<IndexApproximation> A =
+      approximateIndexedRef(*P, Nest, Nest.indexedRefs()[0]);
+  ASSERT_TRUE(A.has_value());
+  EXPECT_GT(A->Samples, 0u);
+  EXPECT_LE(A->Samples, 4096u + 1);
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 #include "harness/Experiment.h"
 #include "support/Format.h"
 
+#include "TestOracles.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,7 +161,8 @@ void expectExprMatchesLayout(const AffineRef &Ref,
       for (unsigned D = 0; D < Space.depth(); ++D)
         Vars[formatString("i%u", D)] = Iter[D];
       std::int64_t Got = ExprEval(E.Expr, Vars, E.Tables).run();
-      std::uint64_t Want = Result.Layout->elementOffset(Ref.evaluate(Iter));
+      std::uint64_t Want =
+          Result.Layout->elementOffset(oracle::evaluate(Ref, Iter));
       ASSERT_EQ(static_cast<std::uint64_t>(Got), Want)
           << "iter mismatch for " << E.Expr;
     }
@@ -280,7 +283,7 @@ TEST(CodeGen, EmittedExpressionsForAllAppsEvaluate) {
             Vars[formatString("i%u", D)] = Iter[D];
           std::int64_t Got = ExprEval(E.Expr, Vars, E.Tables).run();
           ASSERT_EQ(static_cast<std::uint64_t>(Got),
-                    R.Layout->elementOffset(Ref.evaluate(Iter)))
+                    R.Layout->elementOffset(oracle::evaluate(Ref, Iter)))
               << Name << "/" << Nest.name();
           if (!Nest.space().nextIteration(Iter))
             break;

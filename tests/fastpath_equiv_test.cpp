@@ -28,6 +28,8 @@
 #include "support/Random.h"
 #include "workloads/AppModel.h"
 
+#include "TestOracles.h"
+
 #include <gtest/gtest.h>
 
 #include <cassert>
@@ -335,25 +337,24 @@ std::vector<AccessRequest> referenceStream(const AddressMap &Map,
       do {
         for (const AffineRef &Ref : Nest.refs()) {
           AccessRequest R;
-          R.VA = Map.vaOf(Ref.arrayId(), Ref.evaluate(Iter));
+          R.VA = Map.vaOf(Ref.arrayId(), oracle::evaluate(Ref, Iter));
           R.IsWrite = Ref.isWrite();
           R.Transformed = Map.isTransformed(Ref.arrayId());
           Out.push_back(R);
         }
         for (const IndexedRef &IRef : Nest.indexedRefs()) {
-          IntVector IndexVec = IRef.IndexAccess.evaluate(Iter);
+          IntVector IndexVec = oracle::evaluate(IRef.IndexAccess, Iter);
           AccessRequest RI;
           RI.VA = Map.vaOf(IRef.IndexArray, IndexVec);
           RI.IsWrite = false;
           RI.Transformed = Map.isTransformed(IRef.IndexArray);
           Out.push_back(RI);
-          const std::vector<std::int64_t> *Values =
-              P.indexArrayValues(IRef.IndexArray);
+          const IndexValues *Values = P.indexArrayValues(IRef.IndexArray);
           assert(Values && "indexed reference without index array contents");
           AccessRequest RD;
           RD.VA = Map.vaOfFlat(
               IRef.DataArray,
-              (*Values)[P.array(IRef.IndexArray).linearize(IndexVec)],
+              Values->at(P.array(IRef.IndexArray).linearize(IndexVec)),
               Scratch);
           RD.IsWrite = IRef.IsWrite;
           RD.Transformed = Map.isTransformed(IRef.DataArray);

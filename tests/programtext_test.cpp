@@ -74,10 +74,13 @@ end
   std::string Err;
   auto P = parseProgramText(Text, &Err);
   ASSERT_TRUE(P.has_value()) << Err;
-  const std::vector<std::int64_t> *Values = P->indexArrayValues(1);
+  const IndexValues *Values = P->indexArrayValues(1);
   ASSERT_NE(Values, nullptr);
   EXPECT_EQ(Values->size(), 256u);
-  EXPECT_EQ(*Values, makeNearbyIndices(256, 256, 16, 42));
+  std::vector<std::int64_t> Read;
+  for (std::uint64_t N = 0; N < Values->size(); ++N)
+    Read.push_back(Values->at(N));
+  EXPECT_EQ(Read, oracle::makeNearbyIndices(256, 256, 16, 42));
   ASSERT_EQ(P->nests()[0].indexedRefs().size(), 1u);
   EXPECT_EQ(P->nests()[0].indexedRefs()[0].DataArray, 0u);
   EXPECT_EQ(P->nests()[0].indexedRefs()[0].IndexArray, 1u);
@@ -96,7 +99,13 @@ end
 )";
   auto P = parseProgramText(Text);
   ASSERT_TRUE(P.has_value());
-  EXPECT_EQ(*P->indexArrayValues(1), (std::vector<std::int64_t>{3, 1, 4, 1}));
+  const IndexValues *Values = P->indexArrayValues(1);
+  ASSERT_NE(Values, nullptr);
+  ASSERT_EQ(Values->size(), 4u);
+  std::vector<std::int64_t> Read;
+  for (std::uint64_t N = 0; N < Values->size(); ++N)
+    Read.push_back(Values->at(N));
+  EXPECT_EQ(Read, (std::vector<std::int64_t>{3, 1, 4, 1}));
   EXPECT_TRUE(P->nests()[0].indexedRefs()[0].IsWrite);
 }
 

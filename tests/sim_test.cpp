@@ -194,7 +194,8 @@ TEST(ThreadStream, IndexedRefsIssueIndexThenData) {
   AffineProgram P("idx");
   ArrayId Data = P.addArray({"data", {64}, 8});
   ArrayId Idx = P.addArray({"idx", {8}, 8});
-  P.setIndexArrayValues(Idx, {5, 1, 63, 0, 2, 7, 9, 11});
+  P.setIndexArrayValues(Idx,
+                        std::vector<std::int64_t>{5, 1, 63, 0, 2, 7, 9, 11});
   LoopNest Nest("n", IterationSpace({0}, {8}), 0);
   IntMatrix IA(1, 1);
   IA.at(0, 0) = 1;

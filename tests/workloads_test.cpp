@@ -2,6 +2,8 @@
 
 #include "workloads/AppModel.h"
 
+#include "TestOracles.h"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -51,7 +53,7 @@ TEST(Workloads, EveryAppBuildsConsistently) {
           IntVector Corner(S.depth());
           for (unsigned D = 0; D < S.depth(); ++D)
             Corner[D] = (Mask >> D) & 1 ? Hi[D] : Lo[D];
-          IntVector Data = Ref.evaluate(Corner);
+          IntVector Data = oracle::evaluate(Ref, Corner);
           EXPECT_TRUE(App.Program.array(Ref.arrayId()).contains(Data))
               << Name << "/" << Nest.name() << " ref to array "
               << App.Program.array(Ref.arrayId()).Name;
@@ -66,14 +68,15 @@ TEST(Workloads, IndexArraysHaveValidContents) {
     AppModel App = buildApp(Name, 0.25);
     for (const LoopNest &Nest : App.Program.nests()) {
       for (const IndexedRef &Ref : Nest.indexedRefs()) {
-        const std::vector<std::int64_t> *Values =
+        const IndexValues *Values =
             App.Program.indexArrayValues(Ref.IndexArray);
         ASSERT_NE(Values, nullptr) << Name;
         EXPECT_EQ(Values->size(),
                   App.Program.array(Ref.IndexArray).numElements())
             << Name;
         std::int64_t Extent = App.Program.array(Ref.DataArray).Dims[0];
-        for (std::int64_t V : *Values) {
+        for (std::uint64_t N = 0; N < Values->size(); ++N) {
+          std::int64_t V = Values->at(N);
           ASSERT_GE(V, 0) << Name;
           ASSERT_LT(V, Extent) << Name;
         }
@@ -125,17 +128,18 @@ TEST(Workloads, MixesReferenceRealApps) {
 }
 
 TEST(Workloads, HelperGenerators) {
-  auto Near = makeNearbyIndices(1000, 500, 10, 42);
+  IndexValues Near = IndexValues::nearby(1000, 500, 10, 42);
   ASSERT_EQ(Near.size(), 1000u);
-  for (std::size_t S = 0; S < Near.size(); ++S) {
-    EXPECT_GE(Near[S], 0);
-    EXPECT_LT(Near[S], 500);
+  for (std::uint64_t S = 0; S < Near.size(); ++S) {
+    EXPECT_GE(Near.at(S), 0);
+    EXPECT_LT(Near.at(S), 500);
     std::int64_t Ramp = static_cast<std::int64_t>(S * 500 / 1000);
-    EXPECT_LE(std::llabs(Near[S] - Ramp), 10 + 1);
+    EXPECT_LE(std::llabs(Near.at(S) - Ramp), 10 + 1);
   }
-  auto Rand = makeRandomIndices(1000, 500, 42);
-  for (std::int64_t V : Rand) {
-    EXPECT_GE(V, 0);
-    EXPECT_LT(V, 500);
+  IndexValues Rand = IndexValues::random(1000, 500, 42);
+  ASSERT_EQ(Rand.size(), 1000u);
+  for (std::uint64_t S = 0; S < Rand.size(); ++S) {
+    EXPECT_GE(Rand.at(S), 0);
+    EXPECT_LT(Rand.at(S), 500);
   }
 }

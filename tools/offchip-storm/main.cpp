@@ -21,6 +21,7 @@
 #include "support/Format.h"
 #include "support/HostClock.h"
 #include "support/Options.h"
+#include "support/Random.h"
 #include "workloads/AppModel.h"
 
 #include <algorithm>
@@ -59,7 +60,11 @@ end
 
 /// The deterministic request mix: a hot set of optimize requests over the
 /// table's apps (exercises the cache) plus a per-client unique scale
-/// every fourth request (forces cold misses throughout the run).
+/// every fourth request (forces cold misses throughout the run). Every
+/// level draws from the same distribution of work: the app is a hash of
+/// (client, iteration), and a unique scale is the hot scale 1.0 plus a
+/// distinct multiple of 1e-12, so the array extents, and with them the
+/// work, are those of the hot entry.
 ///
 /// With \p DuplicateRatio > 0, that fraction of each client's iterations
 /// instead sends a simulate request whose content is identical across every
@@ -68,7 +73,7 @@ end
 /// flight together and the server's single-flight merging collapses them
 /// onto one execution (stragglers land as cache hits instead).
 SimRequest mixRequest(unsigned Level, unsigned Client, unsigned Iter,
-                      double DuplicateRatio, int RunTag) {
+                      unsigned Requests, double DuplicateRatio, int RunTag) {
   const std::vector<std::string> &Apps = appNames();
   SimRequest R;
   R.Id = formatString("l%u-c%u-i%u", Level, Client, Iter);
@@ -81,11 +86,17 @@ SimRequest mixRequest(unsigned Level, unsigned Client, unsigned Iter,
     return R;
   }
   R.Kind = RequestKind::Optimize;
-  R.Workload.App = Apps[(Client + Iter) % Apps.size()];
+  R.Workload.App = Apps[SplitMix64::mix((std::uint64_t{Client} << 32) | Iter) %
+                        Apps.size()];
   if (Iter % 4 == 3) {
-    // Unique content → guaranteed cache miss.
-    R.Workload.SizeScale =
-        1.0 + 0.001 * (1 + Level * 1000 + Client * 100 + Iter);
+    // Unique content → guaranteed cache miss. Level L's clients number
+    // L(L-1)/2 .. L(L+1)/2 - 1 across all levels, so no two requests of a
+    // run share a scale.
+    std::uint64_t Unique =
+        1 + Iter +
+        std::uint64_t{Requests} * (std::uint64_t{Level} * (Level - 1) / 2 +
+                                   Client);
+    R.Workload.SizeScale = 1.0 + 1e-12 * static_cast<double>(Unique);
   } else {
     R.Workload.SizeScale = (Iter % 2) ? 1.0 : 0.5;
   }
@@ -162,7 +173,8 @@ void runClient(const std::string &Host, unsigned Port, unsigned Level,
   }
   LineReader Reader(Fd);
   for (unsigned I = 0; I < Requests; ++I) {
-    SimRequest R = mixRequest(Level, Client, I, DuplicateRatio, RunTag);
+    SimRequest R =
+        mixRequest(Level, Client, I, Requests, DuplicateRatio, RunTag);
     for (;;) {
       Clock::time_point Start = Clock::now();
       if (!sendAll(Fd, writeRequestLine(R))) {
@@ -329,9 +341,9 @@ int main(int Argc, char **Argv) {
   W.key("cache_speedup").value(HitMs > 0.0 ? ColdMs / HitMs : 0.0);
   W.key("levels").beginArray();
   std::uint64_t TotalErrors = 0, TotalVerifyFailures = 0;
-  std::printf("%-8s %-10s %-10s %-10s %-10s %-10s %-8s %-7s %s\n", "clients",
-              "rps", "p50_ms", "p90_ms", "p99_ms", "hit_rate", "sf_hits",
-              "retries", "errors");
+  std::printf("%-8s %-10s %-10s %-10s %-10s %-10s %-10s %-8s %-7s %s\n",
+              "clients", "rps", "p50_ms", "p90_ms", "p99_ms", "max_ms",
+              "hit_rate", "sf_hits", "retries", "errors");
   Oracle Oracles;
   int RunTag = static_cast<int>(getpid());
   for (unsigned Level : Levels) {
@@ -362,15 +374,15 @@ int main(int Argc, char **Argv) {
     std::sort(Lat.begin(), Lat.end());
     double Rps = WallSeconds > 0 ? Lat.size() / WallSeconds : 0.0;
     double P50 = percentile(Lat, 0.50), P90 = percentile(Lat, 0.90),
-           P99 = percentile(Lat, 0.99);
+           P99 = percentile(Lat, 0.99), Max = Lat.empty() ? 0.0 : Lat.back();
     std::uint64_t Answered = Hits + Misses + Singleflight;
     double HitRate = Answered ? static_cast<double>(Hits) / Answered : 0.0;
     TotalErrors += Errors;
     TotalVerifyFailures += VerifyFailures;
 
-    std::printf("%-8u %-10.1f %-10.2f %-10.2f %-10.2f %-10.2f %-8llu %-7llu "
-                "%llu\n",
-                Level, Rps, P50, P90, P99, HitRate,
+    std::printf("%-8u %-10.1f %-10.2f %-10.2f %-10.2f %-10.2f %-10.2f "
+                "%-8llu %-7llu %llu\n",
+                Level, Rps, P50, P90, P99, Max, HitRate,
                 static_cast<unsigned long long>(Singleflight),
                 static_cast<unsigned long long>(Overloads),
                 static_cast<unsigned long long>(Errors));
@@ -383,6 +395,7 @@ int main(int Argc, char **Argv) {
     W.key("p50_ms").value(P50);
     W.key("p90_ms").value(P90);
     W.key("p99_ms").value(P99);
+    W.key("max_ms").value(Max);
     W.key("cache_hits").value(Hits);
     W.key("cache_misses").value(Misses);
     W.key("singleflight_hits").value(Singleflight);
