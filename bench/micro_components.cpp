@@ -3,9 +3,10 @@
 /// google-benchmark timings of the pieces the experiments lean on: the
 /// Data-to-Core solve, full layout-pass runs, customized-layout address
 /// computation (the source of the ~4% overhead of Section 6.1) next to the
-/// access stream's cursor step and boundary recompute, the event loop's
-/// tournament-tree step, XY-routed message injection and the link calendar
-/// under it, cache probes and fills, DRAM bank service, and the service's
+/// access stream's cursor step, boundary recompute and 64-thread drain, the
+/// event loop's tournament-tree step, XY-routed message injection and the
+/// link calendar under it, cache probes and fills (alone and at the scaled
+/// L1/L2 geometry over 64 caches), DRAM bank service, and the service's
 /// JSON codec: writing an Optimize and a Simulate answer and parsing a
 /// request, and whole Optimize misses for the five gather apps.
 ///
@@ -145,6 +146,41 @@ void BM_CursorStepOptimizedStream(benchmark::State &State) {
 }
 BENCHMARK(BM_CursorStepOptimizedStream);
 
+/// One next() of the simulator's stream mix: wupwise's optimized plan at
+/// scale 0.25, all 64 threads' streams drained round-robin as the event
+/// loop interleaves them, so each call may land on a drained buffer.
+void BM_ThreadStreamDrain(benchmark::State &State) {
+  MachineConfig C = benchConfig();
+  C.Granularity = InterleaveGranularity::Page;
+  ClusterMapping Mapping = makeM1Mapping(C);
+  AppModel App = buildApp("wupwise", 0.25);
+  LayoutPlan Plan = LayoutTransformer(Mapping, C.layoutOptions())
+                        .run(App.Program);
+  VmConfig VC;
+  VC.PageBytes = C.PageBytes;
+  VC.NumMCs = C.NumMCs;
+  VC.BytesPerMC = C.BytesPerMC;
+  VirtualMemory VM(VC, C.PagePolicy);
+  AddressMap Map(App.Program, Plan, VM, C);
+  const unsigned Threads = C.numNodes();
+  std::vector<std::unique_ptr<ThreadStream>> Streams;
+  for (unsigned T = 0; T < Threads; ++T)
+    Streams.push_back(std::make_unique<ThreadStream>(Map, T, Threads));
+  AccessRequest R;
+  unsigned T = 0;
+  for (auto _ : State) {
+    if (!Streams[T]->next(R)) {
+      State.PauseTiming();
+      Streams[T] = std::make_unique<ThreadStream>(Map, T, Threads);
+      State.ResumeTiming();
+      Streams[T]->next(R);
+    }
+    benchmark::DoNotOptimize(R.VA);
+    T = T + 1 == Threads ? 0 : T + 1;
+  }
+}
+BENCHMARK(BM_ThreadStreamDrain);
+
 /// The event loop's per-access queue step: pop the earliest of 64 threads'
 /// packed keys and reschedule the same thread a jittered gap later.
 void BM_TournamentTreeReplaceTop(benchmark::State &State) {
@@ -226,6 +262,39 @@ void BM_CacheInsertFullSet(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CacheInsertFullSet);
+
+/// A probe, and a fill on a miss, at the scaled machine's geometry: the L1
+/// (4 sets x 8 ways, one probe chunk) or the L2 (4 x 16, two chunks). The
+/// lines rotate over 64 caches, one per node, so the footprint is the
+/// simulator's; each cache's lines come from twice its capacity, a mix of
+/// hits and misses.
+void BM_CacheProbe(benchmark::State &State) {
+  MachineConfig C = benchConfig();
+  const bool L2 = State.range(0) != 0;
+  const std::uint64_t Size = L2 ? C.L2SizeBytes : C.L1SizeBytes;
+  const unsigned LineBytes = L2 ? C.L2LineBytes : C.L1LineBytes;
+  const unsigned Ways = L2 ? C.L2Ways : C.L1Ways;
+  const unsigned NumCaches = 64;
+  std::vector<Cache> Caches(NumCaches, Cache(Size, LineBytes, Ways));
+  SplitMix64 Rng(11);
+  std::vector<std::uint64_t> Lines(1 << 14);
+  for (std::uint64_t &L : Lines)
+    L = Rng.nextBelow(2 * Size / LineBytes);
+  std::size_t I = 0;
+  for (auto _ : State) {
+    Cache &K = Caches[I % NumCaches];
+    std::uint64_t Line = Lines[I % Lines.size()];
+    bool Hit = K.access(Line, false);
+    if (!Hit)
+      K.insert(Line, false);
+    ++I;
+    benchmark::DoNotOptimize(Hit);
+  }
+  State.SetLabel(formatString("%s %ux%u", L2 ? "L2" : "L1",
+                              static_cast<unsigned>(Size / LineBytes / Ways),
+                              Ways));
+}
+BENCHMARK(BM_CacheProbe)->Arg(0)->Arg(1);
 
 void BM_DirectoryFindSharer(benchmark::State &State) {
   Directory Dir(64);

@@ -5,7 +5,6 @@
 #include "support/Error.h"
 #include "support/MathUtil.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -22,7 +21,7 @@ Cache::Cache(std::uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
   LineDiv = Pow2Divider(LineBytes);
   SetDiv = Pow2Divider(NumSets);
   std::size_t NumWays = static_cast<std::size_t>(NumSets) * Ways;
-  Tags.assign(NumWays, InvalidTag);
+  Tags.assign(NumWays + ProbeChunk, InvalidTag);
   LastUse.assign(NumWays, 0);
   Dirty.assign(NumWays, 0);
   States.assign(NumWays, LineState::Shared);
@@ -30,13 +29,17 @@ Cache::Cache(std::uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
 
 std::size_t Cache::find(std::size_t Base, std::uint64_t Tag) const {
   assert(Tag != InvalidTag && "line address collides with the empty tag");
-  // One pass over the set's contiguous tags, 64 ways per match mask.
-  const std::uint64_t *T = Tags.data() + Base;
-  for (unsigned W0 = 0; W0 < Ways; W0 += 64) {
-    unsigned Len = std::min(Ways - W0, 64u);
-    std::uint64_t Match = 0;
-    for (unsigned W = 0; W < Len; ++W)
-      Match |= static_cast<std::uint64_t>(T[W0 + W] == Tag) << W;
+  // Fixed-width chunks of the set's contiguous tags: ProbeChunk independent
+  // compares into one match mask, with the lanes past the set's last way
+  // (the next set's ways, or the padding after the last set) masked off.
+  for (unsigned W0 = 0; W0 < Ways; W0 += ProbeChunk) {
+    const std::uint64_t *T = Tags.data() + Base + W0;
+    unsigned Match = 0;
+    for (unsigned L = 0; L < ProbeChunk; ++L)
+      Match |= static_cast<unsigned>(T[L] == Tag) << L;
+    unsigned Live = Ways - W0;
+    if (Live < ProbeChunk)
+      Match &= (1u << Live) - 1;
     if (Match)
       return Base + W0 + static_cast<unsigned>(std::countr_zero(Match));
   }
@@ -64,16 +67,23 @@ Cache::Eviction Cache::insert(std::uint64_t LineAddr, bool IsWrite,
   std::uint64_t Tag = tagOf(LineAddr);
   assert(Tag != InvalidTag && "line address collides with the empty tag");
   std::size_t Base = baseOf(LineAddr);
-  // One pass over the set: residency across every way (a line resident
-  // behind an invalidated way is refreshed, not duplicated) and the first
-  // minimum of LastUse, i.e. the first empty way, else the LRU way.
+  // One pass over the set finds both the residency, across every way (a
+  // line resident behind an invalidated way is refreshed, not duplicated),
+  // and the first minimum of LastUse: the first empty way (LastUse 0) when
+  // there is one, else the LRU way. The running minimum, its way and the
+  // resident way stay in registers and are selected without branches; the
+  // way is kept apart from the key because Ways has no upper bound.
   const std::uint64_t *T = Tags.data() + Base;
   const std::uint64_t *U = LastUse.data() + Base;
+  std::uint64_t MinUse = U[0];
   unsigned V = 0;
-  unsigned Resident = Ways;
-  for (unsigned W = 0; W < Ways; ++W) {
+  unsigned Resident = T[0] == Tag ? 0 : Ways;
+  for (unsigned W = 1; W < Ways; ++W) {
+    std::uint64_t X = U[W];
+    bool Less = X < MinUse;
+    MinUse = Less ? X : MinUse;
+    V = Less ? W : V;
     Resident = T[W] == Tag ? W : Resident;
-    V = U[W] < U[V] ? W : V;
   }
   if (Resident != Ways) {
     // Already resident (racy double-insert); refresh instead.

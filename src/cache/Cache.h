@@ -113,6 +113,10 @@ private:
   /// Global way index holding \p Tag in the set at \p Base, or NoWay.
   std::size_t find(std::size_t Base, std::uint64_t Tag) const;
   static constexpr std::size_t NoWay = ~static_cast<std::size_t>(0);
+  /// Ways compared per probe step: find() reads a fixed ProbeChunk tags at
+  /// a time and masks off the lanes past the set's last way, so Tags holds
+  /// ProbeChunk empty entries past the last set to keep its read in bounds.
+  static constexpr unsigned ProbeChunk = 8;
 
   unsigned Ways;
   unsigned NumSets;
@@ -124,7 +128,8 @@ private:
   /// set's ways contiguous: a probe scans only Tags, and an insert scans
   /// Tags and LastUse once. An empty way holds InvalidTag and LastUse 0
   /// (every resident line's LastUse is >= 1), so the LRU scan's first
-  /// minimum is the first empty way when there is one.
+  /// minimum is the first empty way when there is one. Tags carries
+  /// ProbeChunk extra InvalidTag entries past the last set (see find()).
   std::vector<std::uint64_t> Tags;
   std::vector<std::uint64_t> LastUse;
   std::vector<std::uint8_t> Dirty;

@@ -240,12 +240,15 @@ TEST(Cache, MatchesReferenceModel) {
   // Random access/insert/invalidate/markDirty/setState sequences over a
   // small line universe (so sets fill, evict and develop invalid holes):
   // same hits, same victims with the same dirty bit and state. Geometries
-  // cover one set, power-of-two and generic set counts, and a set wider
-  // than one 64-way probe chunk.
+  // cover one set, power-of-two and generic set counts, and the probe's
+  // 8-way chunks: the scaled L1 (4 x 8, one full chunk) and L2 (4 x 16),
+  // masked tails (3 x 9, 5 x 12, 12 x 3), sets spanning several chunks
+  // (1 x 17, 2 x 70), and a last set whose chunk reads the padding.
   struct Geometry {
     unsigned Sets, Ways;
   };
-  const Geometry Gs[] = {{1, 1}, {1, 4}, {8, 2}, {16, 16}, {12, 3}, {2, 70}};
+  const Geometry Gs[] = {{1, 1},  {1, 4},  {8, 2},  {16, 16}, {12, 3}, {2, 70},
+                         {4, 8},  {4, 16}, {3, 9},  {5, 12},  {1, 17}};
   for (const Geometry &G : Gs) {
     Cache C(static_cast<std::uint64_t>(G.Sets) * G.Ways * 64, 64, G.Ways);
     RefCache Ref(G.Sets, G.Ways);

@@ -549,6 +549,104 @@ end
   }
 }
 
+namespace {
+
+/// One drained stream: its accesses and its final counters.
+struct Drained {
+  std::vector<AccessRequest> Seq;
+  std::uint64_t Generated = 0;
+  std::uint64_t Recomputes = 0;
+};
+
+/// Drains thread \p Tid one program-walk step per access: a peekSpan(1) on
+/// the drained buffer generates exactly one access, which next() then
+/// pops, so the buffer never refills a block ahead.
+Drained drainOneAtATime(const AddressMap &Map, unsigned Tid,
+                        unsigned NumThreads) {
+  Drained Out;
+  ThreadStream S(Map, Tid, NumThreads);
+  AccessRequest R;
+  std::size_t Avail = 0;
+  while (true) {
+    S.peekSpan(1, &Avail);
+    EXPECT_LE(Avail, 1u);
+    if (!S.next(R))
+      break;
+    Out.Seq.push_back(R);
+  }
+  EXPECT_EQ(Avail, 0u);
+  Out.Generated = S.generated();
+  Out.Recomputes = S.recomputes();
+  return Out;
+}
+
+/// Drains thread \p Tid through next()'s block refill, peeking a \p Window
+/// after every access as the burst coalescer does (0: no peeks). Each
+/// window must hold the next accesses of \p Ref, as many as remain up to
+/// \p Window.
+Drained drainWithPeeks(const AddressMap &Map, unsigned Tid,
+                       unsigned NumThreads, std::size_t Window,
+                       const std::vector<AccessRequest> &Ref) {
+  Drained Out;
+  ThreadStream S(Map, Tid, NumThreads);
+  AccessRequest R;
+  while (S.next(R)) {
+    Out.Seq.push_back(R);
+    if (Window == 0)
+      continue;
+    std::size_t Avail = 0;
+    const AccessRequest *W = S.peekSpan(Window, &Avail);
+    std::size_t Pos = Out.Seq.size();
+    std::size_t Left = Ref.size() > Pos ? Ref.size() - Pos : 0;
+    EXPECT_EQ(Avail >= Window ? Window : Avail, std::min(Window, Left))
+        << "window " << Window << " at access " << Pos;
+    if (Avail != 0 && Left != 0) {
+      EXPECT_EQ(W[0].VA, Ref[Pos].VA) << "window " << Window << " at " << Pos;
+      std::size_t Last = std::min(Avail, Left) - 1;
+      EXPECT_EQ(W[Last].VA, Ref[Pos + Last].VA)
+          << "window " << Window << " at " << Pos;
+    }
+    if (::testing::Test::HasFailure())
+      break;
+  }
+  Out.Generated = S.generated();
+  Out.Recomputes = S.recomputes();
+  return Out;
+}
+
+} // namespace
+
+TEST(ThreadStream, BlockRefillMatchesOneAtATime) {
+  // next() generates a block of accesses whenever its buffer drains, and
+  // the burst coalescer's peeks share that buffer. Neither may change the
+  // stream: the same (VA, IsWrite, Transformed) sequence and the same final
+  // generated() and recomputes() as a one-step-per-access drain, on an
+  // optimized affine app and on a gather app, for every thread.
+  MachineConfig C = pageConfig();
+  for (const char *App : {"swim", "hpccg"}) {
+    StreamFixture F(App, C, /*Optimize=*/true);
+    for (unsigned Tid = 0; Tid < C.numNodes(); ++Tid) {
+      Drained Ref = drainOneAtATime(F.Map, Tid, C.numNodes());
+      for (std::size_t Window : {0, 1, 31, 32, 33, 256}) {
+        Drained Got = drainWithPeeks(F.Map, Tid, C.numNodes(), Window,
+                                     Ref.Seq);
+        ASSERT_EQ(Got.Seq.size(), Ref.Seq.size())
+            << App << " thread " << Tid << " window " << Window;
+        for (std::size_t I = 0; I < Ref.Seq.size(); ++I) {
+          ASSERT_EQ(Got.Seq[I].VA, Ref.Seq[I].VA) << App << " " << I;
+          ASSERT_EQ(Got.Seq[I].IsWrite, Ref.Seq[I].IsWrite) << App << " " << I;
+          ASSERT_EQ(Got.Seq[I].Transformed, Ref.Seq[I].Transformed)
+              << App << " " << I;
+        }
+        EXPECT_EQ(Got.Generated, Ref.Generated) << App << " " << Window;
+        EXPECT_EQ(Got.Recomputes, Ref.Recomputes) << App << " " << Window;
+        if (::testing::Test::HasFailure())
+          return;
+      }
+    }
+  }
+}
+
 /// Every application, optimized, at one interleave granularity.
 class AllAppsStreamEquiv
     : public ::testing::TestWithParam<

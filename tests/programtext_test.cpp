@@ -149,6 +149,36 @@ TEST(ProgramText, InlineIndexValuesStayInsideTheGatheredArray) {
       << Err;
 }
 
+TEST(ProgramText, GeneratedIndicesStayInsideTheGatheredArray) {
+  // A generated index array draws rows [0, Dims[0]) of its 'for' array, so
+  // every array gathered through it needs at least that many rows.
+  auto Parse = [](const char *Gen, const char *Gathered, std::string *Err) {
+    return parseProgramText(std::string("program gen\n"
+                                        "array x dims 1000 elem 8\n"
+                                        "array y dims 10 elem 8\n"
+                                        "array z dims 1000 3 elem 8\n"
+                                        "array idx dims 4 elem 8\n"
+                                        "index idx ") +
+                                Gen +
+                                "\nnest n bounds 0:4 parallel 0\n"
+                                "  gather-read " +
+                                Gathered +
+                                " via idx [ i0 ]\n"
+                                "end\n",
+                            Err);
+  };
+  std::string Err;
+  EXPECT_TRUE(Parse("nearby 4 1 for x", "x", &Err).has_value()) << Err;
+  EXPECT_TRUE(Parse("random 7 for x", "z", &Err).has_value()) << Err;
+  EXPECT_TRUE(Parse("nearby 4 1 for y", "x", &Err).has_value()) << Err;
+  const char *Message = "line 6: index 'idx' draws rows 0..999 of 'x', but "
+                        "'y' (0..9), which is gathered via 'idx', has fewer";
+  EXPECT_FALSE(Parse("nearby 4 1 for x", "y", &Err).has_value());
+  EXPECT_EQ(Err, Message);
+  EXPECT_FALSE(Parse("random 7 for x", "y", &Err).has_value());
+  EXPECT_EQ(Err, Message);
+}
+
 TEST(ProgramText, RoundTripPreservesStructure) {
   auto P = parseProgramText(StencilText);
   ASSERT_TRUE(P.has_value());

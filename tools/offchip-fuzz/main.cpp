@@ -194,7 +194,9 @@ MachineConfig randomConfig(SplitMix64 &R) {
   }
 
   static const unsigned L1Lines[] = {16, 32, 64};
-  static const unsigned L1WaysC[] = {1, 2, 4};
+  // 8, 12 and 16 ways reach the cache probe's full 8-way chunk, a masked
+  // tail and a set spanning two chunks; sizes are whole sets by construction.
+  static const unsigned L1WaysC[] = {1, 2, 4, 8, 12, 16};
   static const unsigned L1Sets[] = {4, 8, 16};
   C.L1LineBytes = pick(R, L1Lines);
   C.L1Ways = pick(R, L1WaysC);
@@ -203,7 +205,7 @@ MachineConfig randomConfig(SplitMix64 &R) {
   // A x3 multiplier yields a non-power-of-two L2 line (and interleave
   // unit), steering every address decode through the generic divider.
   static const unsigned L2Mult[] = {1, 2, 3, 4};
-  static const unsigned L2WaysC[] = {2, 4};
+  static const unsigned L2WaysC[] = {2, 4, 8, 12, 16};
   static const unsigned L2Sets[] = {8, 16, 32};
   C.L2LineBytes = C.L1LineBytes * pick(R, L2Mult);
   C.L2Ways = pick(R, L2WaysC);
