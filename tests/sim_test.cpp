@@ -271,6 +271,35 @@ TEST(ThreadStream, LookaheadMemoryStaysBoundedUnderFrequentPeeks) {
   EXPECT_LT(Peak, std::size_t(1) << 20);
 }
 
+TEST(ThreadStream, HugePeekWindowCostsOnlyTheStreamsLength) {
+  // The peek window comes from a request's burst_window_accesses, which has
+  // no upper bound: the buffer must grow with what the stream actually
+  // generates, never with the window asked for.
+  MachineConfig C = tinyConfig();
+  AffineProgram P("short");
+  ArrayId A = P.addArray({"a", {8, 64}, 8});
+  LoopNest Nest("n", IterationSpace({0, 0}, {8, 64}), 0);
+  Nest.addRef(pointRef(A, {0, 0}, false, 2));
+  P.addNest(std::move(Nest));
+  LayoutPlan Plan = LayoutTransformer::originalPlan(P);
+  VmConfig VC;
+  VC.NumMCs = C.NumMCs;
+  VirtualMemory VM(VC, PageAllocPolicy::InterleavedRoundRobin);
+  AddressMap Map(P, Plan, VM, C);
+  ThreadStream S(Map, 0, 1);
+  std::size_t Avail = 0;
+  S.peekSpan(std::size_t(1) << 30, &Avail);
+  EXPECT_EQ(Avail, 8u * 64);
+  // 512 accesses of 16 B: at most twice that once the doubling rounds up.
+  EXPECT_LE(S.lookaheadBytes(), 2 * Avail * sizeof(AccessRequest));
+  AccessRequest Req;
+  std::uint64_t N = 0;
+  while (S.next(Req))
+    ++N;
+  EXPECT_EQ(N, 8u * 64);
+  EXPECT_EQ(S.generated(), N);
+}
+
 //===----------------------------------------------------------------------===//
 // Engine end-to-end
 //===----------------------------------------------------------------------===//
